@@ -4,7 +4,7 @@ Pick k protector nodes whose posts, seen often enough before a rumor,
 block the largest expected share of browsing users.  Browsing is a bounded
 random walk; seeing C protector posts blocks with logistic probability
 (zero at C=0).  Solvers run on a shared sample store; bound-driven search
-uses a concave tangent envelope of the logistic.
+uses the least concave majorant of the logistic at integer counts.
 """
 
 from .blocking import (
@@ -13,7 +13,6 @@ from .blocking import (
     LogisticParams,
     block_degree,
     blocking_percentage,
-    envelope_value,
     estimate_envelope_objective,
     estimate_objective,
     impression_count,

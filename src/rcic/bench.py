@@ -211,6 +211,7 @@ def run_on_graph(g: Graph, config: ExperimentConfig, fraction: float = 1.0,
         x_used = _resolve_x(cfg, g.n - len(rumor))
         key = (rumor, cfg.T, x_used, cfg.seed)
         if key != cached_key:
+            cached_store = None  # free the old store before sampling the next
             cached_store = build_sample_store(
                 g, rumor, SampleConfig(T=cfg.T, X=x_used, seed=cfg.seed),
                 threads=cfg.threads)

@@ -1,13 +1,21 @@
-"""Impression-count influence block and its concave tangent envelope.
+"""Impression-count influence block and its concave envelope.
 
 A user who saw C protector posts before reaching the rumor is blocked with
 probability f(C) = 1/(1+exp(alpha - beta*C)) when C > 0, and 0 when C = 0:
 unseen protectors block nobody, so the curve has a jump at zero.  The jump
 makes the set objective non-submodular.  The envelope replaces f on each walk
-by its concave majorant anchored at that walk's current count: a tangent line
-from the anchor up to the tangency point, the logistic beyond.  The envelope
-is submodular in the added set, upper-bounds the true objective, and agrees
-with it exactly at the anchor, which is what the bound-based solvers rely on.
+by a concave majorant anchored at that walk's current count c0.  Counts are
+integers, so the tightest one is the least concave majorant of the points
+(c, f(c)) for c0 <= c <= max_count: an upper-hull pass over at most T+2
+points, which exists for every alpha and beta.  The envelope is submodular in
+the added set, upper-bounds the true objective, and agrees with it exactly at
+the anchor, which is what the bound-based solvers rely on.
+
+`tangent_point` keeps the paper's continuous construction (a tangent line
+from the anchor up to the logistic, the logistic beyond).  No solver uses
+it: at integer counts the hull is never above it, it has no solution from
+the origin when alpha <= 2, and just above alpha = 2 its line passes below
+f(1), so it is not an upper bound there.
 """
 
 from __future__ import annotations
@@ -64,7 +72,7 @@ def impression_count(profile, P) -> int:
 
 @dataclass(frozen=True)
 class EnvelopeAnchor:
-    """Tangent construction for one anchor count c0.
+    """The paper's continuous tangent construction for one anchor count c0.
 
     The line through (c0, y0) with tangent_slope touches the logistic at
     tangent_c; the envelope follows the line on [c0, tangent_c] and the
@@ -117,84 +125,51 @@ def tangent_point(params: LogisticParams, c0: float, y0: float) -> EnvelopeAncho
     return EnvelopeAnchor(c0, y0, t, slope)
 
 
-def anchor_for(params: LogisticParams, c0: int) -> EnvelopeAnchor:
-    """Anchor with y0 per the block conventions: 0 at c0=0, f(c0) otherwise."""
-    y0 = 0.0 if c0 == 0 else _logistic(params, c0)
-    return tangent_point(params, c0, y0)
+def _upper_hull(y: np.ndarray) -> np.ndarray:
+    """Least concave majorant of the points (i, y[i]), evaluated at each i.
 
-
-def envelope_value(anchor: EnvelopeAnchor, params: LogisticParams, c: float) -> float:
-    """Envelope at count c >= anchor.c0: anchor value, line segment, or logistic."""
-    if c < anchor.c0:
-        raise ValueError(f"count {c} below anchor {anchor.c0}; envelope undefined")
-    if c == anchor.c0:
-        return anchor.y0
-    if c >= anchor.tangent_c:
-        return _logistic(params, c)
-    return anchor.y0 + anchor.tangent_slope * (c - anchor.c0)
+    One monotone-chain pass keeps the upper hull's vertices; a point on or
+    below the chord between its neighbours is dropped.
+    """
+    hull: list[int] = []
+    for i in range(len(y)):
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            if (y[b] - y[a]) * (i - a) > (y[i] - y[a]) * (b - a):
+                break
+            hull.pop()
+        hull.append(i)
+    return np.interp(np.arange(len(y)), hull, y[hull])
 
 
 class EnvelopeTable:
-    """Lookup tables over integer counts 0..max_count.
+    """Block and envelope lookups over integer counts 0..max_count.
 
     f_table[c] is the block value (0 at c=0) and gain_table[c] is f(c+1)-f(c).
-    Envelope rows are built on first use per anchor count c0: env_row(c0)[c]
-    is the envelope anchored at c0 at count c (NaN below the anchor), and
-    env_gain_row(c0) its unit gains.  Counts never exceed the longest hit-walk
-    prefix, so every table stays tiny (max_count <= T + 1).  Lazy rows matter:
-    anchors at count 0 have no tangent when alpha <= 2, and plain objective
-    evaluation must still work there.
+    env[c0, c] is the envelope anchored at count c0: the least concave
+    majorant of the points (c', f_table[c']) for c0 <= c' <= max_count, at
+    count c >= c0 (NaN below the anchor).  env_gain[c0, c] is its unit gain
+    env[c0, c+1] - env[c0, c], and 0 at c = max_count.  Counts never exceed
+    the longest hit-walk prefix, so max_count <= T + 1 and both matrices are
+    tiny; they are built once, for every anchor, and exist for every alpha.
     """
 
     def __init__(self, params: LogisticParams, max_count: int):
         if max_count < 0:
             raise ValueError(f"max_count must be >= 0, got {max_count}")
-        self.params = params
         self.max_count = max_count
         self.f_table = np.zeros(max_count + 1, dtype=np.float64)
         for c in range(1, max_count + 1):
             self.f_table[c] = _logistic(params, c)
         self.gain_table = np.diff(self.f_table)
-        self._anchors: dict[int, EnvelopeAnchor] = {}
-        self._env_rows: dict[int, np.ndarray] = {}
-        self._env_gain_rows: dict[int, np.ndarray] = {}
-
-    def anchor(self, c0: int) -> EnvelopeAnchor:
-        if c0 not in self._anchors:
-            self._anchors[c0] = anchor_for(self.params, c0)
-        return self._anchors[c0]
-
-    def env_row(self, c0: int) -> np.ndarray:
-        if c0 not in self._env_rows:
-            anchor = self.anchor(c0)
-            row = np.full(self.max_count + 1, np.nan, dtype=np.float64)
-            for c in range(c0, self.max_count + 1):
-                row[c] = envelope_value(anchor, self.params, c)
-            self._env_rows[c0] = row
-        return self._env_rows[c0]
-
-    def env_gain_row(self, c0: int) -> np.ndarray:
-        if c0 not in self._env_gain_rows:
-            self._env_gain_rows[c0] = np.diff(self.env_row(c0))
-        return self._env_gain_rows[c0]
+        self.env = np.full((max_count + 1, max_count + 1), np.nan)
+        for c0 in range(max_count + 1):
+            self.env[c0, c0:] = _upper_hull(self.f_table[c0:])
+        self.env_gain = np.zeros_like(self.env)
+        self.env_gain[:, :max_count] = np.diff(self.env, axis=1)
 
     def block(self, counts: np.ndarray) -> np.ndarray:
         return self.f_table[counts]
-
-    def envelope(self, anchor_counts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        out = np.empty(counts.shape, dtype=np.float64)
-        for c0 in np.unique(anchor_counts):
-            sel = anchor_counts == c0
-            out[sel] = self.env_row(int(c0))[counts[sel]]
-        return out
-
-    def envelope_gains(self, anchor_counts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        """Unit envelope gain at each (anchor, current count) pair."""
-        out = np.empty(counts.shape, dtype=np.float64)
-        for c0 in np.unique(anchor_counts):
-            sel = anchor_counts == c0
-            out[sel] = self.env_gain_row(int(c0))[counts[sel]]
-        return out
 
 
 def _positions(index, nodes) -> list[int]:
@@ -221,7 +196,7 @@ def estimate_envelope_objective(store, params: LogisticParams, anchor_set, P) ->
     anchors = index.counts_for(anchor_set)
     counts = anchors + index.counts_for(P - anchor_set)
     table = EnvelopeTable(params, index.max_count)
-    return float(np.dot(index.walk_weights, table.envelope(anchors, counts)))
+    return float(np.dot(index.walk_weights, table.env[anchors, counts]))
 
 
 def block_degree(store) -> dict[int, int]:

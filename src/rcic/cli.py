@@ -33,34 +33,17 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-_FILE_CONVERTERS = {
-    "graph": str,
-    "undirected": _parse_bool,
-    "directed": _parse_bool,
-    "algo": str,
-    "k": int,
-    "rumor_size": int,
-    "rumor_seed": int,
-    "T": int,
-    "alpha": float,
-    "beta": float,
-    "samples": int,
-    "rho": float,
-    "epsilon": float,
-    "delta": float,
-    "sweep": str,
-    "certified_bounds": _parse_bool,
-    "node_cap": int,
-    "time_cap": float,
-    "seed": int,
-    "threads": int,
-    "out": str,
-    "format": str,
-    "fractions": str,
-}
+def _file_converters() -> dict:
+    """Config-file keys and converters, read off the flag declarations."""
+    p = argparse.ArgumentParser(add_help=False)
+    _add_scalability_flags(p)
+    return {a.dest: _parse_bool if isinstance(a, argparse._StoreTrueAction)
+            else a.type or str
+            for a in p._actions if a.dest != "config"}
 
 
 def _load_config_file(path: str) -> dict:
+    converters = _file_converters()
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -71,9 +54,9 @@ def _load_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, _, text = line.partition("=")
             key = key.strip().replace("-", "_")
-            if key not in _FILE_CONVERTERS:
+            if key not in converters:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _FILE_CONVERTERS[key](text.strip())
+            values[key] = converters[key](text.strip())
     return values
 
 
@@ -109,7 +92,13 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, help="walk sampling seed")
     p.add_argument("--threads", type=int, help="sampling worker cap")
     p.add_argument("--out", help="report path; stdout when omitted")
-    p.add_argument("--format", choices=("csv", "json"), dest="out_format")
+    p.add_argument("--format", choices=("csv", "json"))
+
+
+def _add_scalability_flags(p: argparse.ArgumentParser) -> None:
+    _add_run_flags(p)
+    p.add_argument("--fractions",
+                   help="ascending node fractions, e.g. 0.2,0.4,0.6,0.8,1.0")
 
 
 def _merged(args, file_cfg: dict, key: str):
@@ -228,9 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scal = sub.add_parser("scalability",
                             help="repeat a run on nested BFS slices")
-    _add_run_flags(p_scal)
-    p_scal.add_argument("--fractions",
-                        help="ascending node fractions, e.g. 0.2,0.4,0.6,0.8,1.0")
+    _add_scalability_flags(p_scal)
     p_scal.set_defaults(func=_cmd_scalability)
 
     p_or = sub.add_parser("oracle", help="randomized property checks")

@@ -260,8 +260,8 @@ class DominanceCounterexample:
     T: int
     anchor_set: frozenset[int]
     P: frozenset[int]
-    envelope_value: float
-    exact_value: float
+    envelope: float
+    exact: float
 
 
 def check_envelope_dominance(params: LogisticParams, trials: int,

@@ -4,8 +4,10 @@ All four solvers run off one immutable store index and a per-run mutable
 array of per-walk impression counts.  Greedy uses true logistic gains (no
 lazy evaluation: the true objective is not submodular, so cached gains can
 go stale upward).  The bound estimators greedily maximize the anchored
-envelope, which is submodular, and return both the completed set's true
-value L and its envelope value U; branch and bound orders its heap by U.
+envelope, the least concave majorant of the logistic at integer counts above
+each walk's anchor count (`EnvelopeTable.env`), which is submodular, and
+return both the completed set's true value L and its envelope value U;
+branch and bound orders its heap by U.
 
 U is the envelope value of a greedy envelope maximizer, not the envelope
 optimum, so pruning on it mirrors the source algorithm but is only heuristic.
@@ -127,8 +129,9 @@ def solve_greedy(store, params: LogisticParams, k: int) -> SolveReport:
 
 
 class _EnvelopeState:
-    """Shared setup for one bound call: anchor counts, masks, and the envelope
-    matrices indexed [anchor_count, current_count] with a zero gain pad."""
+    """Shared setup for one bound call: anchor counts, current counts and
+    masks; envelope values and gains are read from the table's matrices,
+    indexed [anchor_count, current_count]."""
 
     def __init__(self, store, params, anchor_set, k, allowed, table):
         self.index = index = store.index
@@ -152,25 +155,17 @@ class _EnvelopeState:
             self.addable &= ~self.in_set
         if len(self.anchor) + int(self.addable.sum()) < k:
             raise ValueError("anchor plus allowed pool cannot reach k nodes")
-
-        M = self.table.max_count
-        self.env_gain_mat = np.zeros((M + 1, M + 1), dtype=np.float64)
-        self.env_val_mat = np.zeros((M + 1, M + 1), dtype=np.float64)
-        for c0 in np.unique(self.anchor_counts):
-            c0 = int(c0)
-            self.env_gain_mat[c0, :M] = self.table.env_gain_row(c0)
-            self.env_val_mat[c0] = self.table.env_row(c0)
         self.first_added: int | None = None
         self.gain_evals = 0
 
     def walk_gains(self) -> np.ndarray:
-        return self.env_gain_mat[self.anchor_counts, self.counts]
+        return self.table.env_gain[self.anchor_counts, self.counts]
 
     def gain_of(self, pos: int) -> float:
         walks = _walks_of(self.index, pos)
         return float(np.dot(self.index.walk_weights[walks],
-                            self.env_gain_mat[self.anchor_counts[walks],
-                                              self.counts[walks]]))
+                            self.table.env_gain[self.anchor_counts[walks],
+                                                self.counts[walks]]))
 
     def add(self, pos: int) -> None:
         self.in_set[pos] = True
@@ -191,7 +186,7 @@ class _EnvelopeState:
         chosen = frozenset(int(v) for v in index.candidates[self.in_set])
         lower = float(np.dot(index.walk_weights, self.table.f_table[self.counts]))
         upper = float(np.dot(index.walk_weights,
-                             self.env_val_mat[self.anchor_counts, self.counts]))
+                             self.table.env[self.anchor_counts, self.counts]))
         return BoundResult(chosen, lower, upper, self.first_added, self.gain_evals)
 
 

@@ -1,8 +1,11 @@
+import gc
 import io
 import json
+import weakref
 
 import pytest
 
+import rcic.bench
 from rcic.bench import (
     ExperimentConfig,
     ReportRow,
@@ -116,6 +119,25 @@ def test_run_on_graph_sweep_reuses_consistent_stores():
     for row, alpha in zip(rows, (3.0, 7.0)):
         report = run_solver("greedy", store, LogisticParams(alpha, 1.0), 3)
         assert row.objective == report.objective
+
+
+def test_run_on_graph_frees_each_store_before_the_next(monkeypatch):
+    built = []
+    alive_at_build = []
+
+    def tracking_build(*args, **kwargs):
+        gc.collect()
+        alive_at_build.append(sum(ref() is not None for ref in built))
+        store = build_sample_store(*args, **kwargs)
+        built.append(weakref.ref(store))
+        return store
+
+    monkeypatch.setattr(rcic.bench, "build_sample_store", tracking_build)
+    run_on_graph(small_graph(), base_config(algorithms=("topk",),
+                                            sweep_axis="T",
+                                            sweep_values=(2.0, 3.0, 4.0)))
+    assert len(built) == 3
+    assert alive_at_build == [0, 0, 0]
 
 
 def test_run_on_graph_integer_sweep_axis():

@@ -6,10 +6,8 @@ import pytest
 from rcic.blocking import (
     EnvelopeTable,
     LogisticParams,
-    anchor_for,
     block_degree,
     blocking_percentage,
-    envelope_value,
     estimate_envelope_objective,
     estimate_objective,
     impression_count,
@@ -22,6 +20,9 @@ from rcic.graph import Graph
 from rcic.sampling import WalkProfile
 
 P31 = LogisticParams(alpha=3.0, beta=1.0)
+P73 = LogisticParams(alpha=7.0, beta=3.0)
+# steep and flat curves; no tangent from the origin exists for the last two
+HULL_PARAMS = (P73, P31, LogisticParams(2.0, 1.0), LogisticParams(1.5, 1.0))
 
 
 def path_store(T=2):
@@ -99,81 +100,90 @@ def test_tangent_point_rejects_negative_anchor():
         tangent_point(P31, -1.0, 0.0)
 
 
-def test_anchor_for_conventions():
-    a0 = anchor_for(P31, 0)
-    assert a0.y0 == 0.0
-    a2 = anchor_for(P31, 2)
-    assert a2.y0 == pytest.approx(logistic_block(P31, 2), abs=1e-15)
-    assert a2.tangent_c > P31.inflection
-
-
-def test_envelope_value_cases():
-    anchor = anchor_for(P31, 0)
-    assert envelope_value(anchor, P31, 0.0) == 0.0
-    # line segment below the tangency point
-    assert envelope_value(anchor, P31, 2.0) == pytest.approx(
-        0.366029688450553, abs=1e-12)
-    assert envelope_value(anchor, P31, 2.0) == pytest.approx(
-        2.0 * anchor.tangent_slope, abs=1e-15)
-    # logistic beyond it
-    assert envelope_value(anchor, P31, 5.0) == pytest.approx(
-        0.8807970779778823, abs=1e-15)
-    with pytest.raises(ValueError):
-        envelope_value(anchor, P31, -0.5)
-
-
-def test_envelope_dominates_block_on_grid():
-    for c0 in range(0, 5):
-        anchor = anchor_for(P31, c0)
-        for c in range(c0, 12):
-            assert envelope_value(anchor, P31, c) >= logistic_block(P31, c) - 1e-12
-
-
-def test_envelope_concave_above_anchor():
-    anchor = anchor_for(P31, 0)
-    values = [envelope_value(anchor, P31, c) for c in range(0, 12)]
-    gains = np.diff(values)
-    assert np.all(np.diff(gains) <= 1e-12)
-    assert np.all(gains >= -1e-12)
+def brute_majorant(f, c0, c):
+    """Max over chords through points i <= c <= j of f on [c0, len(f) - 1]."""
+    best = -math.inf
+    for i in range(c0, c + 1):
+        for j in range(c, len(f)):
+            if i == j:
+                best = max(best, f[c])
+            else:
+                best = max(best, f[i] + (f[j] - f[i]) * (c - i) / (j - i))
+    return best
 
 
 def test_envelope_table_matches_pointwise_functions():
-    table = EnvelopeTable(P31, max_count=6)
-    for c in range(7):
-        assert table.f_table[c] == logistic_block(P31, c)
-    assert np.allclose(table.gain_table, np.diff(table.f_table))
-    row0 = table.env_row(0)
-    anchor = anchor_for(P31, 0)
-    for c in range(7):
-        assert row0[c] == pytest.approx(envelope_value(anchor, P31, c), abs=1e-15)
-    row2 = table.env_row(2)
-    assert np.isnan(row2[0]) and np.isnan(row2[1])
-    assert row2[2] == logistic_block(P31, 2)
+    for params in HULL_PARAMS:
+        table = EnvelopeTable(params, max_count=7)
+        for c in range(8):
+            assert table.f_table[c] == logistic_block(params, c)
+        assert np.allclose(table.gain_table, np.diff(table.f_table))
+        for c0 in range(8):
+            for c in range(c0, 8):
+                assert table.env[c0, c] == pytest.approx(
+                    brute_majorant(table.f_table, c0, c), abs=1e-15)
+
+
+def test_envelope_agrees_at_anchor():
+    for params in HULL_PARAMS:
+        table = EnvelopeTable(params, max_count=6)
+        assert table.env[0, 0] == 0.0
+        for c0 in range(7):
+            assert table.env[c0, c0] == table.f_table[c0]
+
+
+def test_envelope_dominates_block_on_grid():
+    for params in HULL_PARAMS:
+        table = EnvelopeTable(params, max_count=11)
+        for c0 in range(12):
+            for c in range(c0, 12):
+                assert table.env[c0, c] >= logistic_block(params, c) - 1e-12
+
+
+def test_envelope_concave_above_anchor():
+    for params in HULL_PARAMS:
+        table = EnvelopeTable(params, max_count=11)
+        for c0 in range(12):
+            gains = np.diff(table.env[c0, c0:])
+            assert np.all(np.diff(gains) <= 1e-12)
+            assert np.all(gains >= -1e-12)
+
+
+def test_envelope_pinned_values():
+    table = EnvelopeTable(P73, max_count=3)
+    f1, f3 = logistic_block(P73, 1), logistic_block(P73, 3)
+    # the chord from count 1 to count 3 lies above f(2)
+    assert table.env[1, 2] == pytest.approx((f1 + f3) / 2, abs=1e-15)
+    assert table.env[1, 2] == pytest.approx(0.44940, abs=1e-5)
+    # the continuous tangent from the same anchor is looser at count 2
+    anchor = tangent_point(P73, 1.0, f1)
+    tangent_at_2 = anchor.y0 + anchor.tangent_slope * (2.0 - anchor.c0)
+    assert tangent_at_2 == pytest.approx(0.4542, abs=1e-4)
+    assert table.env[1, 2] < tangent_at_2
 
 
 def test_envelope_table_vector_lookups():
     table = EnvelopeTable(P31, max_count=5)
-    anchors = np.array([0, 2, 0, 1], dtype=np.int32)
-    counts = np.array([3, 4, 0, 5], dtype=np.int32)
-    vals = table.envelope(anchors, counts)
-    for i in range(4):
-        assert vals[i] == table.env_row(int(anchors[i]))[counts[i]]
-    # unit gains exist for counts strictly below the table cap
-    gain_counts = np.array([3, 4, 0, 4], dtype=np.int32)
-    gains = table.envelope_gains(anchors, gain_counts)
-    for i in range(4):
-        assert gains[i] == table.env_gain_row(int(anchors[i]))[gain_counts[i]]
+    anchors = np.array([0, 2, 0, 1, 5], dtype=np.int32)
+    counts = np.array([3, 4, 0, 5, 5], dtype=np.int32)
+    vals = table.env[anchors, counts]
+    gains = table.env_gain[anchors, counts]
+    for i in range(5):
+        a, c = int(anchors[i]), int(counts[i])
+        assert vals[i] == table.env[a, c]
+        # unit gains step to the next count, and stop at the table cap
+        expected = table.env[a, c + 1] - table.env[a, c] if c < 5 else 0.0
+        assert gains[i] == expected
     assert np.array_equal(table.block(counts), table.f_table[counts])
 
 
-def test_envelope_table_rows_are_lazy():
-    # plain objective lookups must work even where no origin tangent exists
+def test_envelope_table_finite_for_flat_logistic():
+    # no origin tangent exists at alpha=1.5; the hull still does
     table = EnvelopeTable(LogisticParams(1.5, 1.0), max_count=4)
-    assert table.f_table[1] == pytest.approx(logistic_block(
-        LogisticParams(1.5, 1.0), 1))
-    with pytest.raises(ArithmeticError):
-        table.env_row(0)
-    table.env_row(2)  # past the inflection 1.5, fine
+    upper = np.triu(np.ones((5, 5), dtype=bool))
+    assert np.all(np.isfinite(table.env[upper]))
+    assert np.all(np.isfinite(table.env_gain[upper]))
+    assert np.all(np.isnan(table.env[~upper]))
 
 
 def test_envelope_table_validation():
@@ -211,8 +221,11 @@ def test_estimate_envelope_objective_anchoring():
     for s in (set(), {0}, {1}, {0, 1}):
         assert estimate_envelope_objective(store, P31, s, s) == pytest.approx(
             estimate_objective(store, P31, s), abs=1e-15)
+    # hit prefixes {0, 1} and {1}, weight 1/2 each; at count 1 the hull over
+    # counts 0..2 is the chord f(2)/2, above f(1)
     env = estimate_envelope_objective(store, P31, set(), {0, 1})
-    assert env == pytest.approx(0.27452226633791477, abs=1e-12)
+    assert env == pytest.approx(0.75 * logistic_block(P31, 2), abs=1e-15)
+    assert env == pytest.approx(0.20170606602749633, abs=1e-12)
     assert env >= estimate_objective(store, P31, {0, 1})
     with pytest.raises(ValueError):
         estimate_envelope_objective(store, P31, {0}, {1})

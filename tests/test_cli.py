@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from rcic.bench import read_rows
@@ -37,6 +39,26 @@ def test_run_defaults_to_stdout(graph_file, capsys):
     captured = capsys.readouterr()
     assert captured.out.startswith("# experiment report")
     assert "topk" in captured.out
+
+
+def test_format_flag_selects_json(graph_file, capsys):
+    code = main(["run", "--graph", graph_file, "--algo", "topk", "--k", "2",
+                 "--rumor-size", "4", "-T", "2", "--samples", "20",
+                 "--alpha", "3", "--beta", "1", "--format", "json"])
+    assert code == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [r["algorithm"] for r in rows] == ["topk"]
+
+
+def test_bound_solvers_run_at_alpha_two(graph_file, tmp_path):
+    # alpha <= 2: no tangent from the origin, but the hull envelope exists
+    out = tmp_path / "flat.csv"
+    assert main(["run", "--graph", graph_file, "--algo", "bab,probab",
+                 "--k", "3", "--rumor-size", "4", "-T", "4", "--alpha", "2",
+                 "--beta", "1", "--samples", "50", "--out", str(out)]) == 0
+    rows = read_rows(out.open())
+    assert [r.algorithm for r in rows] == ["bab", "probab"]
+    assert all(r.status == "ok" for r in rows)
 
 
 def test_run_repeats_identically(graph_file, tmp_path):

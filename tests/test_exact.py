@@ -22,6 +22,10 @@ from rcic.synth import gnp_graph
 
 P31 = LogisticParams(alpha=3.0, beta=1.0)
 P73 = LogisticParams(alpha=7.0, beta=3.0)
+# P31 plus curves with no tangent from the origin (alpha <= 2) or a tangent
+# that passes below f(1) (alpha = 2.1)
+ENVELOPE_PARAMS = (P31, LogisticParams(2.1, 1.0), LogisticParams(2.0, 1.0),
+                   LogisticParams(1.5, 1.0))
 
 
 def path3():
@@ -212,11 +216,13 @@ def test_objective_is_not_submodular():
 
 
 def test_envelope_is_submodular():
-    rng = np.random.default_rng(1)
-    assert find_submodularity_violation(P31, trials=300, rng=rng,
-                                        envelope=True) is None
+    for params in ENVELOPE_PARAMS:
+        rng = np.random.default_rng(1)
+        assert find_submodularity_violation(params, trials=300, rng=rng,
+                                            envelope=True) is None
 
 
 def test_envelope_dominates():
-    rng = np.random.default_rng(2)
-    assert check_envelope_dominance(P31, trials=300, rng=rng) is None
+    for params in ENVELOPE_PARAMS:
+        rng = np.random.default_rng(2)
+        assert check_envelope_dominance(params, trials=300, rng=rng) is None

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -18,6 +19,10 @@ from rcic.graph import Graph
 from rcic.synth import barabasi_albert_graph, gnp_graph
 
 P31 = LogisticParams(alpha=3.0, beta=1.0)
+# P31 plus curves with no tangent from the origin (alpha <= 2) or a tangent
+# that passes below f(1) (alpha = 2.1)
+ENVELOPE_PARAMS = (P31, LogisticParams(2.1, 1.0), LogisticParams(2.0, 1.0),
+                   LogisticParams(1.5, 1.0))
 
 
 def path_store(T=2):
@@ -175,9 +180,10 @@ def test_pro_bound_saves_gain_evaluations():
 
 
 def test_branch_and_bound_certified_finds_optimum():
-    for g, store in tiny_instances():
-        report = branch_and_bound(store, P31, k=2, certified=True)
-        _, opt = exhaustive_optimum(g, P31, {0}, k=2, T=3)
+    for params, (g, store) in itertools.product(ENVELOPE_PARAMS,
+                                                tiny_instances()):
+        report = branch_and_bound(store, params, k=2, certified=True)
+        _, opt = exhaustive_optimum(g, params, {0}, k=2, T=3)
         assert report.algorithm == "bab"
         assert report.objective == pytest.approx(opt, abs=1e-9)
         assert not report.truncated
@@ -214,10 +220,11 @@ def test_branch_and_bound_time_cap_truncates():
 
 
 def test_branch_and_bound_progressive_estimator():
-    for g, store in tiny_instances():
-        report = branch_and_bound(store, P31, k=2, estimator="pro", rho=0.1,
-                                  certified=True)
-        _, opt = exhaustive_optimum(g, P31, {0}, k=2, T=3)
+    for params, (g, store) in itertools.product(ENVELOPE_PARAMS,
+                                                tiny_instances()):
+        report = branch_and_bound(store, params, k=2, estimator="pro",
+                                  rho=0.1, certified=True)
+        _, opt = exhaustive_optimum(g, params, {0}, k=2, T=3)
         assert report.algorithm == "probab"
         assert report.objective >= (1.0 - 1.0 / math.e) * opt - 1e-9
 
