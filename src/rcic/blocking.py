@@ -168,9 +168,6 @@ class EnvelopeTable:
         self.env_gain = np.zeros_like(self.env)
         self.env_gain[:, :max_count] = np.diff(self.env, axis=1)
 
-    def block(self, counts: np.ndarray) -> np.ndarray:
-        return self.f_table[counts]
-
 
 def _positions(index, nodes) -> list[int]:
     return [index.position(v) for v in nodes]
@@ -182,7 +179,7 @@ def estimate_objective(store, params: LogisticParams, P) -> float:
     _positions(index, P)  # validates membership
     counts = index.counts_for(P)
     table = EnvelopeTable(params, index.max_count)
-    return float(np.dot(index.walk_weights, table.block(counts)))
+    return float(np.dot(index.walk_weights, table.f_table[counts]))
 
 
 def estimate_envelope_objective(store, params: LogisticParams, anchor_set, P) -> float:

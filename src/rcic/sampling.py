@@ -103,7 +103,8 @@ class WalkIndex:
         walk_weights: weight of each hit walk, length H.
         indptr / walk_ids: CSR over candidate positions; walk_ids[indptr[p]:indptr[p+1]]
             are the hit-walk positions whose prefix contains candidates[p].
-        cand_of_entry: candidate position of each flat entry (for segment sums).
+        walk_indptr / walk_cands: the forward CSR; walk_cands[walk_indptr[w]:
+            walk_indptr[w+1]] are the candidate positions in hit walk w's prefix.
         max_count: largest hit-walk prefix size (caps any impression count).
         influenced_mass: total hit weight, the expected number of users the
             rumor set reaches; denominator of the blocking percentage.
@@ -121,35 +122,27 @@ class WalkIndex:
         self.cand_pos[self.candidates] = np.arange(self.candidates.size)
 
         self.walk_weights = np.asarray(walk_weights, dtype=np.float64)
-        prefix_indptr = np.asarray(hit_prefix_indptr, dtype=np.int64)
+        self.walk_indptr = np.asarray(hit_prefix_indptr, dtype=np.int64)
         prefix_nodes = np.asarray(hit_prefix_nodes, dtype=np.int64)
         n_hit = self.walk_weights.size
-        lengths = np.diff(prefix_indptr)
+        lengths = np.diff(self.walk_indptr)
 
         pos_vals = self.cand_pos[prefix_nodes]
         if pos_vals.size and pos_vals.min() < 0:
             raise ValueError("hit-walk prefix contains a rumor node")
+        self.walk_cands = pos_vals.astype(np.int32)
         walk_of_entry = np.repeat(np.arange(n_hit, dtype=np.int64), lengths)
         order = np.argsort(pos_vals, kind="stable")
         self.walk_ids = walk_of_entry[order].astype(np.int32)
-        self.cand_of_entry = pos_vals[order].astype(np.int32)
         per_cand = np.bincount(pos_vals, minlength=self.candidates.size)
         self.indptr = np.concatenate(
             [np.zeros(1, dtype=np.int64), np.cumsum(per_cand, dtype=np.int64)])
         self.max_count = int(lengths.max()) if lengths.size else 0
         self.influenced_mass = float(self.walk_weights.sum())
-        self._entry_weights: np.ndarray | None = None
 
     @property
     def n_candidates(self) -> int:
         return int(self.candidates.size)
-
-    @property
-    def entry_weights(self) -> np.ndarray:
-        """Weight of each flat index entry's walk; cached, solvers hit this hard."""
-        if self._entry_weights is None:
-            self._entry_weights = self.walk_weights[self.walk_ids]
-        return self._entry_weights
 
     @property
     def n_hit_walks(self) -> int:
@@ -169,9 +162,9 @@ class WalkIndex:
         return self.walk_ids[self.indptr[p]:self.indptr[p + 1]]
 
     def counts_for(self, nodes) -> np.ndarray:
-        """Per-hit-walk impression count |prefix ∩ nodes|."""
+        """Per-hit-walk impression count |prefix ∩ nodes|; repeats count once."""
         counts = np.zeros(self.n_hit_walks, dtype=np.int32)
-        for v in nodes:
+        for v in frozenset(nodes):
             counts[self.walk_slice(v)] += 1
         return counts
 
@@ -319,8 +312,8 @@ def _simulate_chunk(adj_indptr, adj_flat, degs, is_rumor, starts, cfg: SampleCon
 
 
 def _csr_take(indptr, values, rows):
-    """Gather a subset of CSR rows, preserving order."""
-    lengths = np.diff(indptr)[rows]
+    """Gather a subset of CSR rows, preserving order, in O(rows + entries)."""
+    lengths = indptr[rows + 1] - indptr[rows]
     out_indptr = np.concatenate(
         [np.zeros(1, dtype=np.int64), np.cumsum(lengths, dtype=np.int64)])
     flat = np.repeat(indptr[rows], lengths) + (

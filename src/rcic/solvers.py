@@ -1,13 +1,16 @@
 """Protector selection: degree heuristic, greedy, and bound-driven search.
 
 All four solvers run off one immutable store index and a per-run mutable
-array of per-walk impression counts.  Greedy uses true logistic gains (no
-lazy evaluation: the true objective is not submodular, so cached gains can
-go stale upward).  The bound estimators greedily maximize the anchored
-envelope, the least concave majorant of the logistic at integer counts above
-each walk's anchor count (`EnvelopeTable.env`), which is submodular, and
-return both the completed set's true value L and its envelope value U;
-branch and bound orders its heap by U.
+array of per-walk impression counts.  Greedy, the SAM bound and PRO's
+fallback pick through one engine (`_GainState.greedy_steps`): an add changes
+only the added node's walks, so only their gain change is scattered to the
+candidates in their prefixes, and every gain stays exact.  It is not lazy:
+the true objective is not submodular, so cached gains can go stale upward.
+Greedy uses true logistic gains.  The bound estimators greedily maximize the
+anchored envelope, the least concave majorant of the logistic at integer
+counts above each walk's anchor count (`EnvelopeTable.env`), which is
+submodular, and return both the completed set's true value L and its
+envelope value U; branch and bound orders its heap by U.
 
 U is the envelope value of a greedy envelope maximizer, not the envelope
 optimum, so pruning on it mirrors the source algorithm but is only heuristic.
@@ -27,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocking import EnvelopeTable, LogisticParams, estimate_objective
+from .sampling import _csr_take
 
 _PRUNE_SLACK = 1e-9
 
@@ -80,13 +84,6 @@ def _blocking_fraction(store, objective: float) -> float:
     return objective / mass if mass > 0 else 0.0
 
 
-def _entry_gain_sum(index, walk_gain: np.ndarray) -> np.ndarray:
-    """Per-candidate sum of weight * unit-gain over the walks that contain it."""
-    vals = index.entry_weights * walk_gain[index.walk_ids]
-    return np.bincount(index.cand_of_entry, weights=vals,
-                       minlength=index.n_candidates)
-
-
 def _walks_of(index, pos: int) -> np.ndarray:
     return index.walk_ids[index.indptr[pos]:index.indptr[pos + 1]]
 
@@ -105,42 +102,32 @@ def solve_topk(store, params: LogisticParams, k: int) -> SolveReport:
 
 
 def solve_greedy(store, params: LogisticParams, k: int) -> SolveReport:
-    """k rounds of best-true-gain addition with full rescans each round."""
+    """k rounds of best-true-gain addition."""
     t0 = time.perf_counter()
     index = store.index
     _check_k(index, k)
     table = EnvelopeTable(params, index.max_count)
-    # padded so fully-covered walks index a zero gain instead of overflowing
-    gain_of_count = np.append(table.gain_table, 0.0)
-    counts = np.zeros(index.n_hit_walks, dtype=np.int32)
-    in_set = np.zeros(index.n_candidates, dtype=bool)
-    gain_evals = 0
-    for it in range(k):
-        gains = _entry_gain_sum(index, gain_of_count[counts])
-        gains[in_set] = -np.inf
-        best = int(np.argmax(gains))
-        in_set[best] = True
-        counts[_walks_of(index, best)] += 1
-        gain_evals += index.n_candidates - it
-    chosen = frozenset(int(v) for v in index.candidates[in_set])
+    # padded so fully-covered walks read a zero gain instead of overflowing
+    state = _GainState(index, np.append(table.gain_table, 0.0)[None, :],
+                       frozenset(), k, None)
+    state.greedy_steps(k)
+    chosen = frozenset(int(v) for v in index.candidates[state.in_set])
     obj = estimate_objective(store, params, chosen)
     return SolveReport("greedy", chosen, obj, _blocking_fraction(store, obj),
-                       time.perf_counter() - t0, gain_evals=gain_evals)
+                       time.perf_counter() - t0, gain_evals=state.gain_evals)
 
 
-class _EnvelopeState:
-    """Shared setup for one bound call: anchor counts, current counts and
-    masks; envelope values and gains are read from the table's matrices,
-    indexed [anchor_count, current_count]."""
+class _GainState:
+    """Greedy completion of an anchor set.  gain_mat[a, c] is one walk's unit
+    gain at anchor count a and current count c; gains[p] is its weighted sum
+    over the walks containing candidate p, kept exact as nodes are added."""
 
-    def __init__(self, store, params, anchor_set, k, allowed, table):
-        self.index = index = store.index
+    def __init__(self, index, gain_mat, anchor_set, k, allowed):
+        self.index = index
+        self.gain_mat = gain_mat
         self.anchor = frozenset(int(v) for v in anchor_set)
         if len(self.anchor) > k:
             raise ValueError(f"anchor of size {len(self.anchor)} exceeds k={k}")
-        self.k = k
-        self.table = table if table is not None else EnvelopeTable(
-            params, index.max_count)
         self.anchor_counts = index.counts_for(self.anchor)
         self.counts = self.anchor_counts.copy()
         self.in_set = np.zeros(index.n_candidates, dtype=bool)
@@ -157,17 +144,29 @@ class _EnvelopeState:
             raise ValueError("anchor plus allowed pool cannot reach k nodes")
         self.first_added: int | None = None
         self.gain_evals = 0
+        self.refresh_gains()
 
-    def walk_gains(self) -> np.ndarray:
-        return self.table.env_gain[self.anchor_counts, self.counts]
+    def _unit_gains(self, walks) -> np.ndarray:
+        return self.gain_mat[self.anchor_counts[walks], self.counts[walks]]
+
+    def _to_candidates(self, indptr, cands, walk_vals) -> np.ndarray:
+        """Sum per-walk values onto each walk's prefix candidates, in walk order."""
+        return np.bincount(cands, weights=np.repeat(walk_vals, np.diff(indptr)),
+                           minlength=self.index.n_candidates)
+
+    def refresh_gains(self) -> None:
+        """Recompute every candidate's gain from scratch."""
+        index = self.index
+        self.gains = self._to_candidates(
+            index.walk_indptr, index.walk_cands,
+            index.walk_weights * self._unit_gains(slice(None)))
 
     def gain_of(self, pos: int) -> float:
         walks = _walks_of(self.index, pos)
-        return float(np.dot(self.index.walk_weights[walks],
-                            self.table.env_gain[self.anchor_counts[walks],
-                                                self.counts[walks]]))
+        return float(np.dot(self.index.walk_weights[walks], self._unit_gains(walks)))
 
     def add(self, pos: int) -> None:
+        """Add candidate pos without updating `gains`."""
         self.in_set[pos] = True
         self.addable[pos] = False
         self.counts[_walks_of(self.index, pos)] += 1
@@ -175,18 +174,23 @@ class _EnvelopeState:
             self.first_added = int(self.index.candidates[pos])
 
     def greedy_steps(self, rounds: int) -> None:
-        for _ in range(rounds):
-            gains = _entry_gain_sum(self.index, self.walk_gains())
-            gains[~self.addable] = -np.inf
-            self.gain_evals += int(self.addable.sum())
-            self.add(int(np.argmax(gains)))
-
-    def result(self) -> BoundResult:
+        """Add the best addable candidate `rounds` times, keeping `gains` exact."""
         index = self.index
-        chosen = frozenset(int(v) for v in index.candidates[self.in_set])
-        lower = float(np.dot(index.walk_weights, self.table.f_table[self.counts]))
-        upper = float(np.dot(index.walk_weights,
-                             self.table.env[self.anchor_counts, self.counts]))
+        for _ in range(rounds):
+            self.gain_evals += int(self.addable.sum())
+            pos = int(np.argmax(np.where(self.addable, self.gains, -np.inf)))
+            walks = _walks_of(index, pos)
+            before = self._unit_gains(walks)
+            self.add(pos)
+            delta = index.walk_weights[walks] * (self._unit_gains(walks) - before)
+            self.gains += self._to_candidates(
+                *_csr_take(index.walk_indptr, index.walk_cands, walks), delta)
+
+    def result(self, table: EnvelopeTable) -> BoundResult:
+        chosen = frozenset(int(v) for v in self.index.candidates[self.in_set])
+        weights = self.index.walk_weights
+        lower = float(np.dot(weights, table.f_table[self.counts]))
+        upper = float(np.dot(weights, table.env[self.anchor_counts, self.counts]))
         return BoundResult(chosen, lower, upper, self.first_added, self.gain_evals)
 
 
@@ -199,9 +203,11 @@ def sam_compute_bound(store, params: LogisticParams, anchor_set, k: int,
     value anchored at anchor_set.  `allowed` restricts which nodes may be
     added (the branch driver's remaining pool); None means all candidates.
     """
-    state = _EnvelopeState(store, params, anchor_set, k, allowed, table)
+    if table is None:
+        table = EnvelopeTable(params, store.index.max_count)
+    state = _GainState(store.index, table.env_gain, anchor_set, k, allowed)
     state.greedy_steps(k - len(state.anchor))
-    return state.result()
+    return state.result(table)
 
 
 def pro_sam_compute_bound(store, params: LogisticParams, anchor_set, k: int,
@@ -217,13 +223,14 @@ def pro_sam_compute_bound(store, params: LogisticParams, anchor_set, k: int,
     """
     if rho <= 0:
         raise ValueError(f"rho must be > 0, got {rho}")
-    state = _EnvelopeState(store, params, anchor_set, k, allowed, table)
-    needed = state.k - len(state.anchor)
+    if table is None:
+        table = EnvelopeTable(params, store.index.max_count)
+    state = _GainState(store.index, table.env_gain, anchor_set, k, allowed)
+    needed = k - len(state.anchor)
     if needed == 0:
-        return state.result()
+        return state.result(table)
 
-    init_gains = _entry_gain_sum(state.index, state.walk_gains())
-    init_gains[~state.addable] = -np.inf
+    init_gains = np.where(state.addable, state.gains, -np.inf)
     state.gain_evals += int(state.addable.sum())
     order = np.argsort(-init_gains, kind="stable")
     h0 = float(init_gains[order[0]])
@@ -245,8 +252,10 @@ def pro_sam_compute_bound(store, params: LogisticParams, anchor_set, k: int,
                 added += 1
         h /= 1.0 + rho
     if added < needed:
+        # the threshold adds above did not scatter their gain changes
+        state.refresh_gains()
         state.greedy_steps(needed - added)
-    return state.result()
+    return state.result(table)
 
 
 def branch_and_bound(store, params: LogisticParams, k: int,

@@ -174,7 +174,6 @@ def test_envelope_table_vector_lookups():
         # unit gains step to the next count, and stop at the table cap
         expected = table.env[a, c + 1] - table.env[a, c] if c < 5 else 0.0
         assert gains[i] == expected
-    assert np.array_equal(table.block(counts), table.f_table[counts])
 
 
 def test_envelope_table_finite_for_flat_logistic():
@@ -200,6 +199,16 @@ def test_estimate_objective_path_instance():
         0.05960146101105877, abs=1e-12)
     assert estimate_objective(store, P31, {0, 1}) == pytest.approx(
         0.19407217169605634, abs=1e-12)
+
+
+def test_repeated_protector_counts_once():
+    # P is a set: listing node 1 twice is one impression per walk, f(1), not f(2)
+    store = path_store()
+    f1 = 0.11920292202211755
+    assert estimate_objective(store, P31, [1, 1]) == pytest.approx(f1, abs=1e-12)
+    assert blocking_percentage(store, P31, [1, 1]) == pytest.approx(f1, abs=1e-12)
+    assert estimate_objective(store, P31, [0, 1, 0]) == pytest.approx(
+        estimate_objective(store, P31, {0, 1}), abs=1e-15)
 
 
 def test_estimate_objective_monotone_in_protectors():

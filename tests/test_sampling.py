@@ -183,19 +183,32 @@ def test_index_structure_invariants():
     for pos, v in enumerate(index.candidates):
         assert index.position(int(v)) == pos
     assert index.indptr[0] == 0
-    assert index.indptr[-1] == len(index.walk_ids) == len(index.cand_of_entry)
+    assert index.indptr[-1] == len(index.walk_ids) == len(index.walk_cands)
     assert np.all(np.diff(index.indptr) >= 0)
     for pos in range(index.n_candidates):
         lo, hi = index.indptr[pos], index.indptr[pos + 1]
-        assert np.all(index.cand_of_entry[lo:hi] == pos)
         # each hit walk contributes a node at most once
         assert np.all(np.diff(index.walk_ids[lo:hi]) > 0)
+
+    # forward CSR: row w is hit walk w's prefix, as candidate positions
+    hit_ids = np.flatnonzero(store.hit_flags)
+    assert index.walk_indptr.size == index.n_hit_walks + 1 == hit_ids.size + 1
+    for w, walk in enumerate(hit_ids):
+        row = index.walk_cands[index.walk_indptr[w]:index.walk_indptr[w + 1]]
+        lo, hi = store.prefix_indptr[walk], store.prefix_indptr[walk + 1]
+        assert np.array_equal(row, index.cand_pos[store.prefix_nodes[lo:hi]])
+    # transposing the forward CSR gives the inverted one
+    walk_of_entry = np.repeat(np.arange(index.n_hit_walks),
+                              np.diff(index.walk_indptr))
+    order = np.argsort(index.walk_cands, kind="stable")
+    assert np.array_equal(walk_of_entry[order], index.walk_ids)
+    assert np.array_equal(
+        np.bincount(index.walk_cands, minlength=index.n_candidates),
+        np.diff(index.indptr))
 
     counts = index.counts_for(index.candidates)
     assert counts.sum() == len(index.walk_ids)
     assert counts.max() == index.max_count
-    assert np.array_equal(index.entry_weights,
-                          index.walk_weights[index.walk_ids])
     assert abs(index.influenced_mass - index.walk_weights.sum()) < 1e-12
 
 

@@ -1,13 +1,20 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
-from rcic.blocking import LogisticParams, estimate_envelope_objective
+from rcic.blocking import (
+    EnvelopeTable,
+    LogisticParams,
+    estimate_envelope_objective,
+    estimate_objective,
+)
 from rcic.exact import ExactStore, exhaustive_optimum
 from rcic.sampling import SampleConfig, build_sample_store
 from rcic.solvers import (
     SolverLimits,
+    _GainState,
     branch_and_bound,
     pro_sam_compute_bound,
     run_solver,
@@ -34,6 +41,89 @@ def tiny_instances():
     for seed in range(6):
         g = gnp_graph(7, 0.5, seed=seed)
         yield g, ExactStore(g, {0}, T=3)
+
+
+def sampled_ba_stores():
+    for seed in range(3):
+        g = barabasi_albert_graph(300, 3, seed=seed)
+        yield build_sample_store(g, set(range(8)), SampleConfig(T=5, X=60, seed=seed))
+
+
+def rescan_gains(index, gain_mat, anchor_counts, counts):
+    """Each candidate's gain re-summed over its walks from scratch."""
+    cand_of_entry = np.repeat(np.arange(index.n_candidates), np.diff(index.indptr))
+    walk_gain = gain_mat[anchor_counts, counts]
+    return np.bincount(cand_of_entry,
+                       weights=index.walk_weights[index.walk_ids]
+                       * walk_gain[index.walk_ids],
+                       minlength=index.n_candidates)
+
+
+def rescan_greedy(index, gain_mat, anchor_set, k):
+    """Reference greedy: every pick rescans every candidate's gain."""
+    anchor_counts = index.counts_for(anchor_set)
+    counts = anchor_counts.copy()
+    in_set = np.zeros(index.n_candidates, dtype=bool)
+    for v in anchor_set:
+        in_set[index.position(v)] = True
+    for _ in range(k - len(anchor_set)):
+        gains = rescan_gains(index, gain_mat, anchor_counts, counts)
+        gains[in_set] = -np.inf
+        best = int(np.argmax(gains))
+        in_set[best] = True
+        counts[index.walk_ids[index.indptr[best]:index.indptr[best + 1]]] += 1
+    return frozenset(int(v) for v in index.candidates[in_set])
+
+
+def gain_matrices(index, params):
+    table = EnvelopeTable(params, index.max_count)
+    return {"greedy": np.append(table.gain_table, 0.0)[None, :],
+            "envelope": table.env_gain}
+
+
+def test_incremental_greedy_matches_rescan_on_sampled_stores():
+    for store in sampled_ba_stores():
+        index = store.index
+        mats = gain_matrices(index, P31)
+        assert solve_greedy(store, P31, k=12).chosen_set == rescan_greedy(
+            index, mats["greedy"], frozenset(), 12)
+        anchor = frozenset(int(v) for v in index.candidates[:2])
+        for anchor_set in (frozenset(), anchor):
+            sam = sam_compute_bound(store, P31, anchor_set, k=12)
+            assert sam.completed_set == rescan_greedy(
+                index, mats["envelope"], anchor_set, 12)
+
+
+def test_incremental_greedy_matches_rescan_objective_on_tiny_instances():
+    # ties between candidates may break differently at the last bit here
+    for params, (_, store) in itertools.product(ENVELOPE_PARAMS,
+                                                tiny_instances()):
+        for k in (1, 2, 3):
+            ref = rescan_greedy(store.index, gain_matrices(store.index, params)[
+                "greedy"], frozenset(), k)
+            assert solve_greedy(store, params, k).objective == pytest.approx(
+                estimate_objective(store, params, ref), abs=1e-12)
+
+
+def test_incremental_gains_equal_refresh_after_every_step():
+    stores = [s for _, s in tiny_instances()] + list(sampled_ba_stores())
+    for store in stores:
+        index = store.index
+        for name, mat in gain_matrices(index, P31).items():
+            anchor = frozenset() if name == "greedy" else frozenset(
+                {int(index.candidates[-1])})
+            state = _GainState(index, mat, anchor, 6, None)
+            for _ in range(6 - len(anchor)):
+                state.greedy_steps(1)
+                incremental = state.gains
+                state.refresh_gains()
+                np.testing.assert_allclose(incremental, state.gains, rtol=0,
+                                           atol=1e-12)
+                np.testing.assert_allclose(
+                    state.gains, rescan_gains(index, mat, state.anchor_counts,
+                                              state.counts), rtol=0, atol=1e-12)
+                # carry on from the incremental vector so errors accumulate
+                state.gains = incremental
 
 
 def test_limits_validation():
