@@ -169,14 +169,9 @@ class EnvelopeTable:
         self.env_gain[:, :max_count] = np.diff(self.env, axis=1)
 
 
-def _positions(index, nodes) -> list[int]:
-    return [index.position(v) for v in nodes]
-
-
 def estimate_objective(store, params: LogisticParams, P) -> float:
     """Sampled objective B(P|R): weighted block value over all hit walks."""
     index = store.index
-    _positions(index, P)  # validates membership
     counts = index.counts_for(P)
     table = EnvelopeTable(params, index.max_count)
     return float(np.dot(index.walk_weights, table.f_table[counts]))
@@ -189,7 +184,6 @@ def estimate_envelope_objective(store, params: LogisticParams, anchor_set, P) ->
     if not P >= anchor_set:
         raise ValueError("P must contain the anchor set")
     index = store.index
-    _positions(index, P)
     anchors = index.counts_for(anchor_set)
     counts = anchors + index.counts_for(P - anchor_set)
     table = EnvelopeTable(params, index.max_count)

@@ -207,9 +207,6 @@ class SampleStore:
         return WalkProfile(start=u, hit=bool(self.hit_flags[w]),
                            prefix=frozenset(int(x) for x in self.prefix_nodes[lo:hi]))
 
-    def profiles(self, u: int) -> list[WalkProfile]:
-        return [self.profile(u, i) for i in range(self.X)]
-
 
 def build_sample_store(g: Graph, rumor_set, cfg: SampleConfig,
                        threads: int = 1) -> SampleStore:
@@ -250,8 +247,9 @@ def build_sample_store(g: Graph, rumor_set, cfg: SampleConfig,
         results = [run_chunk(c) for c in chunks]
 
     hit_flags = np.concatenate([r[0] for r in results])
-    lengths = np.concatenate([np.diff(r[1]) for r in results])
+    lengths = np.concatenate([r[1] for r in results])
     prefix_nodes = np.concatenate([r[2] for r in results])
+    del results  # the chunks would otherwise live on through the index build
     prefix_indptr = np.concatenate(
         [np.zeros(1, dtype=np.int64), np.cumsum(lengths, dtype=np.int64)])
     return SampleStore(cfg, g.n, rumor, hit_flags, prefix_indptr, prefix_nodes)
@@ -265,7 +263,8 @@ def _simulate_chunk(adj_indptr, adj_flat, degs, is_rumor, starts, cfg: SampleCon
     """Vectorized simulation of X walks for each start in `starts`.
 
     Walk (u, i) consumes row i of start u's (X, T) uniform block, one value per
-    step, matching sample_walk's consumption pattern exactly.
+    step, matching sample_walk's consumption pattern exactly.  Returns each
+    walk's hit flag and prefix length, and the prefixes concatenated.
     """
     T, X = cfg.T, cfg.X
     W = starts.size * X
@@ -306,9 +305,7 @@ def _simulate_chunk(adj_indptr, adj_flat, degs, is_rumor, starts, cfg: SampleCon
     keep[1:] = (seq[1:] != seq[:-1]) & (seq[1:] != -1)
     lengths = keep.sum(axis=0, dtype=np.int64)
     prefix_nodes = seq.T[keep.T]
-    prefix_indptr = np.concatenate(
-        [np.zeros(1, dtype=np.int64), np.cumsum(lengths, dtype=np.int64)])
-    return hit, prefix_indptr, prefix_nodes
+    return hit, lengths, prefix_nodes
 
 
 def _csr_take(indptr, values, rows):

@@ -109,7 +109,7 @@ def solve_greedy(store, params: LogisticParams, k: int) -> SolveReport:
     table = EnvelopeTable(params, index.max_count)
     # padded so fully-covered walks read a zero gain instead of overflowing
     state = _GainState(index, np.append(table.gain_table, 0.0)[None, :],
-                       frozenset(), k, None)
+                       frozenset(), k, frozenset())
     state.greedy_steps(k)
     chosen = frozenset(int(v) for v in index.candidates[state.in_set])
     obj = estimate_objective(store, params, chosen)
@@ -118,11 +118,12 @@ def solve_greedy(store, params: LogisticParams, k: int) -> SolveReport:
 
 
 class _GainState:
-    """Greedy completion of an anchor set.  gain_mat[a, c] is one walk's unit
-    gain at anchor count a and current count c; gains[p] is its weighted sum
-    over the walks containing candidate p, kept exact as nodes are added."""
+    """Greedy completion of an anchor set from the candidates outside it and
+    outside `excluded`.  gain_mat[a, c] is one walk's unit gain at anchor
+    count a and current count c; gains[p] is its weighted sum over the walks
+    containing candidate p, kept exact as nodes are added."""
 
-    def __init__(self, index, gain_mat, anchor_set, k, allowed):
+    def __init__(self, index, gain_mat, anchor_set, k, excluded):
         self.index = index
         self.gain_mat = gain_mat
         self.anchor = frozenset(int(v) for v in anchor_set)
@@ -133,15 +134,11 @@ class _GainState:
         self.in_set = np.zeros(index.n_candidates, dtype=bool)
         for v in self.anchor:
             self.in_set[index.position(v)] = True
-        if allowed is None:
-            self.addable = ~self.in_set
-        else:
-            self.addable = np.zeros(index.n_candidates, dtype=bool)
-            for v in allowed:
-                self.addable[index.position(v)] = True
-            self.addable &= ~self.in_set
+        self.addable = ~self.in_set
+        for v in excluded:
+            self.addable[index.position(v)] = False
         if len(self.anchor) + int(self.addable.sum()) < k:
-            raise ValueError("anchor plus allowed pool cannot reach k nodes")
+            raise ValueError("anchor plus remaining pool cannot reach k nodes")
         self.first_added: int | None = None
         self.gain_evals = 0
         self.refresh_gains()
@@ -195,25 +192,26 @@ class _GainState:
 
 
 def sam_compute_bound(store, params: LogisticParams, anchor_set, k: int,
-                      allowed=None, table: EnvelopeTable | None = None
+                      excluded=frozenset(), table: EnvelopeTable | None = None
                       ) -> BoundResult:
     """Greedy envelope completion of the anchor to k nodes.
 
-    Returns the completed set with L = its true value and U = its envelope
-    value anchored at anchor_set.  `allowed` restricts which nodes may be
-    added (the branch driver's remaining pool); None means all candidates.
+    Nodes are added from the pool V', the candidates minus the anchor and
+    the excluded nodes.  Returns the completed set with L = its true value
+    and U = its envelope value anchored at anchor_set.
     """
     if table is None:
         table = EnvelopeTable(params, store.index.max_count)
-    state = _GainState(store.index, table.env_gain, anchor_set, k, allowed)
+    state = _GainState(store.index, table.env_gain, anchor_set, k, excluded)
     state.greedy_steps(k - len(state.anchor))
     return state.result(table)
 
 
 def pro_sam_compute_bound(store, params: LogisticParams, anchor_set, k: int,
-                          rho: float, allowed=None,
+                          rho: float, excluded=frozenset(),
                           table: EnvelopeTable | None = None) -> BoundResult:
-    """Threshold-relaxed envelope completion: one initial gain scan, then
+    """Threshold-relaxed envelope completion: one initial gain scan of the
+    pool V' (the candidates minus the anchor and the excluded nodes), then
     sweeps that accept any node whose current gain clears a threshold h,
     lowering h by (1+rho) between sweeps.
 
@@ -225,7 +223,7 @@ def pro_sam_compute_bound(store, params: LogisticParams, anchor_set, k: int,
         raise ValueError(f"rho must be > 0, got {rho}")
     if table is None:
         table = EnvelopeTable(params, store.index.max_count)
-    state = _GainState(store.index, table.env_gain, anchor_set, k, allowed)
+    state = _GainState(store.index, table.env_gain, anchor_set, k, excluded)
     needed = k - len(state.anchor)
     if needed == 0:
         return state.result(table)
@@ -265,11 +263,13 @@ def branch_and_bound(store, params: LogisticParams, k: int,
     """Best-first search over include/exclude splits, bounded by envelope
     completions.
 
-    Each heap entry holds a partial set P', its remaining pool V', and the
-    bound computed for that pair; branching removes the estimator's first
-    added node from the pool.  The incumbent is seeded with solve_greedy's
-    set so the result never falls below greedy.  Expansion or wall-time caps
-    return the incumbent with truncated=True.
+    A search node is a pair (P', E) of included and excluded nodes; its
+    remaining pool V' is the candidates minus P' and E.  Each heap entry holds
+    the pair and the bound of its completion from V'.  Expanding it splits on
+    the estimator's first added node u: (P' + u, E) and (P', E + u).  The
+    incumbent is seeded with solve_greedy's set so the result never falls
+    below greedy.  Expansion or wall-time caps return the incumbent with
+    truncated=True.
     """
     t0 = time.perf_counter()
     index = store.index
@@ -282,16 +282,16 @@ def branch_and_bound(store, params: LogisticParams, k: int,
         algo = "bab"
         factor = 1.0 - 1.0 / math.e - epsilon
 
-        def bound(anchor, pool):
-            return sam_compute_bound(store, params, anchor, k,
-                                     allowed=pool, table=table)
+        def bound(partial, excluded):
+            return sam_compute_bound(store, params, partial, k,
+                                     excluded=excluded, table=table)
     elif estimator == "pro":
         algo = "probab"
         factor = 1.0 - 1.0 / math.e - epsilon - rho
 
-        def bound(anchor, pool):
-            return pro_sam_compute_bound(store, params, anchor, k, rho,
-                                         allowed=pool, table=table)
+        def bound(partial, excluded):
+            return pro_sam_compute_bound(store, params, partial, k, rho,
+                                         excluded=excluded, table=table)
     else:
         raise ValueError(f"unknown bound estimator {estimator!r}")
     if certified and factor <= 0:
@@ -304,28 +304,30 @@ def branch_and_bound(store, params: LogisticParams, k: int,
     greedy = solve_greedy(store, params, k)
     best_set, best_val = greedy.chosen_set, greedy.objective
     gain_evals = greedy.gain_evals
-
-    all_cands = frozenset(int(v) for v in index.candidates)
-    root = bound(frozenset(), all_cands)
-    bound_calls = 1
-    gain_evals += root.gain_evals
-    if root.lower > best_val:
-        best_set, best_val = root.completed_set, root.lower
-
+    bound_calls = 0
     heap: list = []
     ticket = itertools.count()
 
-    def try_push(partial, pool, bres):
+    def visit(partial, excluded):
+        """Bound a search node, take its completion if it beats the
+        incumbent, and queue it if its bound may still beat the incumbent
+        and its pool holds more nodes than it needs."""
+        nonlocal best_set, best_val, bound_calls, gain_evals
+        bres = bound(partial, excluded)
+        bound_calls += 1
+        gain_evals += bres.gain_evals
+        if bres.lower > best_val:
+            best_set, best_val = bres.completed_set, bres.lower
         if (adjusted(bres.upper) > best_val + _PRUNE_SLACK
-                and len(partial) < k and len(partial) + len(pool) > k):
+                and len(partial) < k and index.n_candidates - len(excluded) > k):
             heapq.heappush(heap, (-adjusted(bres.upper), next(ticket),
-                                  partial, pool, bres))
+                                  partial, excluded, bres))
 
-    try_push(frozenset(), all_cands, root)
+    visit(frozenset(), frozenset())
     expansions = 0
     truncated = False
     while heap:
-        neg_upper, _, partial, pool, bres = heap[0]
+        neg_upper, _, partial, excluded, bres = heap[0]
         if -neg_upper <= best_val + _PRUNE_SLACK:
             break
         if (limits.node_expansion_cap is not None
@@ -339,16 +341,8 @@ def branch_and_bound(store, params: LogisticParams, k: int,
         heapq.heappop(heap)
         expansions += 1
         u = bres.first_added
-        rest = pool - {u}
-        for child in (partial | {u}, partial):
-            if len(child) + len(rest) < k:
-                continue
-            cb = bound(child, rest)
-            bound_calls += 1
-            gain_evals += cb.gain_evals
-            if cb.lower > best_val:
-                best_set, best_val = cb.completed_set, cb.lower
-            try_push(child, rest, cb)
+        visit(partial | {u}, excluded)
+        visit(partial, excluded | {u})
 
     return SolveReport(algo, best_set, best_val,
                        _blocking_fraction(store, best_val),
@@ -359,7 +353,7 @@ def branch_and_bound(store, params: LogisticParams, k: int,
 
 def run_solver(algo: str, store, params: LogisticParams, k: int,
                rho: float = 0.1, limits: SolverLimits | None = None,
-               certified: bool = False, epsilon: float = 0.0) -> SolveReport:
+               certified: bool = False) -> SolveReport:
     """Dispatch by the benchmark's algorithm names."""
     if algo == "topk":
         return solve_topk(store, params, k)
@@ -367,10 +361,8 @@ def run_solver(algo: str, store, params: LogisticParams, k: int,
         return solve_greedy(store, params, k)
     if algo == "bab":
         return branch_and_bound(store, params, k, estimator="sam",
-                                limits=limits, certified=certified,
-                                epsilon=epsilon)
+                                limits=limits, certified=certified)
     if algo == "probab":
         return branch_and_bound(store, params, k, estimator="pro",
-                                limits=limits, rho=rho, certified=certified,
-                                epsilon=epsilon)
+                                limits=limits, rho=rho, certified=certified)
     raise ValueError(f"unknown algorithm {algo!r}")

@@ -10,6 +10,7 @@ from rcic.blocking import (
     estimate_envelope_objective,
     estimate_objective,
 )
+from rcic import solvers
 from rcic.exact import ExactStore, exhaustive_optimum
 from rcic.sampling import SampleConfig, build_sample_store
 from rcic.solvers import (
@@ -59,16 +60,19 @@ def rescan_gains(index, gain_mat, anchor_counts, counts):
                        minlength=index.n_candidates)
 
 
-def rescan_greedy(index, gain_mat, anchor_set, k):
+def rescan_greedy(index, gain_mat, anchor_set, k, excluded=frozenset()):
     """Reference greedy: every pick rescans every candidate's gain."""
     anchor_counts = index.counts_for(anchor_set)
     counts = anchor_counts.copy()
     in_set = np.zeros(index.n_candidates, dtype=bool)
     for v in anchor_set:
         in_set[index.position(v)] = True
+    closed = np.zeros(index.n_candidates, dtype=bool)
+    for v in excluded:
+        closed[index.position(v)] = True
     for _ in range(k - len(anchor_set)):
         gains = rescan_gains(index, gain_mat, anchor_counts, counts)
-        gains[in_set] = -np.inf
+        gains[in_set | closed] = -np.inf
         best = int(np.argmax(gains))
         in_set[best] = True
         counts[index.walk_ids[index.indptr[best]:index.indptr[best + 1]]] += 1
@@ -88,10 +92,18 @@ def test_incremental_greedy_matches_rescan_on_sampled_stores():
         assert solve_greedy(store, P31, k=12).chosen_set == rescan_greedy(
             index, mats["greedy"], frozenset(), 12)
         anchor = frozenset(int(v) for v in index.candidates[:2])
-        for anchor_set in (frozenset(), anchor):
-            sam = sam_compute_bound(store, P31, anchor_set, k=12)
+        # the three highest block-degree nodes outside the anchor
+        by_degree = index.candidates[np.argsort(-np.diff(index.indptr),
+                                                kind="stable")]
+        excluded = frozenset(
+            [int(v) for v in by_degree if int(v) not in anchor][:3])
+        for anchor_set, excl in itertools.product((frozenset(), anchor),
+                                                  (frozenset(), excluded)):
+            sam = sam_compute_bound(store, P31, anchor_set, k=12,
+                                    excluded=excl)
+            assert not sam.completed_set & excl
             assert sam.completed_set == rescan_greedy(
-                index, mats["envelope"], anchor_set, 12)
+                index, mats["envelope"], anchor_set, 12, excl)
 
 
 def test_incremental_greedy_matches_rescan_objective_on_tiny_instances():
@@ -112,7 +124,7 @@ def test_incremental_gains_equal_refresh_after_every_step():
         for name, mat in gain_matrices(index, P31).items():
             anchor = frozenset() if name == "greedy" else frozenset(
                 {int(index.candidates[-1])})
-            state = _GainState(index, mat, anchor, 6, None)
+            state = _GainState(index, mat, anchor, 6, ())
             for _ in range(6 - len(anchor)):
                 state.greedy_steps(1)
                 incremental = state.gains
@@ -217,8 +229,8 @@ def test_sam_bound_picks_best_envelope_gain_first():
     assert res.completed_set == frozenset({1})
 
 
-def test_sam_bound_respects_allowed_pool():
-    res = sam_compute_bound(path_store(), P31, frozenset(), k=1, allowed={0})
+def test_sam_bound_skips_excluded_nodes():
+    res = sam_compute_bound(path_store(), P31, frozenset(), k=1, excluded={1})
     assert res.completed_set == frozenset({0})
 
 
@@ -227,7 +239,7 @@ def test_sam_bound_validation():
     with pytest.raises(ValueError):
         sam_compute_bound(store, P31, {0, 1}, k=1)
     with pytest.raises(ValueError):
-        sam_compute_bound(store, P31, frozenset(), k=2, allowed={0})
+        sam_compute_bound(store, P31, frozenset(), k=2, excluded={1})
 
 
 def test_sam_bound_certifies_optimum_on_probes():
@@ -326,6 +338,33 @@ def test_branch_and_bound_validation():
     with pytest.raises(ValueError):
         # 1 - 1/e - 0.7 < 0: no sound certified factor remains
         branch_and_bound(store, P31, k=1, certified=True, epsilon=0.7)
+
+
+def test_branch_and_bound_search_nodes_complete_within_their_pool(
+        monkeypatch):
+    for estimator, name in (("sam", "sam_compute_bound"),
+                            ("pro", "pro_sam_compute_bound")):
+        calls = []
+        original = getattr(solvers, name)
+
+        def recording(*args, excluded, original=original, **kwargs):
+            res = original(*args, excluded=excluded, **kwargs)
+            calls.append((frozenset(args[2]), frozenset(excluded), res))
+            return res
+
+        monkeypatch.setattr(solvers, name, recording)
+        for (_, store), k in itertools.product(tiny_instances(), (2, 3)):
+            calls.clear()
+            report = branch_and_bound(store, P31, k=k, estimator=estimator,
+                                      certified=True)
+            assert report.bound_calls == len(calls) == 1 + 2 * report.expansions
+            for i, (anchor, excluded, res) in enumerate(calls):
+                assert anchor <= res.completed_set
+                assert not excluded & res.completed_set
+                assert not anchor & excluded
+                # call i comes after (i + 1) // 2 expansions, and each
+                # expansion moves one node into the anchor or excluded set
+                assert len(anchor) + len(excluded) <= (i + 1) // 2
 
 
 def test_branch_and_bound_deterministic():
