@@ -42,9 +42,7 @@ from .sampling import (
     WalkProfile,
     build_sample_store,
     hoeffding_sample_size,
-    load_store,
     sample_walk,
-    save_store,
 )
 from .solvers import (
     BoundResult,

@@ -10,6 +10,13 @@ inverted index (node -> hit walks whose prefix contains it), which is what
 makes marginal-gain evaluation cheap.  Stores built from the same graph,
 rumor set and seed are bit-identical regardless of thread count: each start
 node draws from its own seed substream.
+
+Walks are simulated a chunk of start nodes at a time by a compacted kernel
+(`_simulate_chunk`): each step touches only the walks still alive, so the
+work shrinks as walks hit the rumor set or reach a dead end.  The inverted
+index groups hit-walk entries by candidate position with a stable radix
+order over 16-bit digits (`_stable_order`), the same permutation as a stable
+comparison sort; one graph's positions fit in one digit, so it is one pass.
 """
 
 from __future__ import annotations
@@ -23,7 +30,6 @@ import numpy as np
 from .graph import Graph
 
 _CHUNK_NODES = 128
-_STORE_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -123,20 +129,21 @@ class WalkIndex:
 
         self.walk_weights = np.asarray(walk_weights, dtype=np.float64)
         self.walk_indptr = np.asarray(hit_prefix_indptr, dtype=np.int64)
-        prefix_nodes = np.asarray(hit_prefix_nodes, dtype=np.int64)
         n_hit = self.walk_weights.size
         lengths = np.diff(self.walk_indptr)
 
-        pos_vals = self.cand_pos[prefix_nodes]
-        if pos_vals.size and pos_vals.min() < 0:
+        # One entry per (hit walk, prefix node).  The arrays kept are int32 and
+        # no int64 array of this length outlives its statement: each would be
+        # as large as the finished index.
+        self.walk_cands = self.cand_pos.astype(np.int32)[
+            np.asarray(hit_prefix_nodes, dtype=np.int64)]
+        if self.walk_cands.size and self.walk_cands.min() < 0:
             raise ValueError("hit-walk prefix contains a rumor node")
-        self.walk_cands = pos_vals.astype(np.int32)
-        walk_of_entry = np.repeat(np.arange(n_hit, dtype=np.int64), lengths)
-        order = np.argsort(pos_vals, kind="stable")
-        self.walk_ids = walk_of_entry[order].astype(np.int32)
-        per_cand = np.bincount(pos_vals, minlength=self.candidates.size)
+        per_cand = np.bincount(self.walk_cands, minlength=self.candidates.size)
         self.indptr = np.concatenate(
             [np.zeros(1, dtype=np.int64), np.cumsum(per_cand, dtype=np.int64)])
+        walk_of_entry = np.repeat(np.arange(n_hit, dtype=np.int32), lengths)
+        self.walk_ids = walk_of_entry[_stable_order(self.walk_cands)]
         self.max_count = int(lengths.max()) if lengths.size else 0
         self.influenced_mass = float(self.walk_weights.sum())
 
@@ -230,7 +237,7 @@ def build_sample_store(g: Graph, rumor_set, cfg: SampleConfig,
     np.cumsum(degs, out=adj_indptr[1:])
     adj_flat = np.fromiter(
         (v for u in range(g.n) for v in g.neighbors(u)),
-        dtype=np.int32, count=int(degs.sum()))
+        dtype=np.int64, count=int(degs.sum()))
     is_rumor = np.zeros(g.n, dtype=bool)
     is_rumor[list(rumor)] = True
 
@@ -263,49 +270,65 @@ def _simulate_chunk(adj_indptr, adj_flat, degs, is_rumor, starts, cfg: SampleCon
     """Vectorized simulation of X walks for each start in `starts`.
 
     Walk (u, i) consumes row i of start u's (X, T) uniform block, one value per
-    step, matching sample_walk's consumption pattern exactly.  Returns each
-    walk's hit flag and prefix length, and the prefixes concatenated.
+    step, matching sample_walk's consumption pattern exactly.  The blocks are
+    stored transposed, as one (T, W) array, so step t gathers the uniforms of
+    the walks still alive from one contiguous row.  Stepping is compacted: only
+    the alive walks' ids and current nodes are carried from step to step, and a
+    walk leaves them at a dead end or at a rumor node.  Both stay int64, numpy's
+    index type, since an int32 index array is converted again on every gather.
+    Returns each walk's hit flag and prefix length, and the prefixes
+    concatenated.
     """
     T, X = cfg.T, cfg.X
     W = starts.size * X
-    uniforms = np.empty((W, T), dtype=np.float64)
+    uniforms = np.empty((T, W), dtype=np.float64)
     for j, u in enumerate(starts):
-        uniforms[j * X:(j + 1) * X] = _node_rng(cfg.seed, int(u)).random((X, T))
+        uniforms[:, j * X:(j + 1) * X] = _node_rng(cfg.seed, int(u)).random((X, T)).T
 
     seq = np.full((T + 1, W), -1, dtype=np.int32)
-    cur = np.repeat(starts, X).astype(np.int64)
+    cur = np.repeat(starts, X)
     seq[0] = cur
-    active = np.ones(W, dtype=bool)
+    ids = np.arange(W, dtype=np.int64)
     hit = np.zeros(W, dtype=bool)
-    for t in range(1, T + 1):
-        alive = np.flatnonzero(active)
-        if alive.size == 0:
-            break
-        deg = degs[cur[alive]]
+    for t in range(T):
+        deg = degs[cur]
         stuck = deg == 0
         if stuck.any():
-            active[alive[stuck]] = False
-            alive = alive[~stuck]
-            deg = deg[~stuck]
-            if alive.size == 0:
-                break
-        choice = (uniforms[alive, t - 1] * deg).astype(np.int64)
-        nxt = adj_flat[adj_indptr[cur[alive]] + choice].astype(np.int64)
+            ids, cur, deg = ids[~stuck], cur[~stuck], deg[~stuck]
+        if ids.size == 0:
+            break
+        choice = (uniforms[t, ids] * deg).astype(np.int64)
+        nxt = adj_flat[adj_indptr[cur] + choice]
         hits_now = is_rumor[nxt]
-        hit[alive[hits_now]] = True
-        active[alive[hits_now]] = False
-        moved = alive[~hits_now]
-        cur[moved] = nxt[~hits_now]
-        seq[t, moved] = nxt[~hits_now]
+        if hits_now.any():
+            hit[ids[hits_now]] = True
+            ids, nxt = ids[~hits_now], nxt[~hits_now]
+        cur = nxt
+        seq[t + 1, ids] = cur
 
     # Distinct visited nodes per walk: column-sort then drop repeats and -1 pads.
     seq.sort(axis=0)
     keep = np.empty_like(seq, dtype=bool)
     keep[0] = seq[0] != -1
     keep[1:] = (seq[1:] != seq[:-1]) & (seq[1:] != -1)
-    lengths = keep.sum(axis=0, dtype=np.int64)
+    lengths = keep.sum(axis=0, dtype=np.int32)
     prefix_nodes = seq.T[keep.T]
     return hit, lengths, prefix_nodes
+
+
+def _stable_order(keys):
+    """`np.argsort(keys, kind="stable")` for non-negative integer keys.
+
+    A least-significant-digit radix order over 16-bit digits: each pass is a
+    stable argsort of one uint16 digit, which numpy runs as a radix sort, so
+    keys below 2**16 (one graph's candidate positions) take a single pass.
+    """
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    top = int(keys.max()) if keys.size else 0
+    for shift in range(16, top.bit_length(), 16):
+        digit = (keys[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+    return order
 
 
 def _csr_take(indptr, values, rows):
@@ -313,33 +336,6 @@ def _csr_take(indptr, values, rows):
     lengths = indptr[rows + 1] - indptr[rows]
     out_indptr = np.concatenate(
         [np.zeros(1, dtype=np.int64), np.cumsum(lengths, dtype=np.int64)])
-    flat = np.repeat(indptr[rows], lengths) + (
-        np.arange(out_indptr[-1], dtype=np.int64) - np.repeat(out_indptr[:-1], lengths))
+    flat = np.repeat(indptr[rows] - out_indptr[:-1], lengths)
+    flat += np.arange(out_indptr[-1], dtype=np.int64)
     return out_indptr, values[flat]
-
-
-def save_store(store: SampleStore, path) -> None:
-    """Dump a store to a versioned .npz so sweeps can reuse one sampling pass."""
-    np.savez_compressed(
-        path,
-        format_version=np.int64(_STORE_FORMAT_VERSION),
-        n_nodes=np.int64(store.n_nodes),
-        T=np.int64(store.config.T),
-        X=np.int64(store.config.X),
-        seed=np.int64(store.config.seed),
-        rumor=np.array(sorted(store.rumor_set), dtype=np.int64),
-        hit_flags=store.hit_flags,
-        prefix_indptr=store.prefix_indptr,
-        prefix_nodes=store.prefix_nodes,
-    )
-
-
-def load_store(path) -> SampleStore:
-    with np.load(path) as data:
-        version = int(data["format_version"])
-        if version != _STORE_FORMAT_VERSION:
-            raise ValueError(f"unsupported store format version {version}")
-        cfg = SampleConfig(T=int(data["T"]), X=int(data["X"]), seed=int(data["seed"]))
-        return SampleStore(cfg, int(data["n_nodes"]), data["rumor"].tolist(),
-                           data["hit_flags"], data["prefix_indptr"],
-                           data["prefix_nodes"])

@@ -7,11 +7,9 @@ from rcic.sampling import (
     WalkIndex,
     build_sample_store,
     hoeffding_sample_size,
-    load_store,
     sample_walk,
-    save_store,
 )
-from rcic.sampling import _node_rng
+from rcic.sampling import _CHUNK_NODES, _node_rng, _stable_order
 from rcic.exact import exact_hit_probabilities
 from rcic.synth import barabasi_albert_graph, gnp_graph
 
@@ -124,20 +122,57 @@ def test_store_hit_frequencies_converge():
         assert abs(emp - p) <= 4.0 * sigma + 1e-12
 
 
+def assert_store_replays_scalar_walks(g, rumor, cfg, store) -> int:
+    """Check every walk of the store against sample_walk fed the same uniforms.
+
+    Returns how many misses stopped at a dead end after at least one step.
+    """
+    dead_ends_mid_walk = 0
+    for u in store.candidates:
+        u = int(u)
+        uniforms = _node_rng(cfg.seed, u).random((cfg.X, cfg.T))
+        for i in range(cfg.X):
+            script = _Script(uniforms[i])
+            expected = sample_walk(g, u, rumor, cfg.T, script)
+            got = store.profile(u, i)
+            assert got.hit == expected.hit
+            assert got.prefix == expected.prefix
+            assert got.start == u
+            if not expected.hit and 0 < cfg.T - script.unused < cfg.T:
+                dead_ends_mid_walk += 1
+    return dead_ends_mid_walk
+
+
 def test_store_profiles_match_scalar_walks():
     # vectorized simulation replays the exact per-walk uniform stream
     g = Graph([[1], [2], [0, 3], []], directed=True)
     rumor = {0}
     cfg = SampleConfig(T=4, X=8, seed=21)
     store = build_sample_store(g, rumor, cfg)
-    for u in (1, 2, 3):
-        uniforms = _node_rng(cfg.seed, u).random((cfg.X, cfg.T))
-        for i in range(cfg.X):
-            expected = sample_walk(g, u, rumor, cfg.T, _Script(uniforms[i]))
-            got = store.profile(u, i)
-            assert got.hit == expected.hit
-            assert got.prefix == expected.prefix
-            assert got.start == u
+    assert_store_replays_scalar_walks(g, rumor, cfg, store)
+
+
+def sink_graph(n=300, seed=3):
+    """Directed graph where every tenth node is a sink (no out-arcs)."""
+    rng = np.random.default_rng(seed)
+    adj = []
+    for u in range(n):
+        k = 0 if u % 10 == 0 else int(rng.integers(1, 4))
+        others = np.delete(np.arange(n), u)
+        adj.append([int(v) for v in rng.choice(others, size=k, replace=False)])
+    return Graph(adj, directed=True)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_store_profiles_match_scalar_walks_across_chunks(threads):
+    # more starts than one chunk holds, and sinks that end walks mid-way
+    g = sink_graph()
+    rumor = {5, 17, 42, 123, 250}
+    cfg = SampleConfig(T=6, X=5, seed=4)
+    store = build_sample_store(g, rumor, cfg, threads=threads)
+    assert store.candidates.size > 2 * _CHUNK_NODES
+    assert 0 < store.hit_flags.sum() < store.hit_flags.size
+    assert assert_store_replays_scalar_walks(g, rumor, cfg, store) > 0
 
 
 def test_store_build_is_deterministic():
@@ -234,23 +269,19 @@ def test_profile_accessors():
         store.index.position(99)
 
 
-def test_store_round_trip(tmp_path):
-    g = gnp_graph(20, 0.3, seed=8)
-    store = build_sample_store(g, {0, 5}, SampleConfig(T=3, X=40, seed=17))
-    path = tmp_path / "store.npz"
-    save_store(store, path)
-    loaded = load_store(path)
-    assert loaded.config == store.config
-    assert loaded.n_nodes == store.n_nodes
-    assert loaded.rumor_set == store.rumor_set
-    assert np.array_equal(loaded.hit_flags, store.hit_flags)
-    assert np.array_equal(loaded.prefix_indptr, store.prefix_indptr)
-    assert np.array_equal(loaded.prefix_nodes, store.prefix_nodes)
-    assert loaded.index.influenced_mass == store.index.influenced_mass
+@pytest.mark.parametrize("key_range", [1, 65_536, 65_537, 200_000, 5_000_000_000])
+def test_stable_order_matches_stable_argsort(key_range):
+    # ranges above 2**16 take the multi-digit path; the largest key is always
+    # present, so an order over the low digit alone differs from the true one
+    rng = np.random.default_rng(key_range % 1000)
+    pool = rng.integers(0, key_range, size=500)
+    keys = np.concatenate([rng.choice(pool, size=20_000), [key_range - 1]])
+    rng.shuffle(keys)
+    for dtype in (np.int64, np.int32):
+        if key_range > np.iinfo(dtype).max:
+            continue
+        typed = keys.astype(dtype)
+        assert np.array_equal(_stable_order(typed),
+                              np.argsort(typed, kind="stable"))
+    assert _stable_order(np.zeros(0, dtype=np.int64)).size == 0
 
-
-def test_store_load_rejects_unknown_version(tmp_path):
-    path = tmp_path / "bad.npz"
-    np.savez(path, format_version=np.int64(99))
-    with pytest.raises(ValueError):
-        load_store(path)
