@@ -60,7 +60,6 @@ class ExperimentConfig:
     delta: float | None = None
     sweep_axis: str | None = None
     sweep_values: tuple[float, ...] | None = None
-    certified_bounds: bool = False
     node_cap: int | None = None
     time_cap: float | None = None
     seed: int = 0
@@ -112,6 +111,8 @@ class ReportRow:
     peak_mem_mb: float | None
     expansions: int
     bound_calls: int
+    gain_evals: int
+    bound_gap: float | None
     truncated: bool
     status: str
 
@@ -163,19 +164,9 @@ def _resolve_x(config: ExperimentConfig, n_candidates: int) -> int:
 def _make_row(cfg: ExperimentConfig, axis, value, fraction: float, algo: str,
               report: SolveReport | None, x_used: int, id_map, status: str
               ) -> ReportRow:
-    if report is None:
-        chosen: list[int] = []
-        objective = blocking = 0.0
-        wall_ms = expansions = bound_calls = 0
-        truncated = False
-    else:
-        chosen = sorted(id_map[v] for v in report.chosen_set)
-        objective = report.objective
-        blocking = report.blocking_percentage
-        wall_ms = int(round(report.wall_time * 1000))
-        expansions = report.expansions
-        bound_calls = report.bound_calls
-        truncated = report.truncated
+    if report is None:  # the solver raised; the row carries only the status
+        report = SolveReport(algo, frozenset(), 0.0, 0.0, 0.0)
+    chosen = sorted(id_map[v] for v in report.chosen_set)
     return ReportRow(
         algorithm=algo,
         sweep_axis=axis or "",
@@ -186,13 +177,15 @@ def _make_row(cfg: ExperimentConfig, axis, value, fraction: float, algo: str,
         seed=cfg.seed,
         chosen_size=len(chosen),
         chosen_set="|".join(str(v) for v in chosen),
-        objective=objective,
-        blocking_pct=blocking,
-        wall_time_ms=wall_ms,
+        objective=report.objective,
+        blocking_pct=report.blocking_percentage,
+        wall_time_ms=int(round(report.wall_time * 1000)),
         peak_mem_mb=_peak_mem_mb(),
-        expansions=expansions,
-        bound_calls=bound_calls,
-        truncated=truncated,
+        expansions=report.expansions,
+        bound_calls=report.bound_calls,
+        gain_evals=report.gain_evals,
+        bound_gap=report.bound_gap,
+        truncated=report.truncated,
         status=status,
     )
 
@@ -222,8 +215,7 @@ def run_on_graph(g: Graph, config: ExperimentConfig, fraction: float = 1.0,
         for algo in cfg.algorithms:
             try:
                 report = run_solver(algo, cached_store, params, cfg.k,
-                                    rho=cfg.rho, limits=limits,
-                                    certified=cfg.certified_bounds)
+                                    rho=cfg.rho, limits=limits)
             except Exception as exc:
                 rows.append(_make_row(cfg, axis, value, fraction, algo, None,
                                       x_used, id_map,

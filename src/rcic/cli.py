@@ -42,7 +42,10 @@ def _file_converters() -> dict:
             for a in p._actions if a.dest != "config"}
 
 
-def _load_config_file(path: str) -> dict:
+def _load_config_file(path: str | None) -> dict:
+    """The file's flag values; none when no file is given."""
+    if not path:
+        return {}
     converters = _file_converters()
     values = {}
     with open(path) as fh:
@@ -82,9 +85,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta", type=float)
     p.add_argument("--sweep", help="AXIS=v1,v2,... with AXIS one of: "
                                    + ",".join(SWEEP_AXES))
-    p.add_argument("--certified-bounds", action="store_true", default=False,
-                   dest="certified_bounds",
-                   help="divide envelope bounds by the greedy factor")
     p.add_argument("--node-cap", type=int, dest="node_cap",
                    help="branch-and-bound expansion cap")
     p.add_argument("--time-cap", type=float, dest="time_cap",
@@ -118,8 +118,7 @@ def _parse_sweep(text: str):
     return axis, tuple(float(v) for v in values.split(","))
 
 
-def _build_config(args) -> ExperimentConfig:
-    file_cfg = _load_config_file(args.config) if args.config else {}
+def _build_config(args, file_cfg: dict) -> ExperimentConfig:
     graph = _merged(args, file_cfg, "graph")
     if graph is None:
         raise ValueError("no graph given (--graph or config file)")
@@ -145,8 +144,6 @@ def _build_config(args) -> ExperimentConfig:
         value = _merged(args, file_cfg, arg_key)
         if value is not None:
             kwargs[cfg_key] = value
-    if _merged(args, file_cfg, "certified_bounds"):
-        kwargs["certified_bounds"] = True
     return ExperimentConfig(**kwargs)
 
 
@@ -158,15 +155,15 @@ def _emit(rows, config: ExperimentConfig) -> None:
 
 
 def _cmd_run(args) -> int:
-    config = _build_config(args)
+    config = _build_config(args, _load_config_file(args.config))
     rows = run_experiment(config)
     _emit(rows, config)
     return 0
 
 
 def _cmd_scalability(args) -> int:
-    config = _build_config(args)
-    file_cfg = _load_config_file(args.config) if args.config else {}
+    file_cfg = _load_config_file(args.config)
+    config = _build_config(args, file_cfg)
     fractions = _merged(args, file_cfg, "fractions")
     if fractions is None:
         raise ValueError("--fractions is required")

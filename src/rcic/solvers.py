@@ -9,21 +9,20 @@ the true objective is not submodular, so cached gains can go stale upward.
 Greedy uses true logistic gains.  The bound estimators greedily maximize the
 anchored envelope, the least concave majorant of the logistic at integer
 counts above each walk's anchor count (`EnvelopeTable.env`), which is
-submodular, and return both the completed set's true value L and its
-envelope value U; branch and bound orders its heap by U.
+monotone and submodular.  Each returns its completed set's true value L and
+one subtree bound B: the anchor's true value plus the k - |P'| largest
+initial envelope gains over the pool.  Branch and bound orders its heap and
+prunes on B alone.
 
-U is the envelope value of a greedy envelope maximizer, not the envelope
-optimum, so pruning on it mirrors the source algorithm but is only heuristic.
-The certified option divides U by the greedy factor (1 - 1/e - eps, minus
-rho for the progressive estimator), which restores a sound bound at the cost
-of weaker pruning.
+B is sound: the subtree's true optimum is at most its envelope optimum, which
+is at most B by the data-dependent bound for monotone submodular functions
+(Leskovec et al., "Cost-effective Outbreak Detection in Networks", KDD 2007).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import math
 import time
 from dataclasses import dataclass
 
@@ -51,8 +50,9 @@ class SolverLimits:
 
 @dataclass(frozen=True)
 class BoundResult:
-    """A bound estimator's completed k-set with its true lower value L and
-    envelope upper value U; first_added is the branch node for the driver."""
+    """A bound estimator's completed k-set with its true value L, the subtree
+    bound B on every k-set that keeps the anchor and avoids the excluded
+    nodes, and first_added, the branch node for the driver."""
 
     completed_set: frozenset[int]
     lower: float
@@ -72,6 +72,9 @@ class SolveReport:
     bound_calls: int = 0
     gain_evals: int = 0
     truncated: bool = False
+    # best open bound over the objective at exit: 1.0 once the search closes,
+    # None for topk and greedy
+    bound_gap: float | None = None
 
 
 def _check_k(index, k: int) -> None:
@@ -183,11 +186,20 @@ class _GainState:
             self.gains += self._to_candidates(
                 *_csr_take(index.walk_indptr, index.walk_cands, walks), delta)
 
-    def result(self, table: EnvelopeTable) -> BoundResult:
+    def top_gains(self, m: int) -> float:
+        """Sum of the m largest gains over the addable candidates."""
+        if m == 0:
+            return 0.0
+        pool = self.gains[self.addable]
+        return float(np.partition(pool, pool.size - m)[pool.size - m:].sum())
+
+    def result(self, table: EnvelopeTable, top_gains: float) -> BoundResult:
+        """The completion's true value and the subtree bound: the anchor's
+        true value (the envelope meets f at its anchor) plus top_gains."""
         chosen = frozenset(int(v) for v in self.index.candidates[self.in_set])
         weights = self.index.walk_weights
         lower = float(np.dot(weights, table.f_table[self.counts]))
-        upper = float(np.dot(weights, table.env[self.anchor_counts, self.counts]))
+        upper = float(np.dot(weights, table.f_table[self.anchor_counts])) + top_gains
         return BoundResult(chosen, lower, upper, self.first_added, self.gain_evals)
 
 
@@ -198,13 +210,15 @@ def sam_compute_bound(store, params: LogisticParams, anchor_set, k: int,
 
     Nodes are added from the pool V', the candidates minus the anchor and
     the excluded nodes.  Returns the completed set with L = its true value
-    and U = its envelope value anchored at anchor_set.
+    and the subtree bound B, taken from the initial gains.
     """
     if table is None:
         table = EnvelopeTable(params, store.index.max_count)
     state = _GainState(store.index, table.env_gain, anchor_set, k, excluded)
-    state.greedy_steps(k - len(state.anchor))
-    return state.result(table)
+    needed = k - len(state.anchor)
+    top_gains = state.top_gains(needed)
+    state.greedy_steps(needed)
+    return state.result(table, top_gains)
 
 
 def pro_sam_compute_bound(store, params: LogisticParams, anchor_set, k: int,
@@ -226,11 +240,12 @@ def pro_sam_compute_bound(store, params: LogisticParams, anchor_set, k: int,
     state = _GainState(store.index, table.env_gain, anchor_set, k, excluded)
     needed = k - len(state.anchor)
     if needed == 0:
-        return state.result(table)
+        return state.result(table, 0.0)
 
     init_gains = np.where(state.addable, state.gains, -np.inf)
     state.gain_evals += int(state.addable.sum())
     order = np.argsort(-init_gains, kind="stable")
+    top_gains = float(init_gains[order[:needed]].sum())
     h0 = float(init_gains[order[0]])
     floor = max(1e-12, h0 * 1e-9)
     h = h0
@@ -253,20 +268,19 @@ def pro_sam_compute_bound(store, params: LogisticParams, anchor_set, k: int,
         # the threshold adds above did not scatter their gain changes
         state.refresh_gains()
         state.greedy_steps(needed - added)
-    return state.result(table)
+    return state.result(table, top_gains)
 
 
 def branch_and_bound(store, params: LogisticParams, k: int,
                      estimator: str = "sam", limits: SolverLimits | None = None,
-                     rho: float = 0.1, certified: bool = False,
-                     epsilon: float = 0.0) -> SolveReport:
-    """Best-first search over include/exclude splits, bounded by envelope
-    completions.
+                     rho: float = 0.1) -> SolveReport:
+    """Best-first search over include/exclude splits, pruned on the subtree
+    bound B.
 
     A search node is a pair (P', E) of included and excluded nodes; its
     remaining pool V' is the candidates minus P' and E.  Each heap entry holds
-    the pair and the bound of its completion from V'.  Expanding it splits on
-    the estimator's first added node u: (P' + u, E) and (P', E + u).  The
+    the pair and the estimator's result from V'.  Expanding it splits on the
+    estimator's first added node u: (P' + u, E) and (P', E + u).  The
     incumbent is seeded with solve_greedy's set so the result never falls
     below greedy.  Expansion or wall-time caps return the incumbent with
     truncated=True.
@@ -278,28 +292,15 @@ def branch_and_bound(store, params: LogisticParams, k: int,
         limits = SolverLimits()
     table = EnvelopeTable(params, index.max_count)
 
-    if estimator == "sam":
-        algo = "bab"
-        factor = 1.0 - 1.0 / math.e - epsilon
+    if estimator not in ("sam", "pro"):
+        raise ValueError(f"unknown bound estimator {estimator!r}")
 
-        def bound(partial, excluded):
+    def bound(partial, excluded):
+        if estimator == "sam":
             return sam_compute_bound(store, params, partial, k,
                                      excluded=excluded, table=table)
-    elif estimator == "pro":
-        algo = "probab"
-        factor = 1.0 - 1.0 / math.e - epsilon - rho
-
-        def bound(partial, excluded):
-            return pro_sam_compute_bound(store, params, partial, k, rho,
-                                         excluded=excluded, table=table)
-    else:
-        raise ValueError(f"unknown bound estimator {estimator!r}")
-    if certified and factor <= 0:
-        raise ValueError("certified bound factor is not positive; "
-                         "lower epsilon or rho")
-
-    def adjusted(upper: float) -> float:
-        return upper / factor if certified else upper
+        return pro_sam_compute_bound(store, params, partial, k, rho,
+                                     excluded=excluded, table=table)
 
     greedy = solve_greedy(store, params, k)
     best_set, best_val = greedy.chosen_set, greedy.objective
@@ -318,9 +319,9 @@ def branch_and_bound(store, params: LogisticParams, k: int,
         gain_evals += bres.gain_evals
         if bres.lower > best_val:
             best_set, best_val = bres.completed_set, bres.lower
-        if (adjusted(bres.upper) > best_val + _PRUNE_SLACK
+        if (bres.upper > best_val + _PRUNE_SLACK
                 and len(partial) < k and index.n_candidates - len(excluded) > k):
-            heapq.heappush(heap, (-adjusted(bres.upper), next(ticket),
+            heapq.heappush(heap, (-bres.upper, next(ticket),
                                   partial, excluded, bres))
 
     visit(frozenset(), frozenset())
@@ -344,25 +345,33 @@ def branch_and_bound(store, params: LogisticParams, k: int,
         visit(partial | {u}, excluded)
         visit(partial, excluded | {u})
 
-    return SolveReport(algo, best_set, best_val,
+    # an open node has B > 0, so some candidate blocks a walk and greedy's
+    # incumbent is positive
+    bound_gap = -heap[0][0] / best_val if truncated else 1.0
+    return SolveReport("bab" if estimator == "sam" else "probab",
+                       best_set, best_val,
                        _blocking_fraction(store, best_val),
                        time.perf_counter() - t0, expansions=expansions,
                        bound_calls=bound_calls, gain_evals=gain_evals,
-                       truncated=truncated)
+                       truncated=truncated, bound_gap=bound_gap)
 
 
 def run_solver(algo: str, store, params: LogisticParams, k: int,
                rho: float = 0.1, limits: SolverLimits | None = None,
                certified: bool = False) -> SolveReport:
-    """Dispatch by the benchmark's algorithm names."""
+    """Dispatch by the benchmark's algorithm names.
+
+    `certified` is accepted and ignored: branch and bound always prunes on
+    its sound subtree bound, so there is no separate certified mode.
+    """
     if algo == "topk":
         return solve_topk(store, params, k)
     if algo == "greedy":
         return solve_greedy(store, params, k)
     if algo == "bab":
         return branch_and_bound(store, params, k, estimator="sam",
-                                limits=limits, certified=certified)
+                                limits=limits)
     if algo == "probab":
         return branch_and_bound(store, params, k, estimator="pro",
-                                limits=limits, rho=rho, certified=certified)
+                                limits=limits, rho=rho)
     raise ValueError(f"unknown algorithm {algo!r}")

@@ -171,7 +171,7 @@ def test_run_on_graph_emits_error_marker(tmp_path):
 
 def test_csv_round_trip(tmp_path):
     g = small_graph()
-    rows = run_on_graph(g, base_config())
+    rows = run_on_graph(g, base_config(algorithms=("topk", "greedy", "bab")))
     buf = io.StringIO()
     write_rows(rows, buf, "csv")
     text = buf.getvalue()
@@ -183,7 +183,12 @@ def test_csv_round_trip(tmp_path):
         assert back.chosen_set == orig.chosen_set
         assert back.objective == pytest.approx(orig.objective, rel=1e-5)
         assert back.wall_time_ms == orig.wall_time_ms
+        assert back.gain_evals == orig.gain_evals
+        assert back.bound_gap == (None if orig.bound_gap is None
+                                  else pytest.approx(orig.bound_gap, rel=1e-5))
         assert back.truncated == orig.truncated
+    assert [r.bound_gap for r in parsed] == [None, None, 1.0]
+    assert parsed[1].gain_evals > 0
 
 
 def test_csv_quotes_awkward_status_text():
@@ -192,7 +197,8 @@ def test_csv_quotes_awkward_status_text():
                     alpha=3.0, beta=1.0, X=10, rho=0.1, seed=0, chosen_size=0,
                     chosen_set="", objective=0.0, blocking_pct=0.0,
                     wall_time_ms=0, peak_mem_mb=None, expansions=0,
-                    bound_calls=0, truncated=False,
+                    bound_calls=0, gain_evals=0, bound_gap=None,
+                    truncated=False,
                     status='error: ValueError: bad, "quoted" value')
     buf = io.StringIO()
     write_rows([row], buf, "csv")

@@ -1,5 +1,4 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -11,7 +10,12 @@ from rcic.blocking import (
     estimate_objective,
 )
 from rcic import solvers
-from rcic.exact import ExactStore, exhaustive_optimum
+from rcic.exact import (
+    ExactStore,
+    enumerate_realizations,
+    exact_objective,
+    exhaustive_optimum,
+)
 from rcic.sampling import SampleConfig, build_sample_store
 from rcic.solvers import (
     SolverLimits,
@@ -31,6 +35,8 @@ P31 = LogisticParams(alpha=3.0, beta=1.0)
 # that passes below f(1) (alpha = 2.1)
 ENVELOPE_PARAMS = (P31, LogisticParams(2.1, 1.0), LogisticParams(2.0, 1.0),
                    LogisticParams(1.5, 1.0))
+# the benchmark curve: f(1) is far below the hull's chord from the origin
+SEARCH_PARAMS = ENVELOPE_PARAMS + (LogisticParams(7.0, 3.0),)
 
 
 def path_store(T=2):
@@ -242,16 +248,6 @@ def test_sam_bound_validation():
         sam_compute_bound(store, P31, frozenset(), k=2, excluded={1})
 
 
-def test_sam_bound_certifies_optimum_on_probes():
-    # U / (1 - 1/e) is a sound optimum bound for the greedy envelope maximizer
-    factor = 1.0 - 1.0 / math.e
-    for g, store in tiny_instances():
-        res = sam_compute_bound(store, P31, frozenset(), k=2)
-        _, opt = exhaustive_optimum(g, P31, {0}, k=2, T=3)
-        assert res.upper / factor >= opt - 1e-9
-        assert res.lower <= opt + 1e-12
-
-
 def test_pro_bound_matches_sam_at_k1():
     for _, store in tiny_instances():
         sam = sam_compute_bound(store, P31, frozenset(), k=1)
@@ -281,15 +277,19 @@ def test_pro_bound_saves_gain_evaluations():
     assert len(pro.completed_set) == 10
 
 
-def test_branch_and_bound_certified_finds_optimum():
-    for params, (g, store) in itertools.product(ENVELOPE_PARAMS,
-                                                tiny_instances()):
-        report = branch_and_bound(store, params, k=2, certified=True)
-        _, opt = exhaustive_optimum(g, params, {0}, k=2, T=3)
-        assert report.algorithm == "bab"
-        assert report.objective == pytest.approx(opt, abs=1e-9)
-        assert not report.truncated
-        assert report.bound_calls >= 1
+def test_branch_and_bound_finds_optimum():
+    # a root bound below the optimum prunes it at k=2 on graph seeds 0
+    # (alpha 2 and 1.5) and 5 (alpha 1.5), where greedy misses it
+    for params, (g, store), k in itertools.product(SEARCH_PARAMS,
+                                                   tiny_instances(), (2, 3)):
+        _, opt = exhaustive_optimum(g, params, {0}, k=k, T=3)
+        for estimator, rho in (("sam", 0.1), ("pro", 0.1), ("pro", 0.6)):
+            report = branch_and_bound(store, params, k=k, estimator=estimator,
+                                      rho=rho)
+            assert report.objective == pytest.approx(opt, abs=1e-9)
+            assert not report.truncated
+            assert report.bound_gap == 1.0
+            assert report.bound_calls >= 1
 
 
 def test_branch_and_bound_never_below_greedy():
@@ -313,6 +313,10 @@ def test_branch_and_bound_node_cap_truncates():
     assert report.expansions == 0
     # the incumbent is still the greedy seed
     assert report.objective == pytest.approx(0.11920292202211755, abs=1e-12)
+    # the unexpanded root is the best open node
+    root = sam_compute_bound(path_store(), P31, frozenset(), k=1)
+    assert report.bound_gap == pytest.approx(root.upper / report.objective)
+    assert report.bound_gap > 1.0
 
 
 def test_branch_and_bound_time_cap_truncates():
@@ -325,19 +329,16 @@ def test_branch_and_bound_progressive_estimator():
     for params, (g, store) in itertools.product(ENVELOPE_PARAMS,
                                                 tiny_instances()):
         report = branch_and_bound(store, params, k=2, estimator="pro",
-                                  rho=0.1, certified=True)
+                                  rho=0.1)
         _, opt = exhaustive_optimum(g, params, {0}, k=2, T=3)
         assert report.algorithm == "probab"
-        assert report.objective >= (1.0 - 1.0 / math.e) * opt - 1e-9
+        assert report.objective == pytest.approx(opt, abs=1e-9)
 
 
 def test_branch_and_bound_validation():
     store = path_store()
     with pytest.raises(ValueError):
         branch_and_bound(store, P31, k=1, estimator="magic")
-    with pytest.raises(ValueError):
-        # 1 - 1/e - 0.7 < 0: no sound certified factor remains
-        branch_and_bound(store, P31, k=1, certified=True, epsilon=0.7)
 
 
 def test_branch_and_bound_search_nodes_complete_within_their_pool(
@@ -353,10 +354,11 @@ def test_branch_and_bound_search_nodes_complete_within_their_pool(
             return res
 
         monkeypatch.setattr(solvers, name, recording)
-        for (_, store), k in itertools.product(tiny_instances(), (2, 3)):
+        for params, (g, store), k in itertools.product(
+                SEARCH_PARAMS, tiny_instances(), (2, 3)):
+            realizations = enumerate_realizations(g, {0}, 3)
             calls.clear()
-            report = branch_and_bound(store, P31, k=k, estimator=estimator,
-                                      certified=True)
+            report = branch_and_bound(store, params, k=k, estimator=estimator)
             assert report.bound_calls == len(calls) == 1 + 2 * report.expansions
             for i, (anchor, excluded, res) in enumerate(calls):
                 assert anchor <= res.completed_set
@@ -365,6 +367,14 @@ def test_branch_and_bound_search_nodes_complete_within_their_pool(
                 # call i comes after (i + 1) // 2 expansions, and each
                 # expansion moves one node into the anchor or excluded set
                 assert len(anchor) + len(excluded) <= (i + 1) // 2
+                # the bound covers every k-set of the node's subtree
+                pool = [int(v) for v in store.index.candidates
+                        if int(v) not in anchor | excluded]
+                subtree_opt = max(
+                    exact_objective(g, params, {0}, anchor | set(extra), 3,
+                                    realizations)
+                    for extra in itertools.combinations(pool, k - len(anchor)))
+                assert res.upper >= subtree_opt - 1e-12
 
 
 def test_branch_and_bound_deterministic():
@@ -394,5 +404,6 @@ def test_run_solver_dispatch():
         report = run_solver(algo, store, P31, k=1)
         assert report.algorithm == algo
         assert len(report.chosen_set) == 1
+        assert (report.bound_gap is None) == (algo in ("topk", "greedy"))
     with pytest.raises(ValueError):
         run_solver("simulated-annealing", store, P31, k=1)
