@@ -84,6 +84,8 @@ class ExperimentConfig:
                 raise ValueError("empty sweep value list")
         if (self.epsilon is None) != (self.delta is None):
             raise ValueError("epsilon and delta must be given together")
+        if self.threads < 1:
+            raise ValueError(f"threads must be >= 1, got {self.threads}")
 
 
 @dataclass(frozen=True)
@@ -191,11 +193,13 @@ def _make_row(cfg: ExperimentConfig, axis, value, fraction: float, algo: str,
 
 
 def run_on_graph(g: Graph, config: ExperimentConfig, fraction: float = 1.0,
-                 id_map=None) -> list[ReportRow]:
-    """Run the configured sweep on an already-loaded graph; no file emission."""
+                 id_map=None, rows=None) -> list[ReportRow]:
+    """Run the configured sweep on an already-loaded graph, appending to and
+    returning `rows` (a new list by default).  A solver error appends its
+    row, writes all of `rows` to the configured report, and propagates."""
     if id_map is None:
         id_map = g.original_ids
-    rows: list[ReportRow] = []
+    rows = [] if rows is None else rows
     cached_key = None
     cached_store = None
     for axis, value in _sweep_points(config):
@@ -227,16 +231,16 @@ def run_on_graph(g: Graph, config: ExperimentConfig, fraction: float = 1.0,
     return rows
 
 
-def run_experiment(config: ExperimentConfig) -> list[ReportRow]:
-    """Load the graph, run the sweep, and emit the report file if configured."""
+def run_experiment(config: ExperimentConfig, rows=None) -> list[ReportRow]:
+    """Load the graph, run the sweep into `rows`, and emit the report if configured."""
     with open(config.graph_path) as fh:
         g = load_edge_list(fh, directed=config.directed)
-    rows = run_on_graph(g, config)
+    rows = run_on_graph(g, config, rows=rows)
     _emit_if_configured(rows, config)
     return rows
 
 
-def run_scalability(config: ExperimentConfig, fractions) -> list[ReportRow]:
+def run_scalability(config: ExperimentConfig, fractions, rows=None) -> list[ReportRow]:
     """Re-run the experiment on nested BFS slices of the graph.
 
     The BFS seed is the highest-degree node (ties to smaller id); the rumor
@@ -253,11 +257,11 @@ def run_scalability(config: ExperimentConfig, fractions) -> list[ReportRow]:
         g = load_edge_list(fh, directed=config.directed)
     degrees = g.degrees()
     bfs_seed = min(range(g.n), key=lambda u: (-degrees[u], u))
-    rows: list[ReportRow] = []
+    rows = [] if rows is None else rows
     for frac in fractions:
         sub, keep = bfs_subgraph(g, bfs_seed, frac)
         id_map = [g.original_ids[keep[v]] for v in range(sub.n)]
-        rows.extend(run_on_graph(sub, config, fraction=frac, id_map=id_map))
+        run_on_graph(sub, config, fraction=frac, id_map=id_map, rows=rows)
     _emit_if_configured(rows, config)
     return rows
 

@@ -48,7 +48,10 @@ class LogisticParams:
 
 
 def _logistic(params: LogisticParams, t: float) -> float:
-    return 1.0 / (1.0 + math.exp(params.alpha - params.beta * t))
+    try:
+        return 1.0 / (1.0 + math.exp(params.alpha - params.beta * t))
+    except OverflowError:  # exp(z) above the float range: 1/(1+exp(z)) is 0.0
+        return 0.0
 
 
 def logistic_slope(params: LogisticParams, t: float) -> float:

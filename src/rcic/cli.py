@@ -147,18 +147,22 @@ def _build_config(args, file_cfg: dict) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
-def _emit(rows, config: ExperimentConfig) -> None:
-    if config.out_path is None:
-        write_rows(rows, sys.stdout, config.out_format)
-    else:
-        print(f"wrote {len(rows)} rows to {config.out_path}")
+def _run_and_emit(config: ExperimentConfig, run) -> int:
+    """Call run(rows); emit its rows, also those computed before an error."""
+    rows = []
+    try:
+        run(rows)
+    finally:
+        if rows and config.out_path is None:
+            write_rows(rows, sys.stdout, config.out_format)
+        elif rows:
+            print(f"wrote {len(rows)} rows to {config.out_path}")
+    return 0
 
 
 def _cmd_run(args) -> int:
     config = _build_config(args, _load_config_file(args.config))
-    rows = run_experiment(config)
-    _emit(rows, config)
-    return 0
+    return _run_and_emit(config, lambda rows: run_experiment(config, rows))
 
 
 def _cmd_scalability(args) -> int:
@@ -167,9 +171,8 @@ def _cmd_scalability(args) -> int:
     fractions = _merged(args, file_cfg, "fractions")
     if fractions is None:
         raise ValueError("--fractions is required")
-    rows = run_scalability(config, [float(f) for f in fractions.split(",")])
-    _emit(rows, config)
-    return 0
+    return _run_and_emit(config, lambda rows: run_scalability(
+        config, [float(f) for f in fractions.split(",")], rows))
 
 
 def _cmd_oracle(args) -> int:

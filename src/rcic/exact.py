@@ -101,7 +101,10 @@ def exact_objective(g: Graph, params: LogisticParams, rumor_set, P, T: int,
             continue
         c = len(r.prefix & prot)
         if c > 0:
-            total += r.probability / (1.0 + math.exp(params.alpha - params.beta * c))
+            try:
+                total += r.probability / (1.0 + math.exp(params.alpha - params.beta * c))
+            except OverflowError:  # exp(z) above the float range: the term is 0.0
+                pass
     return total
 
 

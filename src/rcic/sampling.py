@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -108,7 +109,7 @@ class WalkIndex:
         cand_pos: len-n array mapping node id -> candidate position (-1 for rumor).
         walk_weights: weight of each hit walk, length H.
         indptr / walk_ids: CSR over candidate positions; walk_ids[indptr[p]:indptr[p+1]]
-            are the hit-walk positions whose prefix contains candidates[p].
+            (`walks_of(p)`) are the hit walks whose prefix contains candidates[p].
         walk_indptr / walk_cands: the forward CSR; walk_cands[walk_indptr[w]:
             walk_indptr[w+1]] are the candidate positions in hit walk w's prefix.
         max_count: largest hit-walk prefix size (caps any impression count).
@@ -163,16 +164,21 @@ class WalkIndex:
             raise ValueError(f"node {v} is in the rumor set")
         return p
 
-    def walk_slice(self, v: int) -> np.ndarray:
-        """Positions of hit walks whose prefix contains node v."""
-        p = self.position(v)
-        return self.walk_ids[self.indptr[p]:self.indptr[p + 1]]
+    def walks_of(self, pos: int) -> np.ndarray:
+        """Hit walks whose prefix contains the candidate at position pos."""
+        return self.walk_ids[self.indptr[pos]:self.indptr[pos + 1]]
+
+    @cached_property
+    def hit_mass(self) -> np.ndarray:
+        """Per candidate position, the weight of its hit walks; built on first use."""
+        weights = np.repeat(self.walk_weights, np.diff(self.walk_indptr))
+        return np.bincount(self.walk_cands, weights, self.n_candidates)
 
     def counts_for(self, nodes) -> np.ndarray:
         """Per-hit-walk impression count |prefix ∩ nodes|; repeats count once."""
         counts = np.zeros(self.n_hit_walks, dtype=np.int32)
         for v in frozenset(nodes):
-            counts[self.walk_slice(v)] += 1
+            counts[self.walks_of(self.position(v))] += 1
         return counts
 
 

@@ -1,10 +1,10 @@
 """Protector selection: degree heuristic, greedy, and bound-driven search.
 
 All four solvers run off one immutable store index and a per-run mutable
-array of per-walk impression counts.  Greedy, the SAM bound and PRO's
-fallback pick through one engine (`_GainState.greedy_steps`): an add changes
-only the added node's walks, so only their gain change is scattered to the
-candidates in their prefixes, and every gain stays exact.  It is not lazy:
+array of per-walk impression counts.  Gains are only ever scattered: a fresh
+`_GainState` is one shared unit gain times each candidate's hit-walk mass plus
+a scatter from the touched walks, and each add in `greedy_steps` (greedy, SAM,
+PRO's fallback) scatters its walks' change, so gains stay exact.  It is not lazy:
 the true objective is not submodular, so cached gains can go stale upward.
 Greedy uses true logistic gains.  The bound estimators greedily maximize the
 anchored envelope, the least concave majorant of the logistic at integer
@@ -21,6 +21,7 @@ is at most B by the data-dependent bound for monotone submodular functions
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import time
@@ -82,13 +83,11 @@ def _check_k(index, k: int) -> None:
         raise ValueError(f"k={k} infeasible with {index.n_candidates} candidates")
 
 
-def _blocking_fraction(store, objective: float) -> float:
+def _report(algo: str, store, params, chosen, t0: float, **counters) -> SolveReport:
+    obj = estimate_objective(store, params, chosen)
     mass = store.index.influenced_mass
-    return objective / mass if mass > 0 else 0.0
-
-
-def _walks_of(index, pos: int) -> np.ndarray:
-    return index.walk_ids[index.indptr[pos]:index.indptr[pos + 1]]
+    return SolveReport(algo, chosen, obj, obj / mass if mass > 0 else 0.0,
+                       time.perf_counter() - t0, **counters)
 
 
 def solve_topk(store, params: LogisticParams, k: int) -> SolveReport:
@@ -99,9 +98,7 @@ def solve_topk(store, params: LogisticParams, k: int) -> SolveReport:
     degree = np.diff(index.indptr)
     order = np.lexsort((index.candidates, -degree))
     chosen = frozenset(int(v) for v in index.candidates[order[:k]])
-    obj = estimate_objective(store, params, chosen)
-    return SolveReport("topk", chosen, obj, _blocking_fraction(store, obj),
-                       time.perf_counter() - t0)
+    return _report("topk", store, params, chosen, t0)
 
 
 def solve_greedy(store, params: LogisticParams, k: int) -> SolveReport:
@@ -115,16 +112,14 @@ def solve_greedy(store, params: LogisticParams, k: int) -> SolveReport:
                        frozenset(), k, frozenset())
     state.greedy_steps(k)
     chosen = frozenset(int(v) for v in index.candidates[state.in_set])
-    obj = estimate_objective(store, params, chosen)
-    return SolveReport("greedy", chosen, obj, _blocking_fraction(store, obj),
-                       time.perf_counter() - t0, gain_evals=state.gain_evals)
+    return _report("greedy", store, params, chosen, t0, gain_evals=state.gain_evals)
 
 
 class _GainState:
-    """Greedy completion of an anchor set from the candidates outside it and
-    outside `excluded`.  gain_mat[a, c] is one walk's unit gain at anchor
-    count a and current count c; gains[p] is its weighted sum over the walks
-    containing candidate p, kept exact as nodes are added."""
+    """Greedy completion of an anchor set from the pool outside it and outside
+    `excluded`.  gain_mat[a, c] is one walk's unit gain at anchor count a and
+    current count c; gains[p], its weighted sum over candidate p's walks, is
+    only ever scattered from the walks the set touches, and kept exact."""
 
     def __init__(self, index, gain_mat, anchor_set, k, excluded):
         self.index = index
@@ -149,27 +144,29 @@ class _GainState:
     def _unit_gains(self, walks) -> np.ndarray:
         return self.gain_mat[self.anchor_counts[walks], self.counts[walks]]
 
-    def _to_candidates(self, indptr, cands, walk_vals) -> np.ndarray:
+    def _scatter(self, walks, walk_vals) -> np.ndarray:
         """Sum per-walk values onto each walk's prefix candidates, in walk order."""
+        indptr, cands = _csr_take(self.index.walk_indptr, self.index.walk_cands, walks)
         return np.bincount(cands, weights=np.repeat(walk_vals, np.diff(indptr)),
                            minlength=self.index.n_candidates)
 
     def refresh_gains(self) -> None:
-        """Recompute every candidate's gain from scratch."""
-        index = self.index
-        self.gains = self._to_candidates(
-            index.walk_indptr, index.walk_cands,
-            index.walk_weights * self._unit_gains(slice(None)))
+        """Recompute every gain: untouched walks have counts (0, 0), so a gain is
+        gain_mat[0, 0] times the hit-walk mass plus a touched-walk correction."""
+        walks = np.flatnonzero(self.counts)
+        base = self.gain_mat[0, 0]
+        correction = self.index.walk_weights[walks] * (self._unit_gains(walks) - base)
+        self.gains = base * self.index.hit_mass + self._scatter(walks, correction)
 
     def gain_of(self, pos: int) -> float:
-        walks = _walks_of(self.index, pos)
+        walks = self.index.walks_of(pos)
         return float(np.dot(self.index.walk_weights[walks], self._unit_gains(walks)))
 
     def add(self, pos: int) -> None:
         """Add candidate pos without updating `gains`."""
         self.in_set[pos] = True
         self.addable[pos] = False
-        self.counts[_walks_of(self.index, pos)] += 1
+        self.counts[self.index.walks_of(pos)] += 1
         if self.first_added is None:
             self.first_added = int(self.index.candidates[pos])
 
@@ -179,12 +176,11 @@ class _GainState:
         for _ in range(rounds):
             self.gain_evals += int(self.addable.sum())
             pos = int(np.argmax(np.where(self.addable, self.gains, -np.inf)))
-            walks = _walks_of(index, pos)
+            walks = index.walks_of(pos)
             before = self._unit_gains(walks)
             self.add(pos)
-            delta = index.walk_weights[walks] * (self._unit_gains(walks) - before)
-            self.gains += self._to_candidates(
-                *_csr_take(index.walk_indptr, index.walk_cands, walks), delta)
+            self.gains += self._scatter(
+                walks, index.walk_weights[walks] * (self._unit_gains(walks) - before))
 
     def top_gains(self, m: int) -> float:
         """Sum of the m largest gains over the addable candidates."""
@@ -204,16 +200,14 @@ class _GainState:
 
 
 def sam_compute_bound(store, params: LogisticParams, anchor_set, k: int,
-                      excluded=frozenset(), table: EnvelopeTable | None = None
-                      ) -> BoundResult:
+                      excluded=frozenset()) -> BoundResult:
     """Greedy envelope completion of the anchor to k nodes.
 
     Nodes are added from the pool V', the candidates minus the anchor and
     the excluded nodes.  Returns the completed set with L = its true value
     and the subtree bound B, taken from the initial gains.
     """
-    if table is None:
-        table = EnvelopeTable(params, store.index.max_count)
+    table = EnvelopeTable(params, store.index.max_count)
     state = _GainState(store.index, table.env_gain, anchor_set, k, excluded)
     needed = k - len(state.anchor)
     top_gains = state.top_gains(needed)
@@ -222,8 +216,7 @@ def sam_compute_bound(store, params: LogisticParams, anchor_set, k: int,
 
 
 def pro_sam_compute_bound(store, params: LogisticParams, anchor_set, k: int,
-                          rho: float, excluded=frozenset(),
-                          table: EnvelopeTable | None = None) -> BoundResult:
+                          rho: float, excluded=frozenset()) -> BoundResult:
     """Threshold-relaxed envelope completion: one initial gain scan of the
     pool V' (the candidates minus the anchor and the excluded nodes), then
     sweeps that accept any node whose current gain clears a threshold h,
@@ -235,8 +228,7 @@ def pro_sam_compute_bound(store, params: LogisticParams, anchor_set, k: int,
     """
     if rho <= 0:
         raise ValueError(f"rho must be > 0, got {rho}")
-    if table is None:
-        table = EnvelopeTable(params, store.index.max_count)
+    table = EnvelopeTable(params, store.index.max_count)
     state = _GainState(store.index, table.env_gain, anchor_set, k, excluded)
     needed = k - len(state.anchor)
     if needed == 0:
@@ -246,9 +238,8 @@ def pro_sam_compute_bound(store, params: LogisticParams, anchor_set, k: int,
     state.gain_evals += int(state.addable.sum())
     order = np.argsort(-init_gains, kind="stable")
     top_gains = float(init_gains[order[:needed]].sum())
-    h0 = float(init_gains[order[0]])
-    floor = max(1e-12, h0 * 1e-9)
-    h = h0
+    h = float(init_gains[order[0]])
+    floor = max(1e-12, h * 1e-9)
     added = 0
     while added < needed and h >= floor:
         for pos in order:
@@ -288,19 +279,12 @@ def branch_and_bound(store, params: LogisticParams, k: int,
     t0 = time.perf_counter()
     index = store.index
     _check_k(index, k)
-    if limits is None:
-        limits = SolverLimits()
-    table = EnvelopeTable(params, index.max_count)
-
+    limits = limits or SolverLimits()
     if estimator not in ("sam", "pro"):
         raise ValueError(f"unknown bound estimator {estimator!r}")
-
-    def bound(partial, excluded):
-        if estimator == "sam":
-            return sam_compute_bound(store, params, partial, k,
-                                     excluded=excluded, table=table)
-        return pro_sam_compute_bound(store, params, partial, k, rho,
-                                     excluded=excluded, table=table)
+    bound = (functools.partial(sam_compute_bound, store, params, k=k)
+             if estimator == "sam" else
+             functools.partial(pro_sam_compute_bound, store, params, k=k, rho=rho))
 
     greedy = solve_greedy(store, params, k)
     best_set, best_val = greedy.chosen_set, greedy.objective
@@ -314,7 +298,7 @@ def branch_and_bound(store, params: LogisticParams, k: int,
         incumbent, and queue it if its bound may still beat the incumbent
         and its pool holds more nodes than it needs."""
         nonlocal best_set, best_val, bound_calls, gain_evals
-        bres = bound(partial, excluded)
+        bres = bound(partial, excluded=excluded)
         bound_calls += 1
         gain_evals += bres.gain_evals
         if bres.lower > best_val:
@@ -348,12 +332,9 @@ def branch_and_bound(store, params: LogisticParams, k: int,
     # an open node has B > 0, so some candidate blocks a walk and greedy's
     # incumbent is positive
     bound_gap = -heap[0][0] / best_val if truncated else 1.0
-    return SolveReport("bab" if estimator == "sam" else "probab",
-                       best_set, best_val,
-                       _blocking_fraction(store, best_val),
-                       time.perf_counter() - t0, expansions=expansions,
-                       bound_calls=bound_calls, gain_evals=gain_evals,
-                       truncated=truncated, bound_gap=bound_gap)
+    return _report("bab" if estimator == "sam" else "probab", store, params,
+                   best_set, t0, expansions=expansions, bound_calls=bound_calls,
+                   gain_evals=gain_evals, truncated=truncated, bound_gap=bound_gap)
 
 
 def run_solver(algo: str, store, params: LogisticParams, k: int,

@@ -74,6 +74,12 @@ def test_config_validation():
         base_config(epsilon=0.1)
 
 
+def test_config_rejects_thread_counts_below_one():
+    for threads in (0, -2):
+        with pytest.raises(ValueError, match="threads"):
+            base_config(threads=threads)
+
+
 def test_run_on_graph_basic_rows():
     g = small_graph()
     rows = run_on_graph(g, base_config())
@@ -167,6 +173,42 @@ def test_run_on_graph_emits_error_marker(tmp_path):
     assert len(rows) == 1
     assert rows[0].status.startswith("error: ValueError")
     assert rows[0].chosen_set == ""
+
+
+def test_every_solver_runs_where_the_logistic_underflows():
+    # exp(800 - C) overflows a float for every count: every block value is 0.0
+    rows = run_on_graph(small_graph(), base_config(
+        algorithms=("topk", "greedy", "bab", "probab"), alpha=800.0, beta=1.0))
+    assert [r.status for r in rows] == ["ok"] * 4
+    assert [r.objective for r in rows] == [0.0] * 4
+
+
+def test_run_scalability_keeps_earlier_slices_after_a_solver_error(
+        tmp_path, monkeypatch):
+    graph_path = tmp_path / "graph.txt"
+    with graph_path.open("w") as fh:
+        dump_edge_list(barabasi_albert_graph(80, 2, seed=5), fh)
+    out = tmp_path / "scal.csv"
+    calls = []
+
+    def third_call_fails(*args, **kwargs):
+        calls.append(args[0])
+        if len(calls) == 3:
+            raise RuntimeError("solver failed")
+        return run_solver(*args, **kwargs)
+
+    monkeypatch.setattr(rcic.bench, "run_solver", third_call_fails)
+    config = base_config(graph_path=str(graph_path), algorithms=("topk",),
+                         rumor_size=2, k=2, out_path=str(out))
+    rows = []
+    with pytest.raises(RuntimeError):
+        run_scalability(config, [0.5, 0.75, 1.0], rows)
+    written = read_rows(out.open())
+    for report in (rows, written):
+        assert [r.fraction for r in report] == [0.5, 0.75, 1.0]
+        assert [r.status for r in report] == [
+            "ok", "ok", "error: RuntimeError: solver failed"]
+    assert [r.chosen_set for r in written] == [r.chosen_set for r in rows]
 
 
 def test_csv_round_trip(tmp_path):

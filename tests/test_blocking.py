@@ -51,6 +51,16 @@ def test_logistic_block_values():
         logistic_block(P31, -1)
 
 
+def test_logistic_block_is_zero_where_exp_overflows():
+    # exp(alpha - beta*C) exceeds the float range from alpha - beta*C ~ 709.8 on
+    far = LogisticParams(800.0, 1.0)
+    assert logistic_block(far, 1) == 0.0
+    assert logistic_block(far, 91) == 1.0 / (1.0 + math.exp(709.0))
+    table = EnvelopeTable(far, max_count=4)
+    assert not table.f_table.any()
+    assert not np.nan_to_num(table.env_gain).any()
+
+
 def test_logistic_slope_peaks_at_inflection():
     assert logistic_slope(P31, 3.0) == pytest.approx(0.25, abs=1e-15)
     assert logistic_slope(P31, 1.0) < 0.25

@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -68,6 +69,30 @@ def test_run_repeats_identically(graph_file, tmp_path):
     rows_a, rows_b = read_rows(out_a.open()), read_rows(out_b.open())
     assert [(r.chosen_set, r.objective) for r in rows_a] == \
         [(r.chosen_set, r.objective) for r in rows_b]
+
+
+def test_run_reports_rows_computed_before_a_solver_error(graph_file, tmp_path,
+                                                        capsys):
+    # k=500 exceeds the candidate pool: the second sweep point's solver raises
+    flags = ["run", "--graph", graph_file, "--algo", "topk", "--k", "2",
+             "--rumor-size", "4", "-T", "2", "--samples", "20", "--alpha", "3",
+             "--beta", "1", "--sweep", "k=2,500"]
+    out = tmp_path / "report.csv"
+    assert main(flags) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert main(flags + ["--out", str(out)]) == 1
+    for rows in (read_rows(io.StringIO(captured.out)), read_rows(out.open())):
+        assert [r.k for r in rows] == [2, 500]
+        assert rows[0].status == "ok"
+        assert rows[1].status.startswith("error: ValueError")
+
+
+def test_thread_count_below_one_is_an_error(graph_file, capsys):
+    assert main(["run", "--graph", graph_file, "--algo", "topk", "--k", "2",
+                 "--rumor-size", "4", "--samples", "10",
+                 "--threads", "-2"]) == 1
+    assert "threads" in capsys.readouterr().err
 
 
 def test_run_thread_count_does_not_change_results(graph_file, tmp_path):

@@ -86,6 +86,11 @@ def test_exact_objective_path_values():
         0.19407217169605634, abs=1e-12)
 
 
+def test_exact_objective_is_zero_where_exp_overflows():
+    assert exact_objective(path3(), LogisticParams(800.0, 1.0), {2}, {0, 1},
+                           2) == 0.0
+
+
 def test_exact_objective_accepts_precomputed_realizations():
     g = path3()
     reals = enumerate_realizations(g, {2}, T=2)

@@ -123,25 +123,48 @@ def test_incremental_greedy_matches_rescan_objective_on_tiny_instances():
                 estimate_objective(store, params, ref), abs=1e-12)
 
 
+def covering_anchor(index, share):
+    """The fewest highest block-degree candidates whose walks make up `share`
+    of the hit walks."""
+    covered = np.zeros(index.n_hit_walks, dtype=bool)
+    anchor = set()
+    for pos in np.argsort(-np.diff(index.indptr), kind="stable"):
+        if covered.mean() >= share:
+            break
+        covered[index.walks_of(int(pos))] = True
+        anchor.add(int(index.candidates[pos]))
+    return frozenset(anchor)
+
+
 def test_incremental_gains_equal_refresh_after_every_step():
+    # ExactStore walks carry unequal weights, and the covering anchors put
+    # most hit walks in refresh_gains' correction term rather than its base
     stores = [s for _, s in tiny_instances()] + list(sampled_ba_stores())
     for store in stores:
         index = store.index
         for name, mat in gain_matrices(index, P31).items():
-            anchor = frozenset() if name == "greedy" else frozenset(
-                {int(index.candidates[-1])})
-            state = _GainState(index, mat, anchor, 6, ())
-            for _ in range(6 - len(anchor)):
-                state.greedy_steps(1)
-                incremental = state.gains
-                state.refresh_gains()
-                np.testing.assert_allclose(incremental, state.gains, rtol=0,
-                                           atol=1e-12)
+            anchors = [frozenset()] if name == "greedy" else [
+                frozenset({int(index.candidates[-1])}),
+                covering_anchor(index, 0.8)]
+            for anchor in anchors:
+                k = min(max(6, len(anchor) + 4), index.n_candidates)
+                state = _GainState(index, mat, anchor, k, ())
                 np.testing.assert_allclose(
                     state.gains, rescan_gains(index, mat, state.anchor_counts,
                                               state.counts), rtol=0, atol=1e-12)
-                # carry on from the incremental vector so errors accumulate
-                state.gains = incremental
+                for _ in range(k - len(anchor)):
+                    state.greedy_steps(1)
+                    incremental = state.gains
+                    state.refresh_gains()
+                    np.testing.assert_allclose(incremental, state.gains,
+                                               rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(
+                        state.gains, rescan_gains(index, mat,
+                                                  state.anchor_counts,
+                                                  state.counts),
+                        rtol=0, atol=1e-12)
+                    # carry on from the incremental vector so errors accumulate
+                    state.gains = incremental
 
 
 def test_limits_validation():
