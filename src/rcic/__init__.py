@@ -11,7 +11,6 @@ from .blocking import (
     EnvelopeAnchor,
     EnvelopeTable,
     LogisticParams,
-    block_degree,
     blocking_percentage,
     estimate_envelope_objective,
     estimate_objective,

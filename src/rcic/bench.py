@@ -1,4 +1,4 @@
-"""Experiment runner: parameter sweeps, rumor-set generation, report files.
+"""Experiment runner: parameter sweeps, rumor-set generation, report rows.
 
 One experiment = one graph, one rumor protocol, one or more algorithms, and
 optionally one sweep axis.  Rumor sets are drawn uniformly from the top
@@ -9,8 +9,9 @@ and seed are unchanged (k and rho sweeps amortize one sampling pass).
 
 Reported blocking_pct divides the objective by the expected number of users
 the rumor reaches (sum of per-start hit probabilities; estimated as
-hit_count/X under sampling).  Reports are CSV (comment header, fixed column
-order, 6-significant-digit floats, integer milliseconds) or JSON.
+hit_count/X under sampling).  The runners only compute rows; `write_rows`
+formats them as CSV (comment header, fixed column order, 6-significant-digit
+floats, integer milliseconds) or JSON, and the CLI decides where they go.
 """
 
 from __future__ import annotations
@@ -64,8 +65,6 @@ class ExperimentConfig:
     time_cap: float | None = None
     seed: int = 0
     threads: int = 1
-    out_path: str | None = None
-    out_format: str = "csv"
 
     def __post_init__(self):
         for algo in self.algorithms:
@@ -73,8 +72,6 @@ class ExperimentConfig:
                 raise ValueError(f"unknown algorithm {algo!r}")
         if not self.algorithms:
             raise ValueError("no algorithm requested")
-        if self.out_format not in ("csv", "json"):
-            raise ValueError(f"unknown output format {self.out_format!r}")
         if (self.sweep_axis is None) != (self.sweep_values is None):
             raise ValueError("sweep axis and values must be given together")
         if self.sweep_axis is not None:
@@ -82,6 +79,10 @@ class ExperimentConfig:
                 raise ValueError(f"unknown sweep axis {self.sweep_axis!r}")
             if not self.sweep_values:
                 raise ValueError("empty sweep value list")
+            if self.sweep_axis in _INT_AXES and not all(
+                    float(v).is_integer() for v in self.sweep_values):
+                raise ValueError(f"sweep axis {self.sweep_axis} takes integers,"
+                                 f" got {self.sweep_values}")
         if (self.epsilon is None) != (self.delta is None):
             raise ValueError("epsilon and delta must be given together")
         if self.threads < 1:
@@ -196,7 +197,7 @@ def run_on_graph(g: Graph, config: ExperimentConfig, fraction: float = 1.0,
                  id_map=None, rows=None) -> list[ReportRow]:
     """Run the configured sweep on an already-loaded graph, appending to and
     returning `rows` (a new list by default).  A solver error appends its
-    row, writes all of `rows` to the configured report, and propagates."""
+    row and propagates."""
     if id_map is None:
         id_map = g.original_ids
     rows = [] if rows is None else rows
@@ -224,7 +225,6 @@ def run_on_graph(g: Graph, config: ExperimentConfig, fraction: float = 1.0,
                 rows.append(_make_row(cfg, axis, value, fraction, algo, None,
                                       x_used, id_map,
                                       f"error: {type(exc).__name__}: {exc}"))
-                _emit_if_configured(rows, config)
                 raise
             rows.append(_make_row(cfg, axis, value, fraction, algo, report,
                                   x_used, id_map, "ok"))
@@ -232,16 +232,15 @@ def run_on_graph(g: Graph, config: ExperimentConfig, fraction: float = 1.0,
 
 
 def run_experiment(config: ExperimentConfig, rows=None) -> list[ReportRow]:
-    """Load the graph, run the sweep into `rows`, and emit the report if configured."""
+    """Load the graph and run the sweep into `rows`."""
     with open(config.graph_path) as fh:
         g = load_edge_list(fh, directed=config.directed)
-    rows = run_on_graph(g, config, rows=rows)
-    _emit_if_configured(rows, config)
-    return rows
+    return run_on_graph(g, config, rows=rows)
 
 
 def run_scalability(config: ExperimentConfig, fractions, rows=None) -> list[ReportRow]:
-    """Re-run the experiment on nested BFS slices of the graph.
+    """Re-run the experiment on nested BFS slices of the graph, appending
+    every slice's rows to `rows`.
 
     The BFS seed is the highest-degree node (ties to smaller id); the rumor
     set is regenerated per slice with the same rumor seed.
@@ -262,15 +261,7 @@ def run_scalability(config: ExperimentConfig, fractions, rows=None) -> list[Repo
         sub, keep = bfs_subgraph(g, bfs_seed, frac)
         id_map = [g.original_ids[keep[v]] for v in range(sub.n)]
         run_on_graph(sub, config, fraction=frac, id_map=id_map, rows=rows)
-    _emit_if_configured(rows, config)
     return rows
-
-
-def _emit_if_configured(rows: list[ReportRow], config: ExperimentConfig) -> None:
-    if config.out_path is None:
-        return
-    with open(config.out_path, "w") as fh:
-        write_rows(rows, fh, config.out_format)
 
 
 def write_rows(rows: list[ReportRow], sink, fmt: str = "csv") -> None:

@@ -193,13 +193,6 @@ def estimate_envelope_objective(store, params: LogisticParams, anchor_set, P) ->
     return float(np.dot(index.walk_weights, table.env[anchors, counts]))
 
 
-def block_degree(store) -> dict[int, int]:
-    """Per non-rumor node, the number of hit walks whose prefix contains it."""
-    index = store.index
-    per_cand = np.diff(index.indptr)
-    return {int(v): int(d) for v, d in zip(index.candidates, per_cand)}
-
-
 def blocking_percentage(store, params: LogisticParams, P) -> float:
     """B(P|R) over the expected number of users the rumor reaches, in [0, 1)."""
     mass = store.index.influenced_mass

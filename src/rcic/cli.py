@@ -2,7 +2,9 @@
 
 Every run flag can also come from a key=value config file (--config); flags
 given on the command line win.  File keys use the flag names with
-underscores, e.g. `rumor_size = 150`, `algo = topk,bab`.
+underscores, e.g. `rumor_size = 150`, `algo = topk,bab`.  The library only
+computes report rows; this module writes them to --out (stdout when absent)
+in --format, also the rows computed before a solver error.
 """
 
 from __future__ import annotations
@@ -33,20 +35,11 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _file_converters() -> dict:
-    """Config-file keys and converters, read off the flag declarations."""
+def _load_config_file(path: str) -> dict:
+    """The file's flag values, converted and checked like the flags."""
     p = argparse.ArgumentParser(add_help=False)
     _add_scalability_flags(p)
-    return {a.dest: _parse_bool if isinstance(a, argparse._StoreTrueAction)
-            else a.type or str
-            for a in p._actions if a.dest != "config"}
-
-
-def _load_config_file(path: str | None) -> dict:
-    """The file's flag values; none when no file is given."""
-    if not path:
-        return {}
-    converters = _file_converters()
+    actions = {a.dest: a for a in p._actions if a.dest != "config"}
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -57,10 +50,28 @@ def _load_config_file(path: str | None) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, _, text = line.partition("=")
             key = key.strip().replace("-", "_")
-            if key not in converters:
+            if key not in actions:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = converters[key](text.strip())
+            action = actions[key]
+            convert = (_parse_bool if isinstance(action, argparse._StoreTrueAction)
+                       else action.type or str)
+            value = convert(text.strip())
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(f"{path}:{lineno}: {key} must be one of "
+                                 f"{', '.join(action.choices)}, got {value!r}")
+            values[key] = value
     return values
+
+
+def _merge_config_file(args) -> None:
+    """Fill every flag the command line left unset from --config's file; a
+    flag given on the command line wins, also when its value is 0."""
+    if not args.config:
+        return
+    for key, value in _load_config_file(args.config).items():
+        given = getattr(args, key, None)
+        if given is None or given is False:
+            setattr(args, key, value)
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
@@ -101,15 +112,6 @@ def _add_scalability_flags(p: argparse.ArgumentParser) -> None:
                    help="ascending node fractions, e.g. 0.2,0.4,0.6,0.8,1.0")
 
 
-def _merged(args, file_cfg: dict, key: str):
-    value = getattr(args, key, None)
-    if isinstance(value, bool):
-        return value or file_cfg.get(key, False)
-    if value is not None:
-        return value
-    return file_cfg.get(key)
-
-
 def _parse_sweep(text: str):
     axis, sep, values = text.partition("=")
     axis = axis.strip().replace("-", "_")
@@ -118,61 +120,57 @@ def _parse_sweep(text: str):
     return axis, tuple(float(v) for v in values.split(","))
 
 
-def _build_config(args, file_cfg: dict) -> ExperimentConfig:
-    graph = _merged(args, file_cfg, "graph")
-    if graph is None:
+def _build_config(args) -> ExperimentConfig:
+    if args.graph is None:
         raise ValueError("no graph given (--graph or config file)")
-    undirected = _merged(args, file_cfg, "undirected")
-    directed = _merged(args, file_cfg, "directed")
-    if undirected and directed:
+    if args.undirected and args.directed:
         raise ValueError("--undirected and --directed conflict")
 
-    kwargs = {"graph_path": graph, "directed": bool(directed)}
-    algo = _merged(args, file_cfg, "algo")
-    if algo is not None:
-        kwargs["algorithms"] = tuple(a.strip() for a in algo.split(",") if a.strip())
-    sweep = _merged(args, file_cfg, "sweep")
-    if sweep is not None:
-        kwargs["sweep_axis"], kwargs["sweep_values"] = _parse_sweep(sweep)
-    for arg_key, cfg_key in (
-            ("k", "k"), ("rumor_size", "rumor_size"), ("rumor_seed", "rumor_seed"),
-            ("T", "T"), ("alpha", "alpha"), ("beta", "beta"), ("samples", "X"),
-            ("rho", "rho"), ("epsilon", "epsilon"), ("delta", "delta"),
-            ("node_cap", "node_cap"), ("time_cap", "time_cap"), ("seed", "seed"),
-            ("threads", "threads"), ("out", "out_path"),
-            ("format", "out_format")):
-        value = _merged(args, file_cfg, arg_key)
-        if value is not None:
-            kwargs[cfg_key] = value
+    kwargs = {"graph_path": args.graph, "directed": args.directed}
+    if args.algo is not None:
+        kwargs["algorithms"] = tuple(a.strip() for a in args.algo.split(",")
+                                     if a.strip())
+    if args.sweep is not None:
+        kwargs["sweep_axis"], kwargs["sweep_values"] = _parse_sweep(args.sweep)
+    if args.samples is not None:
+        kwargs["X"] = args.samples
+    for key in ("k", "rumor_size", "rumor_seed", "T", "alpha", "beta", "rho",
+                "epsilon", "delta", "node_cap", "time_cap", "seed", "threads"):
+        if getattr(args, key) is not None:
+            kwargs[key] = getattr(args, key)
     return ExperimentConfig(**kwargs)
 
 
-def _run_and_emit(config: ExperimentConfig, run) -> int:
-    """Call run(rows); emit its rows, also those computed before an error."""
+def _run_and_emit(args, run) -> int:
+    """Call run(rows), then write its rows to --out (stdout when absent) in
+    --format, also the rows computed before an error."""
     rows = []
     try:
         run(rows)
     finally:
-        if rows and config.out_path is None:
-            write_rows(rows, sys.stdout, config.out_format)
+        fmt = args.format or "csv"
+        if rows and args.out is None:
+            write_rows(rows, sys.stdout, fmt)
         elif rows:
-            print(f"wrote {len(rows)} rows to {config.out_path}")
+            with open(args.out, "w") as fh:
+                write_rows(rows, fh, fmt)
+            print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
 
 def _cmd_run(args) -> int:
-    config = _build_config(args, _load_config_file(args.config))
-    return _run_and_emit(config, lambda rows: run_experiment(config, rows))
+    _merge_config_file(args)
+    config = _build_config(args)
+    return _run_and_emit(args, lambda rows: run_experiment(config, rows))
 
 
 def _cmd_scalability(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    config = _build_config(args, file_cfg)
-    fractions = _merged(args, file_cfg, "fractions")
-    if fractions is None:
+    _merge_config_file(args)
+    config = _build_config(args)
+    if args.fractions is None:
         raise ValueError("--fractions is required")
-    return _run_and_emit(config, lambda rows: run_scalability(
-        config, [float(f) for f in fractions.split(",")], rows))
+    return _run_and_emit(args, lambda rows: run_scalability(
+        config, [float(f) for f in args.fractions.split(",")], rows))
 
 
 def _cmd_oracle(args) -> int:

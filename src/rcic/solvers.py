@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import math
 import time
 from dataclasses import dataclass
 
@@ -91,7 +92,8 @@ def _report(algo: str, store, params, chosen, t0: float, **counters) -> SolveRep
 
 
 def solve_topk(store, params: LogisticParams, k: int) -> SolveReport:
-    """The k candidates of highest block degree; ties to smaller id."""
+    """The k candidates of highest block degree, the number of hit walks
+    whose prefix holds the candidate; ties to smaller id."""
     t0 = time.perf_counter()
     index = store.index
     _check_k(index, k)
@@ -223,8 +225,10 @@ def pro_sam_compute_bound(store, params: LogisticParams, anchor_set, k: int,
     lowering h by (1+rho) between sweeps.
 
     Sweeps stop early at the first node whose initial gain is below h, which
-    is safe because anchored envelope gains only shrink.  If h underflows its
-    floor with slots still open, a plain greedy pass fills them.
+    is safe because anchored envelope gains only shrink.  The first node
+    reached, the top one, is accepted on its initial gain, which is its
+    current gain until the first add.  If h underflows its floor with slots
+    still open, a plain greedy pass fills them.
     """
     if rho <= 0:
         raise ValueError(f"rho must be > 0, got {rho}")
@@ -250,10 +254,12 @@ def pro_sam_compute_bound(store, params: LogisticParams, anchor_set, k: int,
                 break  # sorted by initial gain; the rest are below h too
             if not state.addable[pos]:
                 continue
-            state.gain_evals += 1
-            if state.gain_of(pos) >= h:
-                state.add(pos)
-                added += 1
+            if added:  # before the first add every gain is its initial gain
+                state.gain_evals += 1
+                if state.gain_of(pos) < h:
+                    continue
+            state.add(pos)
+            added += 1
         h /= 1.0 + rho
     if added < needed:
         # the threshold adds above did not scatter their gain changes
@@ -329,9 +335,12 @@ def branch_and_bound(store, params: LogisticParams, k: int,
         visit(partial | {u}, excluded)
         visit(partial, excluded | {u})
 
-    # an open node has B > 0, so some candidate blocks a walk and greedy's
-    # incumbent is positive
-    bound_gap = -heap[0][0] / best_val if truncated else 1.0
+    # an open node has B above the incumbent, but the incumbent can be 0.0
+    # where the logistic underflows at low counts: that gap is unbounded
+    if not truncated:
+        bound_gap = 1.0
+    else:
+        bound_gap = -heap[0][0] / best_val if best_val > 0 else math.inf
     return _report("bab" if estimator == "sam" else "probab", store, params,
                    best_set, t0, expansions=expansions, bound_calls=bound_calls,
                    gain_evals=gain_evals, truncated=truncated, bound_gap=bound_gap)

@@ -61,8 +61,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         base_config(algorithms=())
     with pytest.raises(ValueError):
-        base_config(out_format="xml")
-    with pytest.raises(ValueError):
         base_config(sweep_axis="T")
     with pytest.raises(ValueError):
         base_config(sweep_values=(1.0,))
@@ -72,6 +70,16 @@ def test_config_validation():
         base_config(sweep_axis="T", sweep_values=())
     with pytest.raises(ValueError):
         base_config(epsilon=0.1)
+
+
+def test_config_rejects_fractional_integer_sweep_values():
+    for axis in ("k", "rumor_size", "T", "X"):
+        with pytest.raises(ValueError, match="integers"):
+            base_config(sweep_axis=axis, sweep_values=(2.0, 2.7))
+    assert base_config(sweep_axis="T", sweep_values=(2.0, 3.0)).sweep_values \
+        == (2.0, 3.0)
+    assert base_config(sweep_axis="alpha", sweep_values=(2.7,)).sweep_axis \
+        == "alpha"
 
 
 def test_config_rejects_thread_counts_below_one():
@@ -162,14 +170,13 @@ def test_run_on_graph_resolves_hoeffding_samples():
     assert rows[0].X == expected
 
 
-def test_run_on_graph_emits_error_marker(tmp_path):
+def test_run_on_graph_emits_error_marker():
     g = small_graph()
-    out = tmp_path / "report.csv"
     # k exceeds the candidate pool: the solver raises, the row records it
-    config = base_config(algorithms=("greedy",), k=57, out_path=str(out))
+    config = base_config(algorithms=("greedy",), k=57)
+    rows = []
     with pytest.raises(ValueError):
-        run_on_graph(g, config)
-    rows = read_rows(out.open())
+        run_on_graph(g, config, rows=rows)
     assert len(rows) == 1
     assert rows[0].status.startswith("error: ValueError")
     assert rows[0].chosen_set == ""
@@ -188,7 +195,6 @@ def test_run_scalability_keeps_earlier_slices_after_a_solver_error(
     graph_path = tmp_path / "graph.txt"
     with graph_path.open("w") as fh:
         dump_edge_list(barabasi_albert_graph(80, 2, seed=5), fh)
-    out = tmp_path / "scal.csv"
     calls = []
 
     def third_call_fails(*args, **kwargs):
@@ -199,16 +205,14 @@ def test_run_scalability_keeps_earlier_slices_after_a_solver_error(
 
     monkeypatch.setattr(rcic.bench, "run_solver", third_call_fails)
     config = base_config(graph_path=str(graph_path), algorithms=("topk",),
-                         rumor_size=2, k=2, out_path=str(out))
+                         rumor_size=2, k=2)
     rows = []
     with pytest.raises(RuntimeError):
         run_scalability(config, [0.5, 0.75, 1.0], rows)
-    written = read_rows(out.open())
-    for report in (rows, written):
-        assert [r.fraction for r in report] == [0.5, 0.75, 1.0]
-        assert [r.status for r in report] == [
-            "ok", "ok", "error: RuntimeError: solver failed"]
-    assert [r.chosen_set for r in written] == [r.chosen_set for r in rows]
+    assert [r.fraction for r in rows] == [0.5, 0.75, 1.0]
+    assert [r.status for r in rows] == [
+        "ok", "ok", "error: RuntimeError: solver failed"]
+    assert [r.chosen_size for r in rows] == [2, 2, 0]
 
 
 def test_csv_round_trip(tmp_path):
@@ -271,12 +275,14 @@ def test_run_experiment_writes_report(tmp_path):
     graph_path = tmp_path / "graph.txt"
     with graph_path.open("w") as fh:
         dump_edge_list(g, fh)
-    out = tmp_path / "report.csv"
-    config = base_config(graph_path=str(graph_path), out_path=str(out))
+    config = base_config(graph_path=str(graph_path))
     rows = run_experiment(config)
-    parsed = read_rows(out.open())
-    assert [r.chosen_set for r in parsed] == [r.chosen_set for r in rows]
-    assert len(rows) == 2
+    assert [(r.algorithm, r.status, r.chosen_size) for r in rows] == \
+        [("topk", "ok", 3), ("greedy", "ok", 3)]
+    # the rows go into a caller's list
+    earlier = []
+    assert run_experiment(config, earlier) is earlier
+    assert len(earlier) == 2
 
 
 def test_run_scalability_slices(tmp_path):

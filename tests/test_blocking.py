@@ -6,7 +6,6 @@ import pytest
 from rcic.blocking import (
     EnvelopeTable,
     LogisticParams,
-    block_degree,
     blocking_percentage,
     estimate_envelope_objective,
     estimate_objective,
@@ -18,6 +17,7 @@ from rcic.blocking import (
 from rcic.exact import ExactStore
 from rcic.graph import Graph
 from rcic.sampling import WalkProfile
+from rcic.solvers import solve_topk
 
 P31 = LogisticParams(alpha=3.0, beta=1.0)
 P73 = LogisticParams(alpha=7.0, beta=3.0)
@@ -251,9 +251,9 @@ def test_estimate_envelope_objective_anchoring():
 
 
 def test_block_degree_path_instance():
-    # hit prefixes are {0, 1} (from start 0) and {1} (from start 1)
-    degrees = block_degree(path_store())
-    assert degrees == {0: 1, 1: 2}
+    # hit prefixes are {0, 1} (from start 0) and {1} (from start 1): node 1's
+    # block degree is 2 against node 0's 1, so topk picks it
+    assert solve_topk(path_store(), P31, 1).chosen_set == {1}
 
 
 def test_blocking_percentage_path_instance():

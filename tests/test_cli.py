@@ -3,9 +3,11 @@ import json
 
 import pytest
 
+import rcic.bench
 from rcic.bench import read_rows
 from rcic.cli import main
 from rcic.graph import dump_edge_list
+from rcic.solvers import run_solver
 from rcic.synth import barabasi_albert_graph
 
 
@@ -88,6 +90,18 @@ def test_run_reports_rows_computed_before_a_solver_error(graph_file, tmp_path,
         assert rows[1].status.startswith("error: ValueError")
 
 
+def test_out_holds_the_rows_computed_before_a_rumor_set_error(graph_file,
+                                                             tmp_path, capsys):
+    # the second sweep point's rumor set cannot be drawn: no solver runs
+    out = tmp_path / "report.csv"
+    assert main(["run", "--graph", graph_file, "--algo", "topk", "--k", "2",
+                 "--rumor-size", "4", "-T", "2", "--samples", "20",
+                 "--sweep", "rumor_size=4,500", "--out", str(out)]) == 1
+    assert "infeasible" in capsys.readouterr().err
+    assert [(r.rumor_size, r.status) for r in read_rows(out.open())] == \
+        [(4, "ok")]
+
+
 def test_thread_count_below_one_is_an_error(graph_file, capsys):
     assert main(["run", "--graph", graph_file, "--algo", "topk", "--k", "2",
                  "--rumor-size", "4", "--samples", "10",
@@ -138,6 +152,30 @@ def test_command_line_beats_config_file(graph_file, tmp_path):
     assert rows[0].chosen_size == 3
 
 
+def test_command_line_zero_beats_config_file(graph_file, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"graph = {graph_file}\nalgo = topk\nk = 2\n"
+                   "rumor_size = 4\nrumor_seed = 1\nT = 2\nsamples = 20\n")
+    out = tmp_path / "out.csv"
+    assert main(["run", "--config", str(cfg), "--rumor-seed", "0",
+                 "--out", str(out)]) == 0
+    assert [r.rumor_seed for r in read_rows(out.open())] == [0]
+
+
+def test_config_file_value_outside_flag_choices_is_an_error(graph_file,
+                                                           tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"graph = {graph_file}\nalgo = topk\nk = 2\n"
+                   "rumor_size = 4\nsamples = 20\nformat = xml\n")
+    out = tmp_path / "out.csv"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "run.cfg:6" in captured.err
+    assert "xml" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_unknown_config_key_is_an_error(graph_file, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"graph = {graph_file}\nwalks = 50\n")
@@ -183,6 +221,16 @@ def test_sweep_flag(graph_file, tmp_path):
         [("T", "2"), ("T", "3")]
 
 
+def test_fractional_integer_sweep_value_is_an_error(graph_file, capsys):
+    base = ["run", "--graph", graph_file, "--algo", "topk", "--k", "1",
+            "--rumor-size", "4", "--samples", "10"]
+    assert main(base + ["--sweep", "k=2.7,3.2"]) == 1
+    assert main(base + ["--sweep", "T=2.9"]) == 1
+    captured = capsys.readouterr()
+    assert "integers" in captured.err
+    assert captured.out == ""
+
+
 def test_bad_sweep_specs(graph_file, capsys):
     base = ["run", "--graph", graph_file, "--algo", "topk", "--k", "1",
             "--rumor-size", "4", "--samples", "10"]
@@ -198,6 +246,29 @@ def test_scalability_command(graph_file, tmp_path):
                  "--fractions", "0.5,1.0", "--out", str(out)]) == 0
     rows = read_rows(out.open())
     assert [r.fraction for r in rows] == [0.5, 1.0]
+
+
+def test_scalability_keeps_earlier_slices_after_a_solver_error(
+        graph_file, tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def third_call_fails(*args, **kwargs):
+        calls.append(args[0])
+        if len(calls) == 3:
+            raise ValueError("solver failed")
+        return run_solver(*args, **kwargs)
+
+    monkeypatch.setattr(rcic.bench, "run_solver", third_call_fails)
+    out = tmp_path / "scal.csv"
+    assert main(["scalability", "--graph", graph_file, "--algo", "topk",
+                 "--k", "2", "--rumor-size", "2", "-T", "2", "--alpha", "3",
+                 "--beta", "1", "--samples", "20",
+                 "--fractions", "0.5,0.75,1.0", "--out", str(out)]) == 1
+    assert "solver failed" in capsys.readouterr().err
+    rows = read_rows(out.open())
+    assert [r.fraction for r in rows] == [0.5, 0.75, 1.0]
+    assert [r.status for r in rows] == [
+        "ok", "ok", "error: ValueError: solver failed"]
 
 
 def test_scalability_requires_fractions(graph_file, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -300,6 +301,24 @@ def test_pro_bound_saves_gain_evaluations():
     assert len(pro.completed_set) == 10
 
 
+def test_pro_bound_accepts_its_top_node_without_reevaluating_it(monkeypatch):
+    # until the first add every current gain is its initial gain
+    calls = []
+    for name in ("gain_of", "add"):
+        original = getattr(_GainState, name)
+
+        def recording(self, pos, _name=name, _original=original):
+            calls.append(_name)
+            return _original(self, pos)
+
+        monkeypatch.setattr(_GainState, name, recording)
+    store = next(sampled_ba_stores())
+    pro = pro_sam_compute_bound(store, P31, frozenset(), k=5, rho=0.1)
+    assert len(pro.completed_set) == 5
+    assert calls[0] == "add"
+    assert "gain_of" in calls
+
+
 def test_branch_and_bound_finds_optimum():
     # a root bound below the optimum prunes it at k=2 on graph seeds 0
     # (alpha 2 and 1.5) and 5 (alpha 1.5), where greedy misses it
@@ -340,6 +359,21 @@ def test_branch_and_bound_node_cap_truncates():
     root = sam_compute_bound(path_store(), P31, frozenset(), k=1)
     assert report.bound_gap == pytest.approx(root.upper / report.objective)
     assert report.bound_gap > 1.0
+
+
+def test_truncated_search_over_a_zero_incumbent_has_an_unbounded_gap():
+    # f(1) underflows to 0.0 (exp(710) overflows) while f(2) = 4.5e-5: greedy's
+    # single node blocks nothing, yet the open root bound is positive
+    params = LogisticParams(1410.0, 700.0)
+    for estimator in ("sam", "pro"):
+        report = branch_and_bound(path_store(), params, k=1, estimator=estimator,
+                                  limits=SolverLimits(node_expansion_cap=0))
+        assert report.truncated
+        assert report.objective == 0.0
+        assert report.bound_gap == math.inf
+        closed = branch_and_bound(path_store(), params, k=1, estimator=estimator)
+        assert closed.objective == 0.0
+        assert closed.bound_gap == 1.0
 
 
 def test_branch_and_bound_time_cap_truncates():
