@@ -7,11 +7,14 @@ of one permutation), so growing |R| never swaps the rumor population.
 Sample stores are reused across sweep points whenever the rumor set, T, X
 and seed are unchanged (k and rho sweeps amortize one sampling pass).
 
-Reported blocking_pct divides the objective by the expected number of users
-the rumor reaches (sum of per-start hit probabilities; estimated as
-hit_count/X under sampling).  The runners only compute rows; `write_rows`
-formats them as CSV (comment header, fixed column order, 6-significant-digit
-floats, integer milliseconds) or JSON, and the CLI decides where they go.
+Reported blocking_pct divides the objective by influenced_mass, the expected
+number of users the rumor reaches (sum of per-start hit probabilities;
+estimated as hit_count/X under sampling); store_bytes is the size of the
+sweep point's sample store and index arrays.  The runners only compute rows;
+`write_rows` formats them as CSV (comment header, fixed column order,
+6-significant-digit floats, integer milliseconds) or strict JSON (non-finite
+floats written as the CSV writes them, e.g. "inf"), and the CLI decides where
+they go.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import resource
 from dataclasses import dataclass, replace
 
@@ -26,7 +30,8 @@ import numpy as np
 
 from .blocking import LogisticParams
 from .graph import Graph, bfs_subgraph, load_edge_list, top_decile_nodes
-from .sampling import SampleConfig, build_sample_store, hoeffding_sample_size
+from .sampling import (SampleConfig, SampleStore, build_sample_store,
+                       hoeffding_sample_size)
 from .solvers import SolveReport, SolverLimits, run_solver
 
 ALGORITHMS = ("topk", "greedy", "bab", "probab")
@@ -35,8 +40,8 @@ _INT_AXES = {"k", "rumor_size", "T", "X"}
 
 _CSV_COMMENTS = (
     "# experiment report",
-    "# blocking_pct = objective / expected number of users influenced by the"
-    " rumor set",
+    "# blocking_pct = objective / influenced_mass, the expected number of users"
+    " influenced by the rumor set",
     "#   (denominator: sum over non-rumor starts of the walk's rumor-hit"
     " probability; hit_count/X under sampling)",
 )
@@ -110,8 +115,10 @@ class ReportRow:
     chosen_set: str
     objective: float
     blocking_pct: float
+    influenced_mass: float
     wall_time_ms: int
     peak_mem_mb: float | None
+    store_bytes: int
     expansions: int
     bound_calls: int
     gain_evals: int
@@ -152,6 +159,13 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _json_cell(value):
+    # strict JSON has no Infinity or NaN; write them as the CSV does
+    if isinstance(value, float) and not math.isfinite(value):
+        return _format_cell(value)
+    return value
+
+
 def _sweep_points(config: ExperimentConfig):
     if config.sweep_axis is None:
         return [(None, None)]
@@ -165,8 +179,8 @@ def _resolve_x(config: ExperimentConfig, n_candidates: int) -> int:
 
 
 def _make_row(cfg: ExperimentConfig, axis, value, fraction: float, algo: str,
-              report: SolveReport | None, x_used: int, id_map, status: str
-              ) -> ReportRow:
+              report: SolveReport | None, store: SampleStore, id_map,
+              status: str) -> ReportRow:
     if report is None:  # the solver raised; the row carries only the status
         report = SolveReport(algo, frozenset(), 0.0, 0.0, 0.0)
     chosen = sorted(id_map[v] for v in report.chosen_set)
@@ -176,14 +190,16 @@ def _make_row(cfg: ExperimentConfig, axis, value, fraction: float, algo: str,
         sweep_value="" if value is None else _format_cell(float(value)),
         fraction=fraction,
         k=cfg.k, rumor_size=cfg.rumor_size, rumor_seed=cfg.rumor_seed,
-        T=cfg.T, alpha=cfg.alpha, beta=cfg.beta, X=x_used, rho=cfg.rho,
+        T=cfg.T, alpha=cfg.alpha, beta=cfg.beta, X=store.X, rho=cfg.rho,
         seed=cfg.seed,
         chosen_size=len(chosen),
         chosen_set="|".join(str(v) for v in chosen),
         objective=report.objective,
         blocking_pct=report.blocking_percentage,
+        influenced_mass=store.index.influenced_mass,
         wall_time_ms=int(round(report.wall_time * 1000)),
         peak_mem_mb=_peak_mem_mb(),
+        store_bytes=store.store_bytes,
         expansions=report.expansions,
         bound_calls=report.bound_calls,
         gain_evals=report.gain_evals,
@@ -223,11 +239,11 @@ def run_on_graph(g: Graph, config: ExperimentConfig, fraction: float = 1.0,
                                     rho=cfg.rho, limits=limits)
             except Exception as exc:
                 rows.append(_make_row(cfg, axis, value, fraction, algo, None,
-                                      x_used, id_map,
+                                      cached_store, id_map,
                                       f"error: {type(exc).__name__}: {exc}"))
                 raise
             rows.append(_make_row(cfg, axis, value, fraction, algo, report,
-                                  x_used, id_map, "ok"))
+                                  cached_store, id_map, "ok"))
     return rows
 
 
@@ -274,8 +290,9 @@ def write_rows(rows: list[ReportRow], sink, fmt: str = "csv") -> None:
         for row in rows:
             writer.writerow([_format_cell(getattr(row, name)) for name in names])
     elif fmt == "json":
-        payload = [{name: getattr(row, name) for name in names} for row in rows]
-        json.dump({"rows": payload}, sink, indent=1)
+        payload = [{name: _json_cell(getattr(row, name)) for name in names}
+                   for row in rows]
+        json.dump({"rows": payload}, sink, indent=1, allow_nan=False)
         sink.write("\n")
     else:
         raise ValueError(f"unknown output format {fmt!r}")

@@ -235,8 +235,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # any failure of a command is reported, exit 1
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -7,13 +7,16 @@ distinct non-rumor nodes it visited strictly before the hit, start included.
 
 A SampleStore materializes X walks per non-rumor start node together with an
 inverted index (node -> hit walks whose prefix contains it), which is what
-makes marginal-gain evaluation cheap.  Stores built from the same graph,
+makes marginal-gain evaluation cheap.  Only hit walks feed the objective and
+the blocking percentage, so the store keeps a hit walk's full prefix and a
+miss's start node alone.  Stores built from the same graph,
 rumor set and seed are bit-identical regardless of thread count: each start
 node draws from its own seed substream.
 
 Walks are simulated a chunk of start nodes at a time by a compacted kernel
 (`_simulate_chunk`): each step touches only the walks still alive, so the
-work shrinks as walks hit the rumor set or reach a dead end.  The inverted
+work shrinks as walks hit the rumor set or reach a dead end, and sorts and
+deduplicates the visited nodes of the hit walks only.  The inverted
 index groups hit-walk entries by candidate position with a stable radix
 order over 16-bit digits (`_stable_order`), the same permutation as a stable
 comparison sort; one graph's positions fit in one digit, so it is one pass.
@@ -50,8 +53,13 @@ class SampleConfig:
 
 @dataclass(frozen=True)
 class WalkProfile:
-    """One sampled walk: its start, whether it reached the rumor set, and the
-    distinct non-rumor nodes seen before the first rumor node."""
+    """One sampled walk: its start, whether it reached the rumor set, and its
+    prefix.
+
+    `sample_walk` gives every walk's prefix: the distinct non-rumor nodes seen
+    before the first rumor node.  A store keeps that prefix for hit walks only;
+    a miss's prefix there is its start node alone.
+    """
 
     start: int
     hit: bool
@@ -183,7 +191,14 @@ class WalkIndex:
 
 
 class SampleStore:
-    """X walk profiles per non-rumor start node, plus the inverted index."""
+    """X walks per non-rumor start node, plus the inverted index.
+
+    Walk w = position(u) * X + i is start u's i-th walk.  `hit_flags[w]` says
+    whether it reached the rumor set; its row prefix_nodes[prefix_indptr[w]:
+    prefix_indptr[w + 1]] is its full prefix if it did, and its start node
+    alone if not.  `store_bytes` is the size of the store's and the index's
+    arrays as built.
+    """
 
     def __init__(self, config: SampleConfig, n_nodes: int, rumor_set,
                  hit_flags: np.ndarray, prefix_indptr: np.ndarray,
@@ -202,6 +217,9 @@ class SampleStore:
         self.hit_counts = np.asarray(
             hit_flags.reshape(self.index.n_candidates, config.X).sum(axis=1),
             dtype=np.int64)
+        self.store_bytes = sum(
+            a.nbytes for obj in (self, self.index) for a in vars(obj).values()
+            if isinstance(a, np.ndarray))
 
     @property
     def candidates(self) -> np.ndarray:
@@ -212,7 +230,7 @@ class SampleStore:
         return self.config.X
 
     def profile(self, u: int, i: int) -> WalkProfile:
-        """The i-th sampled walk starting at node u."""
+        """The i-th sampled walk starting at node u; a miss's prefix is {u}."""
         if not 0 <= i < self.X:
             raise ValueError(f"walk index {i} out of range [0, {self.X})")
         w = self.index.position(u) * self.X + i
@@ -282,8 +300,9 @@ def _simulate_chunk(adj_indptr, adj_flat, degs, is_rumor, starts, cfg: SampleCon
     the alive walks' ids and current nodes are carried from step to step, and a
     walk leaves them at a dead end or at a rumor node.  Both stay int64, numpy's
     index type, since an int32 index array is converted again on every gather.
-    Returns each walk's hit flag and prefix length, and the prefixes
-    concatenated.
+    Only the hit walks' columns of the step matrix are sorted and deduplicated.
+    Returns each walk's hit flag and row length, and the rows concatenated: a
+    hit walk's row is its prefix, a miss's row its start node.
     """
     T, X = cfg.T, cfg.X
     W = starts.size * X
@@ -312,14 +331,17 @@ def _simulate_chunk(adj_indptr, adj_flat, degs, is_rumor, starts, cfg: SampleCon
         cur = nxt
         seq[t + 1, ids] = cur
 
-    # Distinct visited nodes per walk: column-sort then drop repeats and -1 pads.
-    seq.sort(axis=0)
-    keep = np.empty_like(seq, dtype=bool)
-    keep[0] = seq[0] != -1
-    keep[1:] = (seq[1:] != seq[:-1]) & (seq[1:] != -1)
-    lengths = keep.sum(axis=0, dtype=np.int32)
-    prefix_nodes = seq.T[keep.T]
-    return hit, lengths, prefix_nodes
+    # Distinct visited nodes per hit walk: column-sort then drop repeats and -1
+    # pads.  A miss feeds no objective, so its row keeps only its start, seq[0].
+    hit_ids = np.flatnonzero(hit)
+    steps = seq.take(hit_ids, axis=1)
+    steps.sort(axis=0)
+    seq[:, hit_ids] = steps
+    keep = np.zeros(seq.shape, dtype=bool)
+    keep[0] = True
+    keep[0, hit_ids] = steps[0] != -1
+    keep[1:, hit_ids] = (steps[1:] != steps[:-1]) & (steps[1:] != -1)
+    return hit, keep.sum(axis=0, dtype=np.int32), seq.T[keep.T]
 
 
 def _stable_order(keys):

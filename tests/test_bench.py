@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import io
 import json
@@ -119,6 +120,8 @@ def test_run_on_graph_rows_match_direct_solving():
         assert row.objective == report.objective
         assert row.chosen_set == "|".join(
             str(v) for v in sorted(report.chosen_set))
+        assert row.influenced_mass == store.index.influenced_mass
+        assert row.store_bytes == store.store_bytes
 
 
 def test_run_on_graph_sweep_reuses_consistent_stores():
@@ -180,6 +183,9 @@ def test_run_on_graph_emits_error_marker():
     assert len(rows) == 1
     assert rows[0].status.startswith("error: ValueError")
     assert rows[0].chosen_set == ""
+    # the store was built before the solver raised; its figures are reported
+    assert rows[0].influenced_mass > 0.0
+    assert rows[0].store_bytes > 0
 
 
 def test_every_solver_runs_where_the_logistic_underflows():
@@ -230,6 +236,9 @@ def test_csv_round_trip(tmp_path):
         assert back.objective == pytest.approx(orig.objective, rel=1e-5)
         assert back.wall_time_ms == orig.wall_time_ms
         assert back.gain_evals == orig.gain_evals
+        assert back.influenced_mass == pytest.approx(orig.influenced_mass,
+                                                     rel=1e-5)
+        assert back.store_bytes == orig.store_bytes > 0
         assert back.bound_gap == (None if orig.bound_gap is None
                                   else pytest.approx(orig.bound_gap, rel=1e-5))
         assert back.truncated == orig.truncated
@@ -242,7 +251,8 @@ def test_csv_quotes_awkward_status_text():
                     fraction=1.0, k=2, rumor_size=2, rumor_seed=0, T=3,
                     alpha=3.0, beta=1.0, X=10, rho=0.1, seed=0, chosen_size=0,
                     chosen_set="", objective=0.0, blocking_pct=0.0,
-                    wall_time_ms=0, peak_mem_mb=None, expansions=0,
+                    influenced_mass=0.0, wall_time_ms=0, peak_mem_mb=None,
+                    store_bytes=0, expansions=0,
                     bound_calls=0, gain_evals=0, bound_gap=None,
                     truncated=False,
                     status='error: ValueError: bad, "quoted" value')
@@ -262,6 +272,21 @@ def test_json_output():
     assert len(payload["rows"]) == len(rows)
     assert payload["rows"][0]["algorithm"] == "topk"
     assert payload["rows"][0]["objective"] == rows[0].objective
+
+
+def test_json_output_is_strict_for_an_infinite_bound_gap():
+    # a capped search over a 0.0 incumbent reports bound_gap = inf
+    row = dataclasses.replace(run_on_graph(small_graph(), base_config())[0],
+                              bound_gap=float("inf"))
+    buf = io.StringIO()
+    write_rows([row], buf, "json")
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    payload = json.loads(buf.getvalue(), parse_constant=reject)
+    assert payload["rows"][0]["bound_gap"] == "inf"
+    assert payload["rows"][0]["objective"] == row.objective
 
 
 def test_read_rows_rejects_foreign_header():

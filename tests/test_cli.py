@@ -271,6 +271,21 @@ def test_scalability_keeps_earlier_slices_after_a_solver_error(
         "ok", "ok", "error: ValueError: solver failed"]
 
 
+def test_run_reports_any_solver_exception(graph_file, tmp_path, monkeypatch,
+                                          capsys):
+    def second_call_fails(*args, **kwargs):
+        if args[0] == "greedy":
+            raise RuntimeError("solver broke")
+        return run_solver(*args, **kwargs)
+
+    monkeypatch.setattr(rcic.bench, "run_solver", second_call_fails)
+    out = tmp_path / "report.csv"
+    assert main(run_flags(graph_file, str(out))) == 1
+    assert "error: RuntimeError: solver broke" in capsys.readouterr().err
+    assert [r.status for r in read_rows(out.open())] == [
+        "ok", "error: RuntimeError: solver broke"]
+
+
 def test_scalability_requires_fractions(graph_file, capsys):
     assert main(["scalability", "--graph", graph_file, "--algo", "topk",
                  "--k", "2", "--rumor-size", "3", "--samples", "20"]) == 1

@@ -125,7 +125,9 @@ def test_store_hit_frequencies_converge():
 def assert_store_replays_scalar_walks(g, rumor, cfg, store) -> int:
     """Check every walk of the store against sample_walk fed the same uniforms.
 
-    Returns how many misses stopped at a dead end after at least one step.
+    Every walk's start and hit flag must match, and every hit walk's prefix; a
+    miss keeps only its start.  Returns how many misses stopped at a dead end
+    after at least one step.
     """
     dead_ends_mid_walk = 0
     for u in store.candidates:
@@ -136,7 +138,7 @@ def assert_store_replays_scalar_walks(g, rumor, cfg, store) -> int:
             expected = sample_walk(g, u, rumor, cfg.T, script)
             got = store.profile(u, i)
             assert got.hit == expected.hit
-            assert got.prefix == expected.prefix
+            assert got.prefix == (expected.prefix if expected.hit else {u})
             assert got.start == u
             if not expected.hit and 0 < cfg.T - script.unused < cfg.T:
                 dead_ends_mid_walk += 1
@@ -175,6 +177,32 @@ def test_store_profiles_match_scalar_walks_across_chunks(threads):
     assert assert_store_replays_scalar_walks(g, rumor, cfg, store) > 0
 
 
+def test_store_keeps_only_the_start_of_a_miss():
+    g = sink_graph()
+    cfg = SampleConfig(T=6, X=5, seed=4)
+    store = build_sample_store(g, {5, 17, 42, 123, 250}, cfg)
+    miss = ~store.hit_flags
+    assert miss.any()
+    assert store.prefix_nodes.size == store.index.walk_cands.size + miss.sum()
+    row_start = store.prefix_indptr[:-1][miss]
+    assert np.all(np.diff(store.prefix_indptr)[miss] == 1)
+    assert np.array_equal(store.prefix_nodes[row_start],
+                          np.repeat(store.candidates, cfg.X)[miss])
+
+
+def test_store_bytes_counts_the_built_arrays():
+    g = barabasi_albert_graph(120, 3, seed=4)
+    store = build_sample_store(g, {0, 1, 2}, SampleConfig(T=4, X=25, seed=6))
+    index = store.index
+    built = (store.hit_flags, store.prefix_indptr, store.prefix_nodes,
+             store.hit_counts, index.candidates, index.cand_pos,
+             index.walk_weights, index.walk_indptr, index.walk_cands,
+             index.indptr, index.walk_ids)
+    # hit_mass is built on first use, after the store; it does not count
+    assert index.hit_mass.size == index.n_candidates
+    assert store.store_bytes == sum(a.nbytes for a in built)
+
+
 def test_store_build_is_deterministic():
     g = barabasi_albert_graph(120, 3, seed=4)
     cfg = SampleConfig(T=4, X=25, seed=6)
@@ -196,6 +224,18 @@ def test_store_build_thread_count_invariant():
     assert np.array_equal(serial.hit_flags, threaded.hit_flags)
     assert np.array_equal(serial.prefix_indptr, threaded.prefix_indptr)
     assert np.array_equal(serial.prefix_nodes, threaded.prefix_nodes)
+
+
+def test_sink_graph_store_is_thread_count_invariant():
+    # misses that end at a sink and misses that run out of steps alike
+    g = sink_graph()
+    cfg = SampleConfig(T=6, X=5, seed=4)
+    rumor = {5, 17, 42, 123, 250}
+    serial = build_sample_store(g, rumor, cfg, threads=1)
+    threaded = build_sample_store(g, rumor, cfg, threads=2)
+    for name in ("hit_flags", "prefix_indptr", "prefix_nodes", "hit_counts"):
+        a, b = getattr(serial, name), getattr(threaded, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 def test_store_build_validation():
