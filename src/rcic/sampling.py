@@ -5,21 +5,24 @@ random neighbor of its current node, and stops at the first rumor node (a
 "hit"), at a dead end, or after T steps.  The walk's prefix is the set of
 distinct non-rumor nodes it visited strictly before the hit, start included.
 
-A SampleStore materializes X walks per non-rumor start node together with an
-inverted index (node -> hit walks whose prefix contains it), which is what
-makes marginal-gain evaluation cheap.  Only hit walks feed the objective and
-the blocking percentage, so the store keeps a hit walk's full prefix and a
-miss's start node alone.  Stores built from the same graph,
-rumor set and seed are bit-identical regardless of thread count: each start
-node draws from its own seed substream.
+A SampleStore samples X walks per non-rumor start node and keeps what the
+objective reads: every walk's hit flag and the inverted index (node -> hit
+walks whose prefix contains it), which is what makes marginal-gain
+evaluation cheap.  Only hit walks feed the objective and the blocking
+percentage, so only their prefixes are kept, and only once, as the index's
+forward CSR.  A miss's prefix is taken to be its start node, which follows
+from the walk number.  Stores built from the same graph, rumor set and seed
+are bit-identical regardless of thread count: each start node draws from its
+own seed substream.
 
 Walks are simulated a chunk of start nodes at a time by a compacted kernel
 (`_simulate_chunk`): each step touches only the walks still alive, so the
 work shrinks as walks hit the rumor set or reach a dead end, and sorts and
-deduplicates the visited nodes of the hit walks only.  The inverted
-index groups hit-walk entries by candidate position with a stable radix
-order over 16-bit digits (`_stable_order`), the same permutation as a stable
-comparison sort; one graph's positions fit in one digit, so it is one pass.
+deduplicates the visited nodes of the hit walks only; those rows go straight
+into the index.  The inverted index groups hit-walk entries by candidate
+position with a stable radix order over 16-bit digits (`_stable_order`), the
+same permutation as a stable comparison sort; one graph's positions fit in
+one digit, so it is one pass.
 """
 
 from __future__ import annotations
@@ -194,25 +197,25 @@ class SampleStore:
     """X walks per non-rumor start node, plus the inverted index.
 
     Walk w = position(u) * X + i is start u's i-th walk.  `hit_flags[w]` says
-    whether it reached the rumor set; its row prefix_nodes[prefix_indptr[w]:
-    prefix_indptr[w + 1]] is its full prefix if it did, and its start node
-    alone if not.  `store_bytes` is the size of the store's and the index's
+    whether it reached the rumor set, and `hit_counts[p]` how many of the
+    walks from candidates[p] did.  The h-th hit walk's prefix is row h of the
+    index's forward CSR, `index.walk_cands[index.walk_indptr[h]:
+    index.walk_indptr[h + 1]]`, as candidate positions in ascending order.
+    Nothing else is kept: `prefix_indptr` and `prefix_nodes`, a CSR over
+    every walk whose row is a hit's prefix or a miss's start node, are built
+    on each read.  `store_bytes` is the size of the store's and the index's
     arrays as built.
     """
 
     def __init__(self, config: SampleConfig, n_nodes: int, rumor_set,
-                 hit_flags: np.ndarray, prefix_indptr: np.ndarray,
-                 prefix_nodes: np.ndarray):
+                 hit_flags: np.ndarray, hit_indptr: np.ndarray,
+                 hit_nodes: np.ndarray):
         self.config = config
         self.n_nodes = int(n_nodes)
         self.rumor_set = frozenset(int(r) for r in rumor_set)
         self.hit_flags = hit_flags
-        self.prefix_indptr = prefix_indptr
-        self.prefix_nodes = prefix_nodes
 
-        hit_ids = np.flatnonzero(hit_flags)
-        hit_indptr, hit_nodes = _csr_take(prefix_indptr, prefix_nodes, hit_ids)
-        weights = np.full(hit_ids.size, 1.0 / config.X, dtype=np.float64)
+        weights = np.full(hit_indptr.size - 1, 1.0 / config.X, dtype=np.float64)
         self.index = WalkIndex(n_nodes, self.rumor_set, hit_indptr, hit_nodes, weights)
         self.hit_counts = np.asarray(
             hit_flags.reshape(self.index.n_candidates, config.X).sum(axis=1),
@@ -229,14 +232,36 @@ class SampleStore:
     def X(self) -> int:
         return self.config.X
 
+    @property
+    def prefix_indptr(self) -> np.ndarray:
+        """Row offsets over every walk (int64): a hit's prefix size, a miss's 1."""
+        lengths = np.ones(self.hit_flags.size, dtype=np.int64)
+        lengths[self.hit_flags] = np.diff(self.index.walk_indptr)
+        return np.concatenate(
+            [np.zeros(1, dtype=np.int64), np.cumsum(lengths, dtype=np.int64)])
+
+    @property
+    def prefix_nodes(self) -> np.ndarray:
+        """Every walk's row as node ids (int32): a hit's prefix, a miss's start."""
+        index = self.index
+        in_hit_row = np.repeat(self.hit_flags, np.diff(self.prefix_indptr))
+        nodes = np.empty(in_hit_row.size, dtype=np.int32)
+        nodes[in_hit_row] = index.candidates[index.walk_cands]
+        nodes[~in_hit_row] = np.repeat(index.candidates, self.X)[~self.hit_flags]
+        return nodes
+
     def profile(self, u: int, i: int) -> WalkProfile:
         """The i-th sampled walk starting at node u; a miss's prefix is {u}."""
         if not 0 <= i < self.X:
             raise ValueError(f"walk index {i} out of range [0, {self.X})")
         w = self.index.position(u) * self.X + i
-        lo, hi = self.prefix_indptr[w], self.prefix_indptr[w + 1]
-        return WalkProfile(start=u, hit=bool(self.hit_flags[w]),
-                           prefix=frozenset(int(x) for x in self.prefix_nodes[lo:hi]))
+        if not self.hit_flags[w]:
+            return WalkProfile(start=u, hit=False, prefix=frozenset((u,)))
+        index = self.index
+        h = np.count_nonzero(self.hit_flags[:w])
+        row = index.walk_cands[index.walk_indptr[h]:index.walk_indptr[h + 1]]
+        return WalkProfile(start=u, hit=True,
+                           prefix=frozenset(int(x) for x in index.candidates[row]))
 
 
 def build_sample_store(g: Graph, rumor_set, cfg: SampleConfig,
@@ -278,12 +303,12 @@ def build_sample_store(g: Graph, rumor_set, cfg: SampleConfig,
         results = [run_chunk(c) for c in chunks]
 
     hit_flags = np.concatenate([r[0] for r in results])
-    lengths = np.concatenate([r[1] for r in results])
-    prefix_nodes = np.concatenate([r[2] for r in results])
+    hit_lengths = np.concatenate([r[1] for r in results])
+    hit_nodes = np.concatenate([r[2] for r in results])
     del results  # the chunks would otherwise live on through the index build
-    prefix_indptr = np.concatenate(
-        [np.zeros(1, dtype=np.int64), np.cumsum(lengths, dtype=np.int64)])
-    return SampleStore(cfg, g.n, rumor, hit_flags, prefix_indptr, prefix_nodes)
+    hit_indptr = np.concatenate(
+        [np.zeros(1, dtype=np.int64), np.cumsum(hit_lengths, dtype=np.int64)])
+    return SampleStore(cfg, g.n, rumor, hit_flags, hit_indptr, hit_nodes)
 
 
 def _node_rng(seed: int, u: int) -> np.random.Generator:
@@ -301,8 +326,9 @@ def _simulate_chunk(adj_indptr, adj_flat, degs, is_rumor, starts, cfg: SampleCon
     walk leaves them at a dead end or at a rumor node.  Both stay int64, numpy's
     index type, since an int32 index array is converted again on every gather.
     Only the hit walks' columns of the step matrix are sorted and deduplicated.
-    Returns each walk's hit flag and row length, and the rows concatenated: a
-    hit walk's row is its prefix, a miss's row its start node.
+    Returns every walk's hit flag, and the hit walks' prefixes as a CSR: each
+    hit walk's prefix size (int32) and the prefixes concatenated, in walk
+    order, each in ascending node order (int32).  A miss leaves nothing else.
     """
     T, X = cfg.T, cfg.X
     W = starts.size * X
@@ -332,16 +358,13 @@ def _simulate_chunk(adj_indptr, adj_flat, degs, is_rumor, starts, cfg: SampleCon
         seq[t + 1, ids] = cur
 
     # Distinct visited nodes per hit walk: column-sort then drop repeats and -1
-    # pads.  A miss feeds no objective, so its row keeps only its start, seq[0].
-    hit_ids = np.flatnonzero(hit)
-    steps = seq.take(hit_ids, axis=1)
+    # pads.  A miss feeds no objective, so nothing of it is kept.
+    steps = seq.take(np.flatnonzero(hit), axis=1)
     steps.sort(axis=0)
-    seq[:, hit_ids] = steps
-    keep = np.zeros(seq.shape, dtype=bool)
-    keep[0] = True
-    keep[0, hit_ids] = steps[0] != -1
-    keep[1:, hit_ids] = (steps[1:] != steps[:-1]) & (steps[1:] != -1)
-    return hit, keep.sum(axis=0, dtype=np.int32), seq.T[keep.T]
+    keep = np.empty(steps.shape, dtype=bool)
+    keep[0] = steps[0] != -1
+    keep[1:] = (steps[1:] != steps[:-1]) & (steps[1:] != -1)
+    return hit, keep.sum(axis=0, dtype=np.int32), steps.T[keep.T]
 
 
 def _stable_order(keys):

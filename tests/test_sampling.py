@@ -194,13 +194,35 @@ def test_store_bytes_counts_the_built_arrays():
     g = barabasi_albert_graph(120, 3, seed=4)
     store = build_sample_store(g, {0, 1, 2}, SampleConfig(T=4, X=25, seed=6))
     index = store.index
-    built = (store.hit_flags, store.prefix_indptr, store.prefix_nodes,
-             store.hit_counts, index.candidates, index.cand_pos,
+    built = (store.hit_flags, store.hit_counts, index.candidates, index.cand_pos,
              index.walk_weights, index.walk_indptr, index.walk_cands,
              index.indptr, index.walk_ids)
-    # hit_mass is built on first use, after the store; it does not count
+    # hit_mass is built on first use, after the store; it does not count, and
+    # the prefix arrays are derived from the index on each read
     assert index.hit_mass.size == index.n_candidates
     assert store.store_bytes == sum(a.nbytes for a in built)
+    assert "prefix_indptr" not in vars(store)
+    assert "prefix_nodes" not in vars(store)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_derived_prefix_arrays_are_read_not_kept(threads):
+    # misses that end at a sink and misses that run out of steps alike
+    g = sink_graph()
+    cfg = SampleConfig(T=6, X=5, seed=4)
+    store = build_sample_store(g, {5, 17, 42, 123, 250}, cfg, threads=threads)
+    size, kept = store.store_bytes, dict(vars(store))
+    indptr, nodes = store.prefix_indptr, store.prefix_nodes
+    assert indptr.dtype == np.int64 and nodes.dtype == np.int32
+    assert indptr[0] == 0 and indptr[-1] == nodes.size
+    miss = ~store.hit_flags
+    assert miss.any()
+    assert np.all(np.diff(indptr)[miss] == 1)
+    assert np.array_equal(nodes[indptr[:-1][miss]],
+                          np.repeat(store.candidates, cfg.X)[miss])
+    assert store.store_bytes == size
+    assert vars(store).keys() == kept.keys()
+    assert all(vars(store)[k] is v for k, v in kept.items())
 
 
 def test_store_build_is_deterministic():
