@@ -14,7 +14,6 @@ from .blocking import (
     blocking_percentage,
     estimate_envelope_objective,
     estimate_objective,
-    impression_count,
     logistic_block,
     tangent_point,
 )

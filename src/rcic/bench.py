@@ -4,8 +4,12 @@ One experiment = one graph, one rumor protocol, one or more algorithms, and
 optionally one sweep axis.  Rumor sets are drawn uniformly from the top
 degree decile; the same rumor seed yields nested sets across sizes (a prefix
 of one permutation), so growing |R| never swaps the rumor population.
+Every sweep point's settings are checked before the first sampling pass.
 Sample stores are reused across sweep points whenever the rumor set, T, X
 and seed are unchanged (k and rho sweeps amortize one sampling pass).
+With epsilon and delta, X is derived from the sampling bound, so X cannot
+also be swept.  A row's chosen_set holds the edge-list file's node ids
+(`Graph.original_ids`), also on a scalability slice.
 
 Reported blocking_pct divides the objective by influenced_mass, the expected
 number of users the rumor reaches (sum of per-start hit probabilities;
@@ -90,6 +94,8 @@ class ExperimentConfig:
                                  f" got {self.sweep_values}")
         if (self.epsilon is None) != (self.delta is None):
             raise ValueError("epsilon and delta must be given together")
+        if self.sweep_axis == "X" and self.epsilon is not None:
+            raise ValueError("epsilon and delta derive X; it cannot be swept")
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
 
@@ -179,11 +185,11 @@ def _resolve_x(config: ExperimentConfig, n_candidates: int) -> int:
 
 
 def _make_row(cfg: ExperimentConfig, axis, value, fraction: float, algo: str,
-              report: SolveReport | None, store: SampleStore, id_map,
+              report: SolveReport | None, store: SampleStore, original_ids,
               status: str) -> ReportRow:
     if report is None:  # the solver raised; the row carries only the status
         report = SolveReport(algo, frozenset(), 0.0, 0.0, 0.0)
-    chosen = sorted(id_map[v] for v in report.chosen_set)
+    chosen = sorted(original_ids[v] for v in report.chosen_set)
     return ReportRow(
         algorithm=algo,
         sweep_axis=axis or "",
@@ -210,17 +216,21 @@ def _make_row(cfg: ExperimentConfig, axis, value, fraction: float, algo: str,
 
 
 def run_on_graph(g: Graph, config: ExperimentConfig, fraction: float = 1.0,
-                 id_map=None, rows=None) -> list[ReportRow]:
+                 rows=None) -> list[ReportRow]:
     """Run the configured sweep on an already-loaded graph, appending to and
     returning `rows` (a new list by default).  A solver error appends its
     row and propagates."""
-    if id_map is None:
-        id_map = g.original_ids
     rows = [] if rows is None else rows
-    cached_key = None
-    cached_store = None
+    points = []
     for axis, value in _sweep_points(config):
         cfg = config if axis is None else _apply_sweep(config, axis, value)
+        SampleConfig(T=cfg.T, X=cfg.X, seed=cfg.seed)  # checks T and X
+        points.append((axis, value, cfg, LogisticParams(cfg.alpha, cfg.beta),
+                       SolverLimits(node_expansion_cap=cfg.node_cap,
+                                    wall_time_cap=cfg.time_cap)))
+    cached_key = None
+    cached_store = None
+    for axis, value, cfg, params, limits in points:
         rumor = generate_rumor_set(g, cfg.rumor_size, cfg.rumor_seed)
         x_used = _resolve_x(cfg, g.n - len(rumor))
         key = (rumor, cfg.T, x_used, cfg.seed)
@@ -230,20 +240,17 @@ def run_on_graph(g: Graph, config: ExperimentConfig, fraction: float = 1.0,
                 g, rumor, SampleConfig(T=cfg.T, X=x_used, seed=cfg.seed),
                 threads=cfg.threads)
             cached_key = key
-        params = LogisticParams(cfg.alpha, cfg.beta)
-        limits = SolverLimits(node_expansion_cap=cfg.node_cap,
-                              wall_time_cap=cfg.time_cap)
         for algo in cfg.algorithms:
             try:
                 report = run_solver(algo, cached_store, params, cfg.k,
                                     rho=cfg.rho, limits=limits)
             except Exception as exc:
                 rows.append(_make_row(cfg, axis, value, fraction, algo, None,
-                                      cached_store, id_map,
+                                      cached_store, g.original_ids,
                                       f"error: {type(exc).__name__}: {exc}"))
                 raise
             rows.append(_make_row(cfg, axis, value, fraction, algo, report,
-                                  cached_store, id_map, "ok"))
+                                  cached_store, g.original_ids, "ok"))
     return rows
 
 
@@ -274,9 +281,8 @@ def run_scalability(config: ExperimentConfig, fractions, rows=None) -> list[Repo
     bfs_seed = min(range(g.n), key=lambda u: (-degrees[u], u))
     rows = [] if rows is None else rows
     for frac in fractions:
-        sub, keep = bfs_subgraph(g, bfs_seed, frac)
-        id_map = [g.original_ids[keep[v]] for v in range(sub.n)]
-        run_on_graph(sub, config, fraction=frac, id_map=id_map, rows=rows)
+        sub, _ = bfs_subgraph(g, bfs_seed, frac)
+        run_on_graph(sub, config, fraction=frac, rows=rows)
     return rows
 
 

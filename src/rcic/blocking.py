@@ -68,11 +68,6 @@ def logistic_block(params: LogisticParams, C: int) -> float:
     return _logistic(params, C)
 
 
-def impression_count(profile, P) -> int:
-    """|prefix ∩ P| for one walk; meaningful only when the walk hit."""
-    return len(profile.prefix & frozenset(P))
-
-
 @dataclass(frozen=True)
 class EnvelopeAnchor:
     """The paper's continuous tangent construction for one anchor count c0.

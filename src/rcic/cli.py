@@ -1,10 +1,12 @@
 """Command line front end: experiment runs, oracle checks, scalability slices.
 
-Every run flag can also come from a key=value config file (--config); flags
-given on the command line win.  File keys use the flag names with
-underscores, e.g. `rumor_size = 150`, `algo = topk,bab`.  The library only
-computes report rows; this module writes them to --out (stdout when absent)
-in --format, also the rows computed before a solver error.
+Every flag of `run` and `scalability` except --config can also come from a
+key=value config file (--config); flags given on the command line win.  File
+keys are the command's own flag names with underscores, e.g.
+`rumor_size = 150`, `algo = topk,bab`; a key the command has no flag for is
+an error.  The library only computes report rows; this module writes them to
+--out (stdout when absent) in --format, also the rows computed before a
+solver error.
 """
 
 from __future__ import annotations
@@ -35,11 +37,11 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _load_config_file(path: str) -> dict:
-    """The file's flag values, converted and checked like the flags."""
-    p = argparse.ArgumentParser(add_help=False)
-    _add_scalability_flags(p)
-    actions = {a.dest: a for a in p._actions if a.dest != "config"}
+def _load_config_file(path: str, parser: argparse.ArgumentParser) -> dict:
+    """The file's values for `parser`'s flags, converted and checked like the
+    flags."""
+    actions = {a.dest: a for a in parser._actions
+               if a.dest not in ("config", "help")}
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -63,24 +65,12 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
-def _merge_config_file(args) -> None:
-    """Fill every flag the command line left unset from --config's file; a
-    flag given on the command line wins, also when its value is 0."""
-    if not args.config:
-        return
-    for key, value in _load_config_file(args.config).items():
-        given = getattr(args, key, None)
-        if given is None or given is False:
-            setattr(args, key, value)
-
-
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key=value file supplying any of the flags")
+    p.add_argument("--config",
+                   help="key=value file supplying any of this command's flags")
     p.add_argument("--graph", help="edge-list file path")
-    p.add_argument("--undirected", action="store_true", default=False,
-                   help="treat edges as undirected (the default)")
     p.add_argument("--directed", action="store_true", default=False,
-                   help="treat edges as directed")
+                   help="treat edges as directed (undirected by default)")
     p.add_argument("--algo", help="comma-separated subset of: "
                                   + ",".join(ALGORITHMS))
     p.add_argument("--k", type=int, help="protector budget")
@@ -123,8 +113,6 @@ def _parse_sweep(text: str):
 def _build_config(args) -> ExperimentConfig:
     if args.graph is None:
         raise ValueError("no graph given (--graph or config file)")
-    if args.undirected and args.directed:
-        raise ValueError("--undirected and --directed conflict")
 
     kwargs = {"graph_path": args.graph, "directed": args.directed}
     if args.algo is not None:
@@ -159,13 +147,11 @@ def _run_and_emit(args, run) -> int:
 
 
 def _cmd_run(args) -> int:
-    _merge_config_file(args)
     config = _build_config(args)
     return _run_and_emit(args, lambda rows: run_experiment(config, rows))
 
 
 def _cmd_scalability(args) -> int:
-    _merge_config_file(args)
     config = _build_config(args)
     if args.fractions is None:
         raise ValueError("--fractions is required")
@@ -211,12 +197,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one experiment or sweep")
     _add_run_flags(p_run)
-    p_run.set_defaults(func=_cmd_run)
+    p_run.set_defaults(func=_cmd_run, parser=p_run)
 
     p_scal = sub.add_parser("scalability",
                             help="repeat a run on nested BFS slices")
     _add_scalability_flags(p_scal)
-    p_scal.set_defaults(func=_cmd_scalability)
+    p_scal.set_defaults(func=_cmd_scalability, parser=p_scal)
 
     p_or = sub.add_parser("oracle", help="randomized property checks")
     p_or.add_argument("--check", required=True,
@@ -234,6 +220,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            # the file's values become the command's defaults, so any flag
+            # given on the command line wins, also one given as 0
+            args.parser.set_defaults(**_load_config_file(args.config,
+                                                         args.parser))
+            args = parser.parse_args(argv)
         return args.func(args)
     except Exception as exc:  # any failure of a command is reported, exit 1
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

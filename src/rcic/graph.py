@@ -28,8 +28,9 @@ class Graph:
         n: number of nodes.
         m: number of edges (undirected edges counted once; directed arcs as-is).
         directed: whether edges are one-way.
-        original_ids: original_ids[v] is the id node v carried in whatever the
-            graph was built from (an edge-list file, or a parent graph when sliced).
+        original_ids: original_ids[v] is node v's id in the edge-list file the
+            graph was loaded from (v itself for a graph built in memory); a
+            slice keeps its parent's ids, so they stay file ids.
     """
 
     __slots__ = ("n", "m", "directed", "_adj", "original_ids")
@@ -135,7 +136,8 @@ def bfs_subgraph(g: Graph, seed: int, fraction: float) -> tuple[Graph, list[int]
     """Induced subgraph on the first ceil(fraction*n) nodes in BFS order from seed.
 
     Stops early at the full reachable component.  Returns the subgraph (ids
-    remapped densely, ascending) and a list mapping new ids back to ids in g.
+    remapped densely, ascending, with g's original_ids carried over) and a
+    list mapping new ids back to ids in g.
     """
     if not 0 <= seed < g.n:
         raise ValueError(f"seed {seed} out of range")
@@ -158,5 +160,6 @@ def bfs_subgraph(g: Graph, seed: int, fraction: float) -> tuple[Graph, list[int]
     keep = sorted(order[:target])
     dense = {orig: i for i, orig in enumerate(keep)}
     adjacency = [[dense[v] for v in g.neighbors(u) if v in dense] for u in keep]
-    sub = Graph(adjacency, directed=g.directed, original_ids=keep)
+    sub = Graph(adjacency, directed=g.directed,
+                original_ids=[g.original_ids[v] for v in keep])
     return sub, keep

@@ -131,9 +131,9 @@ class WalkIndex:
     def __init__(self, n_nodes, rumor_set, hit_prefix_indptr, hit_prefix_nodes,
                  walk_weights):
         self.n_nodes = int(n_nodes)
-        self.rumor_set = frozenset(int(r) for r in rumor_set)
+        rumor = {int(r) for r in rumor_set}
         self.candidates = np.array(
-            sorted(set(range(self.n_nodes)) - self.rumor_set), dtype=np.int64)
+            sorted(set(range(self.n_nodes)) - rumor), dtype=np.int64)
         if self.candidates.size == 0:
             raise ValueError("rumor set covers every node; no candidates remain")
         self.cand_pos = np.full(self.n_nodes, -1, dtype=np.int64)
@@ -197,11 +197,11 @@ class SampleStore:
     """X walks per non-rumor start node, plus the inverted index.
 
     Walk w = position(u) * X + i is start u's i-th walk.  `hit_flags[w]` says
-    whether it reached the rumor set, and `hit_counts[p]` how many of the
-    walks from candidates[p] did.  The h-th hit walk's prefix is row h of the
-    index's forward CSR, `index.walk_cands[index.walk_indptr[h]:
+    whether it reached the rumor set.  The h-th hit walk's prefix is row h of
+    the index's forward CSR, `index.walk_cands[index.walk_indptr[h]:
     index.walk_indptr[h + 1]]`, as candidate positions in ascending order.
-    Nothing else is kept: `prefix_indptr` and `prefix_nodes`, a CSR over
+    Nothing else is kept: `hit_counts[p]`, how many of the walks from
+    candidates[p] hit, and `prefix_indptr` and `prefix_nodes`, a CSR over
     every walk whose row is a hit's prefix or a miss's start node, are built
     on each read.  `store_bytes` is the size of the store's and the index's
     arrays as built.
@@ -217,9 +217,6 @@ class SampleStore:
 
         weights = np.full(hit_indptr.size - 1, 1.0 / config.X, dtype=np.float64)
         self.index = WalkIndex(n_nodes, self.rumor_set, hit_indptr, hit_nodes, weights)
-        self.hit_counts = np.asarray(
-            hit_flags.reshape(self.index.n_candidates, config.X).sum(axis=1),
-            dtype=np.int64)
         self.store_bytes = sum(
             a.nbytes for obj in (self, self.index) for a in vars(obj).values()
             if isinstance(a, np.ndarray))
@@ -231,6 +228,12 @@ class SampleStore:
     @property
     def X(self) -> int:
         return self.config.X
+
+    @property
+    def hit_counts(self) -> np.ndarray:
+        """Per candidate position, how many of its X walks hit (int64)."""
+        return self.hit_flags.reshape(self.index.n_candidates, self.X).sum(
+            axis=1, dtype=np.int64)
 
     @property
     def prefix_indptr(self) -> np.ndarray:

@@ -347,13 +347,9 @@ def branch_and_bound(store, params: LogisticParams, k: int,
 
 
 def run_solver(algo: str, store, params: LogisticParams, k: int,
-               rho: float = 0.1, limits: SolverLimits | None = None,
-               certified: bool = False) -> SolveReport:
-    """Dispatch by the benchmark's algorithm names.
-
-    `certified` is accepted and ignored: branch and bound always prunes on
-    its sound subtree bound, so there is no separate certified mode.
-    """
+               rho: float = 0.1, limits: SolverLimits | None = None
+               ) -> SolveReport:
+    """Dispatch by the benchmark's algorithm names."""
     if algo == "topk":
         return solve_topk(store, params, k)
     if algo == "greedy":

@@ -138,7 +138,7 @@ def test_acceptance_4_desk_scale_optimality(verdict):
             continue
         done += 1
         _, opt = exhaustive_optimum(g, P31, rumor, k, T)
-        bab = run_solver("bab", store, P31, k, certified=True)
+        bab = run_solver("bab", store, P31, k)
         greedy = solve_greedy(store, P31, k)
         topk = solve_topk(store, P31, k)
         if bab.objective < factor * opt - 1e-9:

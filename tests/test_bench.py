@@ -18,7 +18,7 @@ from rcic.bench import (
     write_rows,
 )
 from rcic.blocking import LogisticParams
-from rcic.graph import dump_edge_list, top_decile_nodes
+from rcic.graph import bfs_subgraph, dump_edge_list, load_edge_list, top_decile_nodes
 from rcic.sampling import SampleConfig, build_sample_store, hoeffding_sample_size
 from rcic.solvers import run_solver
 from rcic.synth import barabasi_albert_graph
@@ -81,6 +81,16 @@ def test_config_rejects_fractional_integer_sweep_values():
         == (2.0, 3.0)
     assert base_config(sweep_axis="alpha", sweep_values=(2.7,)).sweep_axis \
         == "alpha"
+
+
+def test_config_rejects_an_x_sweep_when_epsilon_derives_x():
+    # with epsilon and delta every point would run at the derived X under
+    # the swept X's label
+    with pytest.raises(ValueError, match="derive X"):
+        base_config(epsilon=0.2, delta=0.1, sweep_axis="X",
+                    sweep_values=(50.0, 500.0))
+    assert base_config(epsilon=0.2, delta=0.1, sweep_axis="T",
+                       sweep_values=(2.0, 3.0)).sweep_axis == "T"
 
 
 def test_config_rejects_thread_counts_below_one():
@@ -171,6 +181,28 @@ def test_run_on_graph_resolves_hoeffding_samples():
                                        delta=0.1))
     expected = hoeffding_sample_size(0.2, 0.1, g.n - 4)
     assert rows[0].X == expected
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(alpha=-1.0),
+    dict(node_cap=-1),
+    dict(time_cap=0.0),
+    dict(sweep_axis="alpha", sweep_values=(3.0, -1.0)),
+    dict(sweep_axis="beta", sweep_values=(1.0, 0.0)),
+    dict(sweep_axis="T", sweep_values=(2.0, 0.0)),
+    dict(sweep_axis="X", sweep_values=(50.0, 0.0)),
+], ids=["alpha", "node_cap", "time_cap", "sweep_alpha", "sweep_beta",
+        "sweep_T", "sweep_X"])
+def test_run_on_graph_checks_every_sweep_point_before_sampling(monkeypatch,
+                                                               overrides):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before every point was checked")
+
+    monkeypatch.setattr(rcic.bench, "build_sample_store", no_sampling)
+    rows = []
+    with pytest.raises(ValueError):
+        run_on_graph(small_graph(), base_config(**overrides), rows=rows)
+    assert rows == []
 
 
 def test_run_on_graph_emits_error_marker():
@@ -323,6 +355,40 @@ def test_run_scalability_slices(tmp_path):
         chosen = [int(v) for v in row.chosen_set.split("|")]
         # reported ids live in the full graph's id space
         assert all(0 <= v < g.n for v in chosen)
+
+
+def _write_relabelled(g, path, label):
+    with path.open("w") as fh:
+        for u, v in g.edges():
+            fh.write(f"{label(u)} {label(v)}\n")
+
+
+def test_run_scalability_reports_file_ids(tmp_path):
+    # file ids 10v+7 keep the order of v, so both files load to the same
+    # dense graph and every row differs only in its chosen ids' labels
+    g = barabasi_albert_graph(80, 2, seed=5)
+    plain, shifted = tmp_path / "plain.txt", tmp_path / "shifted.txt"
+    _write_relabelled(g, plain, lambda v: v)
+    _write_relabelled(g, shifted, lambda v: 10 * v + 7)
+    config = base_config(algorithms=("topk", "greedy"), rumor_size=2, k=2)
+    rows_plain = run_scalability(
+        dataclasses.replace(config, graph_path=str(plain)), [0.5, 1.0])
+    rows_shifted = run_scalability(
+        dataclasses.replace(config, graph_path=str(shifted)), [0.5, 1.0])
+    assert [r.fraction for r in rows_shifted] == [0.5, 0.5, 1.0, 1.0]
+    for a, b in zip(rows_plain, rows_shifted):
+        chosen = [int(v) for v in a.chosen_set.split("|")]
+        assert b.chosen_set == "|".join(str(10 * v + 7) for v in chosen)
+        assert b.objective == a.objective
+
+    with shifted.open() as fh:
+        full = load_edge_list(fh)
+    half, keep = bfs_subgraph(full, 0, 0.5)
+    assert half.original_ids == [10 * v + 7 for v in keep]
+    # a slice of a slice still carries the file's ids
+    quarter, keep2 = bfs_subgraph(half, 0, 0.5)
+    assert quarter.original_ids == [half.original_ids[v] for v in keep2]
+    assert all(v % 10 == 7 for v in quarter.original_ids)
 
 
 def test_run_scalability_fraction_validation(tmp_path):

@@ -9,14 +9,12 @@ from rcic.blocking import (
     blocking_percentage,
     estimate_envelope_objective,
     estimate_objective,
-    impression_count,
     logistic_block,
     logistic_slope,
     tangent_point,
 )
 from rcic.exact import ExactStore
 from rcic.graph import Graph
-from rcic.sampling import WalkProfile
 from rcic.solvers import solve_topk
 
 P31 = LogisticParams(alpha=3.0, beta=1.0)
@@ -65,13 +63,6 @@ def test_logistic_slope_peaks_at_inflection():
     assert logistic_slope(P31, 3.0) == pytest.approx(0.25, abs=1e-15)
     assert logistic_slope(P31, 1.0) < 0.25
     assert logistic_slope(P31, 5.0) < 0.25
-
-
-def test_impression_count():
-    prof = WalkProfile(start=0, hit=True, prefix=frozenset({0, 1, 4}))
-    assert impression_count(prof, {1, 4, 9}) == 2
-    assert impression_count(prof, set()) == 0
-    assert impression_count(prof, {7}) == 0
 
 
 def test_tangent_point_from_origin():

@@ -185,11 +185,48 @@ def test_unknown_config_key_is_an_error(graph_file, tmp_path, capsys):
     assert "walks" in err
 
 
-def test_direction_flags_conflict(graph_file, capsys):
-    assert main(["run", "--graph", graph_file, "--undirected", "--directed",
-                 "--algo", "topk", "--k", "1", "--rumor-size", "4",
-                 "--samples", "10"]) == 1
-    assert "conflict" in capsys.readouterr().err
+def test_config_keys_are_the_commands_own_flags(graph_file, tmp_path,
+                                                monkeypatch, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"graph = {graph_file}\nfractions = 0.5\nalgo = topk\n"
+                   "k = 2\nrumor_size = 3\nT = 2\nsamples = 20\n")
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the config file was checked")
+
+    with monkeypatch.context() as m:
+        m.setattr(rcic.bench, "build_sample_store", no_sampling)
+        assert main(["run", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert f"{cfg}:2: unknown key 'fractions'" in captured.err
+    assert captured.out == ""
+    out = tmp_path / "scal.csv"
+    assert main(["scalability", "--config", str(cfg), "--out", str(out)]) == 0
+    assert [r.fraction for r in read_rows(out.open())] == [0.5]
+
+
+def test_undirected_is_not_an_option(graph_file, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"graph = {graph_file}\nundirected = true\n")
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert "run.cfg:2: unknown key 'undirected'" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["run", "--graph", graph_file, "--undirected"])
+
+
+def test_config_file_sets_directed(graph_file, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("directed = true\n")
+    outs = {name: tmp_path / f"{name}.csv" for name in ("cfg", "flag", "plain")}
+    assert main(run_flags(graph_file, str(outs["cfg"]))
+                + ["--config", str(cfg)]) == 0
+    assert main(run_flags(graph_file, str(outs["flag"])) + ["--directed"]) == 0
+    assert main(run_flags(graph_file, str(outs["plain"]))) == 0
+    rows = {name: [(r.chosen_set, r.objective, r.influenced_mass)
+                   for r in read_rows(out.open())]
+            for name, out in outs.items()}
+    assert rows["cfg"] == rows["flag"]
+    assert rows["cfg"] != rows["plain"]
 
 
 def test_missing_graph_is_an_error(capsys):

@@ -194,15 +194,16 @@ def test_store_bytes_counts_the_built_arrays():
     g = barabasi_albert_graph(120, 3, seed=4)
     store = build_sample_store(g, {0, 1, 2}, SampleConfig(T=4, X=25, seed=6))
     index = store.index
-    built = (store.hit_flags, store.hit_counts, index.candidates, index.cand_pos,
+    built = (store.hit_flags, index.candidates, index.cand_pos,
              index.walk_weights, index.walk_indptr, index.walk_cands,
              index.indptr, index.walk_ids)
     # hit_mass is built on first use, after the store; it does not count, and
-    # the prefix arrays are derived from the index on each read
+    # hit_counts and the prefix arrays are derived on each read
     assert index.hit_mass.size == index.n_candidates
+    assert store.hit_counts.size == index.n_candidates
     assert store.store_bytes == sum(a.nbytes for a in built)
-    assert "prefix_indptr" not in vars(store)
-    assert "prefix_nodes" not in vars(store)
+    for name in ("hit_counts", "prefix_indptr", "prefix_nodes"):
+        assert name not in vars(store)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
