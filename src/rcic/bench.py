@@ -36,7 +36,7 @@ from .blocking import LogisticParams
 from .graph import Graph, bfs_subgraph, load_edge_list, top_decile_nodes
 from .sampling import (SampleConfig, SampleStore, build_sample_store,
                        hoeffding_sample_size)
-from .solvers import SolveReport, SolverLimits, run_solver
+from .solvers import SolveReport, SolverLimits, _check_k, run_solver
 
 ALGORITHMS = ("topk", "greedy", "bab", "probab")
 SWEEP_AXES = ("k", "rumor_size", "T", "X", "rho", "alpha", "beta")
@@ -222,9 +222,13 @@ def run_on_graph(g: Graph, config: ExperimentConfig, fraction: float = 1.0,
     row and propagates."""
     rows = [] if rows is None else rows
     points = []
+    max_rumor = len(top_decile_nodes(g))
     for axis, value in _sweep_points(config):
         cfg = config if axis is None else _apply_sweep(config, axis, value)
         SampleConfig(T=cfg.T, X=cfg.X, seed=cfg.seed)  # checks T and X
+        # a point whose rumor set cannot be drawn fails when it is reached
+        if 1 <= cfg.rumor_size <= max_rumor:
+            _check_k(cfg.k, g.n - cfg.rumor_size)
         points.append((axis, value, cfg, LogisticParams(cfg.alpha, cfg.beta),
                        SolverLimits(node_expansion_cap=cfg.node_cap,
                                     wall_time_cap=cfg.time_cap)))

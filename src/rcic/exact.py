@@ -22,7 +22,7 @@ import numpy as np
 
 from .blocking import LogisticParams, estimate_envelope_objective
 from .graph import Graph
-from .sampling import WalkIndex
+from .sampling import WalkIndex, _candidate_positions
 
 _ENUMERATION_LIMIT = 10_000_000
 _COMBINATION_LIMIT = 1_000_000
@@ -172,7 +172,8 @@ class ExactStore:
             [np.zeros(1, dtype=np.int64), np.cumsum(lengths, dtype=np.int64)])
         nodes = np.array([v for r in hits for v in sorted(r.prefix)], dtype=np.int64)
         weights = np.array([r.probability for r in hits], dtype=np.float64)
-        self.index = WalkIndex(g.n, self.rumor_set, indptr, nodes, weights)
+        _, cand_pos = _candidate_positions(g.n, self.rumor_set)
+        self.index = WalkIndex(g.n, self.rumor_set, indptr, cand_pos[nodes], weights)
 
     @property
     def candidates(self) -> np.ndarray:

@@ -18,11 +18,13 @@ own seed substream.
 Walks are simulated a chunk of start nodes at a time by a compacted kernel
 (`_simulate_chunk`): each step touches only the walks still alive, so the
 work shrinks as walks hit the rumor set or reach a dead end, and sorts and
-deduplicates the visited nodes of the hit walks only; those rows go straight
-into the index.  The inverted index groups hit-walk entries by candidate
-position with a stable radix order over 16-bit digits (`_stable_order`), the
-same permutation as a stable comparison sort; one graph's positions fit in
-one digit, so it is one pass.
+deduplicates the visited nodes of the hit walks only.  Those rows leave the
+kernel as candidate positions (int32) and become the index's forward CSR as
+they are.  The inverted index is placed one block of whole hit walks at a
+time: each block's entries are ordered by a stable radix order over 16-bit
+digits (`_stable_order`) and written behind the entries of earlier blocks,
+which gives the permutation of one stable sort over every entry while no
+scratch array spans more than a block.
 """
 
 from __future__ import annotations
@@ -37,6 +39,9 @@ import numpy as np
 from .graph import Graph
 
 _CHUNK_NODES = 128
+# entries per block of the inverted-index placement (whole walks, so a block
+# runs over by at most one walk's prefix)
+_BLOCK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -115,6 +120,13 @@ class WalkIndex:
     shared by Monte Carlo stores (weight 1/X per walk) and exact enumeration
     stores (weight = realization probability).
 
+    Hit-walk prefixes are given as a CSR over candidate positions, not node
+    ids: `hit_prefix_cands` is kept as `walk_cands` (int32, without a copy
+    when it already is int32), and an entry outside [0, n_candidates) raises
+    `ValueError`.  The inverted CSR is placed a block of about
+    `_BLOCK_ENTRIES` entries of whole walks at a time, so the build needs no
+    scratch array that spans every entry.
+
     Attributes:
         candidates: sorted array of non-rumor node ids.
         cand_pos: len-n array mapping node id -> candidate position (-1 for rumor).
@@ -128,35 +140,58 @@ class WalkIndex:
             rumor set reaches; denominator of the blocking percentage.
     """
 
-    def __init__(self, n_nodes, rumor_set, hit_prefix_indptr, hit_prefix_nodes,
+    def __init__(self, n_nodes, rumor_set, hit_prefix_indptr, hit_prefix_cands,
                  walk_weights):
         self.n_nodes = int(n_nodes)
-        rumor = {int(r) for r in rumor_set}
-        self.candidates = np.array(
-            sorted(set(range(self.n_nodes)) - rumor), dtype=np.int64)
+        self.candidates, cand_pos = _candidate_positions(self.n_nodes, rumor_set)
         if self.candidates.size == 0:
             raise ValueError("rumor set covers every node; no candidates remain")
-        self.cand_pos = np.full(self.n_nodes, -1, dtype=np.int64)
-        self.cand_pos[self.candidates] = np.arange(self.candidates.size)
+        self.cand_pos = cand_pos.astype(np.int64)
 
         self.walk_weights = np.asarray(walk_weights, dtype=np.float64)
         self.walk_indptr = np.asarray(hit_prefix_indptr, dtype=np.int64)
-        n_hit = self.walk_weights.size
-        lengths = np.diff(self.walk_indptr)
+        n_cand = self.candidates.size
+        cands = np.asarray(hit_prefix_cands)
+        if cands.size and (cands.min() < 0 or cands.max() >= n_cand):
+            raise ValueError("hit-walk prefix holds a position outside the "
+                             f"{n_cand} candidates (a rumor node)")
+        self.walk_cands = cands.astype(np.int32, copy=False)
 
-        # One entry per (hit walk, prefix node).  The arrays kept are int32 and
-        # no int64 array of this length outlives its statement: each would be
-        # as large as the finished index.
-        self.walk_cands = self.cand_pos.astype(np.int32)[
-            np.asarray(hit_prefix_nodes, dtype=np.int64)]
-        if self.walk_cands.size and self.walk_cands.min() < 0:
-            raise ValueError("hit-walk prefix contains a rumor node")
-        per_cand = np.bincount(self.walk_cands, minlength=self.candidates.size)
+        # Counting-sort placement, one block of whole walks at a time, in two
+        # passes: the blocks' key counts give `indptr`; then each entry goes
+        # behind its candidate's entries from earlier blocks (`filled`), at its
+        # rank among the block's entries of that candidate.  Blocks run in walk
+        # order, so this is one global stable sort's permutation.  (A bincount
+        # over every entry would convert all of them to int64.)
+        bounds = [0, *np.searchsorted(self.walk_indptr, np.arange(
+            _BLOCK_ENTRIES, self.walk_cands.size, _BLOCK_ENTRIES)),
+                  self.walk_weights.size]
+        blocks = [(w0, w1) for w0, w1 in zip(bounds, bounds[1:]) if w0 < w1]
+
+        def keys_of(w0, w1):
+            return self.walk_cands[self.walk_indptr[w0]:self.walk_indptr[w1]]
+
+        per_cand = np.zeros(n_cand, dtype=np.int64)
+        for w0, w1 in blocks:
+            per_cand += np.bincount(keys_of(w0, w1), minlength=n_cand)
         self.indptr = np.concatenate(
             [np.zeros(1, dtype=np.int64), np.cumsum(per_cand, dtype=np.int64)])
-        walk_of_entry = np.repeat(np.arange(n_hit, dtype=np.int32), lengths)
-        self.walk_ids = walk_of_entry[_stable_order(self.walk_cands)]
-        self.max_count = int(lengths.max()) if lengths.size else 0
+        self.walk_ids = np.empty(self.walk_cands.size, dtype=np.int32)
+        filled = self.indptr[:-1].copy()
+        self.max_count = 0
+        for w0, w1 in blocks:
+            lengths = np.diff(self.walk_indptr[w0:w1 + 1])
+            self.max_count = max(self.max_count, int(lengths.max()))
+            keys = keys_of(w0, w1)
+            order = _stable_order(keys)
+            counts = np.bincount(keys, minlength=n_cand)
+            # slot of the block's i-th entry in key order: its candidate's
+            # first free slot plus i minus the block's entries of smaller keys
+            base = filled - (np.cumsum(counts) - counts)
+            slots = base[keys[order]] + np.arange(order.size)
+            self.walk_ids[slots] = np.repeat(
+                np.arange(w0, w1, dtype=np.int32), lengths)[order]
+            filled += counts
         self.influenced_mass = float(self.walk_weights.sum())
 
     @property
@@ -209,14 +244,14 @@ class SampleStore:
 
     def __init__(self, config: SampleConfig, n_nodes: int, rumor_set,
                  hit_flags: np.ndarray, hit_indptr: np.ndarray,
-                 hit_nodes: np.ndarray):
+                 hit_cands: np.ndarray):
         self.config = config
         self.n_nodes = int(n_nodes)
         self.rumor_set = frozenset(int(r) for r in rumor_set)
         self.hit_flags = hit_flags
 
         weights = np.full(hit_indptr.size - 1, 1.0 / config.X, dtype=np.float64)
-        self.index = WalkIndex(n_nodes, self.rumor_set, hit_indptr, hit_nodes, weights)
+        self.index = WalkIndex(n_nodes, self.rumor_set, hit_indptr, hit_cands, weights)
         self.store_bytes = sum(
             a.nbytes for obj in (self, self.index) for a in vars(obj).values()
             if isinstance(a, np.ndarray))
@@ -280,7 +315,7 @@ def build_sample_store(g: Graph, rumor_set, cfg: SampleConfig,
     for r in rumor:
         if not 0 <= r < g.n:
             raise ValueError(f"rumor node {r} out of range")
-    candidates = np.array(sorted(set(range(g.n)) - rumor), dtype=np.int64)
+    candidates, cand_pos = _candidate_positions(g.n, rumor)
     if candidates.size == 0:
         raise ValueError("rumor set covers every node; nothing to sample")
 
@@ -290,14 +325,14 @@ def build_sample_store(g: Graph, rumor_set, cfg: SampleConfig,
     adj_flat = np.fromiter(
         (v for u in range(g.n) for v in g.neighbors(u)),
         dtype=np.int64, count=int(degs.sum()))
-    is_rumor = np.zeros(g.n, dtype=bool)
-    is_rumor[list(rumor)] = True
+    is_rumor = cand_pos < 0
 
     chunks = [candidates[i:i + _CHUNK_NODES]
               for i in range(0, candidates.size, _CHUNK_NODES)]
 
     def run_chunk(starts):
-        return _simulate_chunk(adj_indptr, adj_flat, degs, is_rumor, starts, cfg)
+        return _simulate_chunk(adj_indptr, adj_flat, degs, is_rumor, cand_pos,
+                               starts, cfg)
 
     if threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -307,18 +342,29 @@ def build_sample_store(g: Graph, rumor_set, cfg: SampleConfig,
 
     hit_flags = np.concatenate([r[0] for r in results])
     hit_lengths = np.concatenate([r[1] for r in results])
-    hit_nodes = np.concatenate([r[2] for r in results])
+    hit_cands = np.concatenate([r[2] for r in results])
     del results  # the chunks would otherwise live on through the index build
     hit_indptr = np.concatenate(
         [np.zeros(1, dtype=np.int64), np.cumsum(hit_lengths, dtype=np.int64)])
-    return SampleStore(cfg, g.n, rumor, hit_flags, hit_indptr, hit_nodes)
+    return SampleStore(cfg, g.n, rumor, hit_flags, hit_indptr, hit_cands)
 
 
 def _node_rng(seed: int, u: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(u,)))
 
 
-def _simulate_chunk(adj_indptr, adj_flat, degs, is_rumor, starts, cfg: SampleConfig):
+def _candidate_positions(n_nodes: int, rumor_set):
+    """The non-rumor nodes in ascending order (int64), and the lookup from
+    node id to position among them (int32, -1 for a rumor node)."""
+    candidates = np.array(sorted(set(range(n_nodes)) - set(rumor_set)),
+                          dtype=np.int64)
+    cand_pos = np.full(n_nodes, -1, dtype=np.int32)
+    cand_pos[candidates] = np.arange(candidates.size, dtype=np.int32)
+    return candidates, cand_pos
+
+
+def _simulate_chunk(adj_indptr, adj_flat, degs, is_rumor, cand_pos, starts,
+                    cfg: SampleConfig):
     """Vectorized simulation of X walks for each start in `starts`.
 
     Walk (u, i) consumes row i of start u's (X, T) uniform block, one value per
@@ -331,7 +377,9 @@ def _simulate_chunk(adj_indptr, adj_flat, degs, is_rumor, starts, cfg: SampleCon
     Only the hit walks' columns of the step matrix are sorted and deduplicated.
     Returns every walk's hit flag, and the hit walks' prefixes as a CSR: each
     hit walk's prefix size (int32) and the prefixes concatenated, in walk
-    order, each in ascending node order (int32).  A miss leaves nothing else.
+    order, as candidate positions through the int32 lookup `cand_pos`.  Node
+    order is position order, so each prefix is ascending.  A miss leaves
+    nothing else.
     """
     T, X = cfg.T, cfg.X
     W = starts.size * X
@@ -367,7 +415,7 @@ def _simulate_chunk(adj_indptr, adj_flat, degs, is_rumor, starts, cfg: SampleCon
     keep = np.empty(steps.shape, dtype=bool)
     keep[0] = steps[0] != -1
     keep[1:] = (steps[1:] != steps[:-1]) & (steps[1:] != -1)
-    return hit, keep.sum(axis=0, dtype=np.int32), steps.T[keep.T]
+    return hit, keep.sum(axis=0, dtype=np.int32), cand_pos[steps.T[keep.T]]
 
 
 def _stable_order(keys):

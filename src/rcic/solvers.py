@@ -79,9 +79,9 @@ class SolveReport:
     bound_gap: float | None = None
 
 
-def _check_k(index, k: int) -> None:
-    if not 1 <= k <= index.n_candidates:
-        raise ValueError(f"k={k} infeasible with {index.n_candidates} candidates")
+def _check_k(k: int, n_candidates: int) -> None:
+    if not 1 <= k <= n_candidates:
+        raise ValueError(f"k={k} infeasible with {n_candidates} candidates")
 
 
 def _report(algo: str, store, params, chosen, t0: float, **counters) -> SolveReport:
@@ -96,7 +96,7 @@ def solve_topk(store, params: LogisticParams, k: int) -> SolveReport:
     whose prefix holds the candidate; ties to smaller id."""
     t0 = time.perf_counter()
     index = store.index
-    _check_k(index, k)
+    _check_k(k, index.n_candidates)
     degree = np.diff(index.indptr)
     order = np.lexsort((index.candidates, -degree))
     chosen = frozenset(int(v) for v in index.candidates[order[:k]])
@@ -107,7 +107,7 @@ def solve_greedy(store, params: LogisticParams, k: int) -> SolveReport:
     """k rounds of best-true-gain addition."""
     t0 = time.perf_counter()
     index = store.index
-    _check_k(index, k)
+    _check_k(k, index.n_candidates)
     table = EnvelopeTable(params, index.max_count)
     # padded so fully-covered walks read a zero gain instead of overflowing
     state = _GainState(index, np.append(table.gain_table, 0.0)[None, :],
@@ -284,7 +284,7 @@ def branch_and_bound(store, params: LogisticParams, k: int,
     """
     t0 = time.perf_counter()
     index = store.index
-    _check_k(index, k)
+    _check_k(k, index.n_candidates)
     limits = limits or SolverLimits()
     if estimator not in ("sam", "pro"):
         raise ValueError(f"unknown bound estimator {estimator!r}")

@@ -191,8 +191,12 @@ def test_run_on_graph_resolves_hoeffding_samples():
     dict(sweep_axis="beta", sweep_values=(1.0, 0.0)),
     dict(sweep_axis="T", sweep_values=(2.0, 0.0)),
     dict(sweep_axis="X", sweep_values=(50.0, 0.0)),
+    # 60 nodes and a rumor set of 4 leave 56 candidates
+    dict(k=0),
+    dict(k=57),
+    dict(sweep_axis="k", sweep_values=(3.0, 57.0)),
 ], ids=["alpha", "node_cap", "time_cap", "sweep_alpha", "sweep_beta",
-        "sweep_T", "sweep_X"])
+        "sweep_T", "sweep_X", "k0", "k_above_candidates", "sweep_k"])
 def test_run_on_graph_checks_every_sweep_point_before_sampling(monkeypatch,
                                                                overrides):
     def no_sampling(*args, **kwargs):
@@ -205,10 +209,20 @@ def test_run_on_graph_checks_every_sweep_point_before_sampling(monkeypatch,
     assert rows == []
 
 
-def test_run_on_graph_emits_error_marker():
+def test_run_on_graph_accepts_k_equal_to_the_candidate_count():
+    rows = run_on_graph(small_graph(), base_config(algorithms=("topk",), k=56))
+    assert [(r.status, r.chosen_size) for r in rows] == [("ok", 56)]
+
+
+def test_run_on_graph_emits_error_marker(monkeypatch):
     g = small_graph()
-    # k exceeds the candidate pool: the solver raises, the row records it
-    config = base_config(algorithms=("greedy",), k=57)
+
+    def failing_solver(*args, **kwargs):
+        raise ValueError("solver failed")
+
+    # the solver raises after sampling: the row records it
+    monkeypatch.setattr(rcic.bench, "run_solver", failing_solver)
+    config = base_config(algorithms=("greedy",))
     rows = []
     with pytest.raises(ValueError):
         run_on_graph(g, config, rows=rows)

@@ -74,20 +74,26 @@ def test_run_repeats_identically(graph_file, tmp_path):
 
 
 def test_run_reports_rows_computed_before_a_solver_error(graph_file, tmp_path,
-                                                        capsys):
-    # k=500 exceeds the candidate pool: the second sweep point's solver raises
+                                                        monkeypatch, capsys):
+    def fails_at_k3(algo, store, params, k, **kwargs):
+        if k == 3:
+            raise ValueError("solver failed")
+        return run_solver(algo, store, params, k, **kwargs)
+
+    # the second sweep point's solver raises
+    monkeypatch.setattr(rcic.bench, "run_solver", fails_at_k3)
     flags = ["run", "--graph", graph_file, "--algo", "topk", "--k", "2",
              "--rumor-size", "4", "-T", "2", "--samples", "20", "--alpha", "3",
-             "--beta", "1", "--sweep", "k=2,500"]
+             "--beta", "1", "--sweep", "k=2,3"]
     out = tmp_path / "report.csv"
     assert main(flags) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
     assert main(flags + ["--out", str(out)]) == 1
     for rows in (read_rows(io.StringIO(captured.out)), read_rows(out.open())):
-        assert [r.k for r in rows] == [2, 500]
+        assert [r.k for r in rows] == [2, 3]
         assert rows[0].status == "ok"
-        assert rows[1].status.startswith("error: ValueError")
+        assert rows[1].status == "error: ValueError: solver failed"
 
 
 def test_out_holds_the_rows_computed_before_a_rumor_set_error(graph_file,

@@ -1,6 +1,10 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import rcic.sampling
 from rcic.graph import Graph
 from rcic.sampling import (
     SampleConfig,
@@ -10,7 +14,7 @@ from rcic.sampling import (
     sample_walk,
 )
 from rcic.sampling import _CHUNK_NODES, _node_rng, _stable_order
-from rcic.exact import exact_hit_probabilities
+from rcic.exact import ExactStore, exact_hit_probabilities
 from rcic.synth import barabasi_albert_graph, gnp_graph
 
 
@@ -316,6 +320,100 @@ def test_index_rejects_degenerate_input():
     with pytest.raises(ValueError):
         # prefix claims to contain the rumor node
         WalkIndex(3, {2}, [0, 1], [2], [0.5])
+
+
+def rebuilt_index(index, rumor):
+    """The index built again from `index`'s forward CSR, under the current
+    block size."""
+    return WalkIndex(index.n_nodes, rumor, index.walk_indptr, index.walk_cands,
+                     index.walk_weights)
+
+
+def assert_one_stable_sort(index):
+    walk_of_entry = np.repeat(np.arange(index.n_hit_walks, dtype=np.int32),
+                              np.diff(index.walk_indptr))
+    order = np.argsort(index.walk_cands, kind="stable")
+    assert index.walk_ids.dtype == np.int32
+    assert np.array_equal(index.walk_ids, walk_of_entry[order])
+    assert np.array_equal(index.indptr, np.concatenate([[0], np.cumsum(
+        np.bincount(index.walk_cands, minlength=index.n_candidates))]))
+
+
+@pytest.mark.parametrize("case", ["sampled", "walk_longer_than_block",
+                                  "exact", "no_hits"])
+def test_block_placement_is_one_stable_sort(monkeypatch, case):
+    block = 2 if case == "walk_longer_than_block" else 5
+    monkeypatch.setattr(rcic.sampling, "_BLOCK_ENTRIES", block)
+    if case == "sampled":
+        rumor = {5, 17, 42, 123, 250}
+        store = build_sample_store(sink_graph(), rumor,
+                                   SampleConfig(T=6, X=5, seed=4), threads=2)
+    elif case == "walk_longer_than_block":
+        rumor = {0, 1}
+        store = build_sample_store(barabasi_albert_graph(50, 2, seed=9), rumor,
+                                   SampleConfig(T=6, X=10, seed=2))
+    elif case == "exact":
+        rumor = {3}
+        store = ExactStore(gnp_graph(8, 0.5, seed=2), rumor, T=3)
+    else:  # node 2 has no in-arc, so no walk reaches it
+        rumor = {2}
+        store = build_sample_store(Graph([[1], [0], [0]], directed=True), rumor,
+                                   SampleConfig(T=3, X=5, seed=1))
+    index = store.index
+    if case == "no_hits":
+        assert index.n_hit_walks == 0 and index.max_count == 0
+    else:
+        assert index.walk_cands.size > 4 * block
+    if case == "walk_longer_than_block":
+        assert index.max_count > block
+    assert_one_stable_sort(index)
+    monkeypatch.setattr(rcic.sampling, "_BLOCK_ENTRIES", 1 << 40)
+    one_block = rebuilt_index(index, rumor)
+    for name in ("walk_ids", "indptr", "walk_cands", "walk_indptr", "max_count"):
+        assert np.array_equal(getattr(one_block, name), getattr(index, name)), name
+
+
+def test_index_build_scratch_is_bounded(monkeypatch):
+    # many blocks: the build's scratch memory must not grow with the entries
+    g = barabasi_albert_graph(2000, 3, seed=7)
+    rumor = {0, 1, 2, 3, 4}
+    source = build_sample_store(g, rumor, SampleConfig(T=6, X=100, seed=3)).index
+    monkeypatch.setattr(rcic.sampling, "_BLOCK_ENTRIES", 1 << 10)
+    assert source.walk_cands.size > 50 * (1 << 10)
+    tracemalloc.start()
+    try:
+        index = rebuilt_index(source, rumor)
+        kept_new, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = sum(a.nbytes for a in vars(index).values() if isinstance(a, np.ndarray))
+    # one stable sort over every entry holds an int64 order and an int32 walk
+    # id per entry at its peak, about as much again as the index keeps
+    assert peak - kept_new < 0.25 * kept
+    assert_one_stable_sort(index)
+
+
+def store_digest(store) -> str:
+    h = hashlib.sha256()
+    for name in ("hit_flags", "walk_ids", "indptr", "walk_cands", "walk_indptr",
+                 "walk_weights"):
+        a = store.hit_flags if name == "hit_flags" else getattr(store.index, name)
+        h.update(name.encode())
+        h.update(str(a.dtype).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_store_bytes_are_pinned(threads):
+    # every byte of the store and index arrays, as the one-stable-sort index
+    # build and the node-id kernel output made them
+    store = build_sample_store(barabasi_albert_graph(400, 3, seed=11),
+                               {0, 3, 5, 8}, SampleConfig(T=5, X=40, seed=2),
+                               threads=threads)
+    assert store.candidates.size > 2 * _CHUNK_NODES
+    assert store_digest(store) == (
+        "06c12ff38589584c9334c738ea555cce8bb315ac38c88b9011dadfac3468dd7d")
 
 
 def test_profile_accessors():
