@@ -39,6 +39,7 @@ from .sampling import (
     SampleStore,
     WalkProfile,
     build_sample_store,
+    build_sample_stores,
     hoeffding_sample_size,
     sample_walk,
 )

@@ -6,7 +6,11 @@ degree decile; the same rumor seed yields nested sets across sizes (a prefix
 of one permutation), so growing |R| never swaps the rumor population.
 Every sweep point's settings are checked before the first sampling pass.
 Sample stores are reused across sweep points whenever the rumor set, T, X
-and seed are unchanged (k and rho sweeps amortize one sampling pass).
+and seed are unchanged (k and rho sweeps amortize one sampling pass), and
+consecutive points that share T, X and seed and whose rumor sets grow
+nested (an |R| sweep with one rumor seed) share one walk pass
+(`build_sample_stores`).  Each point's store and index are built when the
+point runs, and dropped before the next point's are built.
 With epsilon and delta, X is derived from the sampling bound, so X cannot
 also be swept.  A row's chosen_set holds the edge-list file's node ids
 (`Graph.original_ids`), also on a scalability slice.
@@ -34,8 +38,9 @@ import numpy as np
 
 from .blocking import LogisticParams
 from .graph import Graph, bfs_subgraph, load_edge_list, top_decile_nodes
-from .sampling import (SampleConfig, SampleStore, build_sample_store,
-                       hoeffding_sample_size)
+# build_sample_store stays importable from here: perfbench's tracer wraps it
+from .sampling import (SampleConfig, SampleStore, build_sample_store,  # noqa: F401
+                       build_sample_stores, hoeffding_sample_size)
 from .solvers import SolveReport, SolverLimits, _check_k, run_solver
 
 ALGORITHMS = ("topk", "greedy", "bab", "probab")
@@ -227,35 +232,59 @@ def run_on_graph(g: Graph, config: ExperimentConfig, fraction: float = 1.0,
         cfg = config if axis is None else _apply_sweep(config, axis, value)
         SampleConfig(T=cfg.T, X=cfg.X, seed=cfg.seed)  # checks T and X
         # a point whose rumor set cannot be drawn fails when it is reached
+        key = None
         if 1 <= cfg.rumor_size <= max_rumor:
             _check_k(cfg.k, g.n - cfg.rumor_size)
-        points.append((axis, value, cfg, LogisticParams(cfg.alpha, cfg.beta),
+            rumor = generate_rumor_set(g, cfg.rumor_size, cfg.rumor_seed)
+            key = (rumor, cfg.T, _resolve_x(cfg, g.n - len(rumor)), cfg.seed)
+        points.append((axis, value, cfg, key, LogisticParams(cfg.alpha, cfg.beta),
                        SolverLimits(node_expansion_cap=cfg.node_cap,
                                     wall_time_cap=cfg.time_cap)))
-    cached_key = None
-    cached_store = None
-    for axis, value, cfg, params, limits in points:
-        rumor = generate_rumor_set(g, cfg.rumor_size, cfg.rumor_seed)
-        x_used = _resolve_x(cfg, g.n - len(rumor))
-        key = (rumor, cfg.T, x_used, cfg.seed)
-        if key != cached_key:
-            cached_store = None  # free the old store before sampling the next
-            cached_store = build_sample_store(
-                g, rumor, SampleConfig(T=cfg.T, X=x_used, seed=cfg.seed),
-                threads=cfg.threads)
-            cached_key = key
-        for algo in cfg.algorithms:
-            try:
-                report = run_solver(algo, cached_store, params, cfg.k,
-                                    rho=cfg.rho, limits=limits)
-            except Exception as exc:
-                rows.append(_make_row(cfg, axis, value, fraction, algo, None,
-                                      cached_store, g.original_ids,
-                                      f"error: {type(exc).__name__}: {exc}"))
-                raise
-            rows.append(_make_row(cfg, axis, value, fraction, algo, report,
-                                  cached_store, g.original_ids, "ok"))
+    for run in _sampling_runs(points):
+        _, _, first, first_key, _, _ = run[0]
+        if first_key is None:
+            generate_rumor_set(g, first.rumor_size, first.rumor_seed)  # raises
+        keys = list(dict.fromkeys(point[3] for point in run))
+        stores = build_sample_stores(
+            g, [rumor for rumor, _, _, _ in keys],
+            SampleConfig(T=first.T, X=first_key[2], seed=first.seed),
+            threads=first.threads)
+        key = None
+        for axis, value, cfg, point_key, params, limits in run:
+            if point_key != key:
+                store = None  # free the old store before sampling the next
+                store = next(stores)
+                key = point_key
+            for algo in cfg.algorithms:
+                try:
+                    report = run_solver(algo, store, params, cfg.k,
+                                        rho=cfg.rho, limits=limits)
+                except Exception as exc:
+                    rows.append(_make_row(cfg, axis, value, fraction, algo, None,
+                                          store, g.original_ids,
+                                          f"error: {type(exc).__name__}: {exc}"))
+                    raise
+                rows.append(_make_row(cfg, axis, value, fraction, algo, report,
+                                      store, g.original_ids, "ok"))
     return rows
+
+
+def _sampling_runs(points):
+    """Split the sweep points into runs that one walk pass serves: consecutive
+    points whose store keys (rumor set, T, X, seed) share T, X and seed and
+    whose rumor sets each contain the one before.  Points with equal keys
+    share a store.  A point without a key (its rumor set cannot be drawn)
+    runs alone."""
+    runs = []
+    for point in points:
+        key = point[3]
+        last = runs[-1][-1][3] if runs else None
+        if (last is not None and key is not None and key[1:] == last[1:]
+                and last[0] <= key[0]):
+            runs[-1].append(point)
+        else:
+            runs.append([point])
+    return runs
 
 
 def run_experiment(config: ExperimentConfig, rows=None) -> list[ReportRow]:

@@ -15,21 +15,35 @@ from the walk number.  Stores built from the same graph, rumor set and seed
 are bit-identical regardless of thread count: each start node draws from its
 own seed substream.
 
-Walks are simulated a chunk of start nodes at a time by a compacted kernel
-(`_simulate_chunk`): each step touches only the walks still alive, so the
-work shrinks as walks hit the rumor set or reach a dead end, and sorts and
-deduplicates the visited nodes of the hit walks only.  Those rows leave the
-kernel as candidate positions (int32) and become the index's forward CSR as
-they are.  The inverted index is placed one block of whole hit walks at a
-time: each block's entries are ordered by a stable radix order over 16-bit
-digits (`_stable_order`) and written behind the entries of earlier blocks,
-which gives the permutation of one stable sort over every entry while no
-scratch array spans more than a block.
+Walks are simulated a chunk of start nodes at a time, every walk of the
+chunk in lockstep, on a copy of the graph with two absorbing sinks: HIT
+(node n), which every arc into the rumor set leads to instead, and DEAD
+(node n + 1), a dead end's only neighbour.  Each step is then the same few
+full-width gathers for every walk, with no compaction, into the next row of
+an int64 step matrix; a walk hit iff its last row reads HIT.  The step
+matrix, the uniforms and the step temporaries are scratch buffers, allocated
+once per worker thread per build.  Only the hit walks' columns are sorted and
+deduplicated; their rows leave the kernel as candidate positions (int32) and
+become the index's forward CSR as they are.
+
+`build_sample_stores` serves nested rumor sets R_1 ⊆ R_2 ⊆ ... (the |R|
+sweep) from one pass: under R_b walk (u, i) is walk (u, i) under R_1 cut at
+its first node in R_b, so each larger set's hit flags and prefixes follow
+from the same step matrix, and the walks from starts in R_b are dropped.
+`build_sample_store` is its one-set case.  Each set's store, and so its
+index, is built only when the caller asks for it.
+
+The inverted index is placed one block of whole hit walks at a time: each
+block's entries are ordered by a stable radix order over 16-bit digits
+(`_stable_order`) and written behind the entries of earlier blocks, which
+gives the permutation of one stable sort over every entry while no scratch
+array spans more than a block.  `hit_mass` is summed over the same blocks.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -163,10 +177,7 @@ class WalkIndex:
         # rank among the block's entries of that candidate.  Blocks run in walk
         # order, so this is one global stable sort's permutation.  (A bincount
         # over every entry would convert all of them to int64.)
-        bounds = [0, *np.searchsorted(self.walk_indptr, np.arange(
-            _BLOCK_ENTRIES, self.walk_cands.size, _BLOCK_ENTRIES)),
-                  self.walk_weights.size]
-        blocks = [(w0, w1) for w0, w1 in zip(bounds, bounds[1:]) if w0 < w1]
+        blocks = self._walk_blocks()
 
         def keys_of(w0, w1):
             return self.walk_cands[self.walk_indptr[w0]:self.walk_indptr[w1]]
@@ -194,6 +205,14 @@ class WalkIndex:
             filled += counts
         self.influenced_mass = float(self.walk_weights.sum())
 
+    def _walk_blocks(self):
+        """(w0, w1) ranges of whole hit walks of about `_BLOCK_ENTRIES`
+        entries each, in walk order."""
+        bounds = [0, *np.searchsorted(self.walk_indptr, np.arange(
+            _BLOCK_ENTRIES, self.walk_cands.size, _BLOCK_ENTRIES)),
+                  self.walk_weights.size]
+        return [(w0, w1) for w0, w1 in zip(bounds, bounds[1:]) if w0 < w1]
+
     @property
     def n_candidates(self) -> int:
         return int(self.candidates.size)
@@ -216,9 +235,17 @@ class WalkIndex:
 
     @cached_property
     def hit_mass(self) -> np.ndarray:
-        """Per candidate position, the weight of its hit walks; built on first use."""
-        weights = np.repeat(self.walk_weights, np.diff(self.walk_indptr))
-        return np.bincount(self.walk_cands, weights, self.n_candidates)
+        """Per candidate position, the weight of its hit walks; built on first use.
+
+        Summed a block of whole walks at a time, so no scratch array spans
+        every entry.  `np.add.at` adds in input order, as `np.bincount` does,
+        so every candidate's sum is the same as one bincount's."""
+        mass = np.zeros(self.n_candidates, dtype=np.float64)
+        for w0, w1 in self._walk_blocks():
+            entries = slice(self.walk_indptr[w0], self.walk_indptr[w1])
+            np.add.at(mass, self.walk_cands[entries], np.repeat(
+                self.walk_weights[w0:w1], np.diff(self.walk_indptr[w0:w1 + 1])))
+        return mass
 
     def counts_for(self, nodes) -> np.ndarray:
         """Per-hit-walk impression count |prefix ∩ nodes|; repeats count once."""
@@ -307,46 +334,153 @@ def build_sample_store(g: Graph, rumor_set, cfg: SampleConfig,
     """Sample X walks from every non-rumor node; bit-identical per seed.
 
     Each start node owns an independent seed substream, so chunked or threaded
-    builds produce exactly the same store as a serial one.
+    builds produce exactly the same store as a serial one.  This is the
+    one-set case of `build_sample_stores`.
     """
-    rumor = frozenset(int(r) for r in rumor_set)
-    if not rumor:
+    return next(build_sample_stores(g, [rumor_set], cfg, threads))
+
+
+def build_sample_stores(g: Graph, rumor_sets, cfg: SampleConfig,
+                        threads: int = 1):
+    """The stores of nested rumor sets R_1 ⊆ R_2 ⊆ ..., from one walk pass.
+
+    Returns an iterator that yields each set's store in order, each equal
+    byte for byte to `build_sample_store` on that set alone.  The walks are
+    stepped once, under R_1, on the first `next()`: under a larger set R_b,
+    walk (u, i) is walk (u, i) under R_1 cut at its first node in R_b, and
+    the walks from starts in R_b are dropped.  The pass keeps every set's
+    hit flags and hit prefixes; a store's index is built only when it is
+    yielded, so a caller that drops each store before asking for the next
+    holds one index at a time.  Raises `ValueError` at the call if the sets
+    do not grow nested.
+    """
+    rumors = [frozenset(int(r) for r in rumor) for rumor in rumor_sets]
+    if not rumors:
+        raise ValueError("no rumor sets given")
+    if not rumors[0]:
         raise ValueError("rumor set is empty")
-    for r in rumor:
+    for smaller, larger in zip(rumors, rumors[1:]):
+        if not smaller <= larger:
+            raise ValueError("rumor sets must be nested, each containing the "
+                             "one before it")
+    for r in rumors[-1]:
         if not 0 <= r < g.n:
             raise ValueError(f"rumor node {r} out of range")
-    candidates, cand_pos = _candidate_positions(g.n, rumor)
-    if candidates.size == 0:
+    if len(rumors[-1]) == g.n:
         raise ValueError("rumor set covers every node; nothing to sample")
+    return _yield_stores(g, rumors, cfg, threads)
 
-    adj_indptr = np.zeros(g.n + 1, dtype=np.int64)
+
+def _yield_stores(g: Graph, rumors, cfg: SampleConfig, threads: int):
+    pending = _sample_hit_rows(g, rumors, cfg, threads)
+    for rumor in rumors:
+        # no local keeps the yielded store, so a dropped store is freed
+        yield SampleStore(cfg, g.n, rumor, *pending.pop(0))
+
+
+def _sample_hit_rows(g: Graph, rumors, cfg: SampleConfig, threads: int):
+    """One walk pass under rumors[0]; per set, its hit flags and hit CSR.
+
+    The walks step on a copy of the graph with two absorbing sinks, HIT = n
+    and DEAD = n + 1, each its own only neighbour: an arc into rumors[0]
+    leads to HIT instead, and a dead end's only arc leads to DEAD.  So every
+    step of every walk is the same few full-width gathers, and row t of the
+    (T + 1, W) step matrix holds each walk's node after t steps.
+    """
+    n, T, X = g.n, cfg.T, cfg.X
+    hit_node, dead_node = n, n + 1
     degs = np.array(g.degrees(), dtype=np.int64)
-    np.cumsum(degs, out=adj_indptr[1:])
-    adj_flat = np.fromiter(
-        (v for u in range(g.n) for v in g.neighbors(u)),
-        dtype=np.int64, count=int(degs.sum()))
-    is_rumor = cand_pos < 0
+    adj_flat = np.fromiter((v for u in range(n) for v in g.neighbors(u)),
+                           dtype=np.int64, count=int(degs.sum()))
+    in_first = np.zeros(n, dtype=bool)
+    in_first[list(rumors[0])] = True
+    adj_flat[in_first[adj_flat]] = hit_node
+    dead_ends = np.flatnonzero(degs == 0)  # each one's empty row gets DEAD
+    adj_flat = np.concatenate([
+        np.insert(adj_flat, np.cumsum(degs)[dead_ends], dead_node),
+        [hit_node, dead_node]])
+    walk_degs = np.concatenate([np.maximum(degs, 1), [1, 1]])
+    adj_indptr = np.zeros(n + 3, dtype=np.int64)
+    np.cumsum(walk_degs, out=adj_indptr[1:])
+    degf = walk_degs.astype(np.float64)
+
+    # per larger set: membership over the walk graph's nodes (HIT included,
+    # since it stands for rumors[0]) and each node's candidate position
+    cuts = []
+    for rumor in rumors[1:]:
+        inside = np.zeros(n + 2, dtype=bool)
+        inside[list(rumor)] = True
+        inside[hit_node] = True
+        cuts.append((inside, _candidate_positions(n, rumor)[1]))
+    candidates, first_pos = _candidate_positions(n, rumors[0])
+    scratch = threading.local()
+
+    def run_chunk(starts):
+        W = starts.size * X
+        if not hasattr(scratch, "seq"):  # this worker's first chunk
+            width = _CHUNK_NODES * X
+            scratch.seq = np.empty((T + 1) * width, dtype=np.int64)
+            scratch.uniforms = np.empty(T * width, dtype=np.float64)
+            scratch.block = np.empty((X, T), dtype=np.float64)
+            scratch.scaled = np.empty(width, dtype=np.float64)
+            scratch.offset = np.empty(width, dtype=np.int64)
+            scratch.choice = np.empty(width, dtype=np.int64)
+            scratch.cut = np.empty(T * width, dtype=bool) if cuts else None
+        seq = scratch.seq[:(T + 1) * W].reshape(T + 1, W)
+        uniforms = scratch.uniforms[:T * W].reshape(T, W)
+        scaled, offset, choice = (scratch.scaled[:W], scratch.offset[:W],
+                                  scratch.choice[:W])
+        # walk (u, i) reads row i of start u's (X, T) block, one value a step
+        for j, u in enumerate(starts):
+            _node_rng(cfg.seed, int(u)).random(out=scratch.block)
+            uniforms[:, j * X:(j + 1) * X] = scratch.block.T
+        seq[0] = np.repeat(starts, X)
+        # mode="clip" keeps `take` from buffering its output; every index is
+        # in range, so it clips nothing
+        for t in range(T):
+            np.take(degf, seq[t], out=scaled, mode="clip")
+            np.multiply(scaled, uniforms[t], out=scaled)
+            choice[...] = scaled  # truncates, as int(u * deg) does
+            np.take(adj_indptr, seq[t], out=offset, mode="clip")
+            np.add(offset, choice, out=offset)
+            np.take(adj_flat, offset, out=seq[t + 1], mode="clip")
+
+        hit = seq[T] == hit_node
+        steps = seq.take(np.flatnonzero(hit), axis=1)
+        rows = [(hit, *_hit_prefixes(steps, hit_node, first_pos))]
+        for inside, cand_pos in cuts:
+            # a walk under the larger set ends at its first step into it
+            reached = scratch.cut[:T * W].reshape(T, W)
+            np.take(inside, seq[1:], out=reached, mode="clip")
+            np.logical_or.accumulate(reached, axis=0, out=reached)
+            kept = np.repeat(~inside[starts], X)
+            hit = reached[-1] & kept
+            cols = np.flatnonzero(hit)
+            steps = seq.take(cols, axis=1)
+            steps[1:][reached.take(cols, axis=1)] = hit_node
+            rows.append((hit[kept], *_hit_prefixes(steps, hit_node, cand_pos)))
+        return rows
 
     chunks = [candidates[i:i + _CHUNK_NODES]
               for i in range(0, candidates.size, _CHUNK_NODES)]
-
-    def run_chunk(starts):
-        return _simulate_chunk(adj_indptr, adj_flat, degs, is_rumor, cand_pos,
-                               starts, cfg)
-
     if threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run_chunk, chunks))
     else:
         results = [run_chunk(c) for c in chunks]
+    del scratch  # frees this thread's buffers before the rows are joined
 
-    hit_flags = np.concatenate([r[0] for r in results])
-    hit_lengths = np.concatenate([r[1] for r in results])
-    hit_cands = np.concatenate([r[2] for r in results])
-    del results  # the chunks would otherwise live on through the index build
-    hit_indptr = np.concatenate(
-        [np.zeros(1, dtype=np.int64), np.cumsum(hit_lengths, dtype=np.int64)])
-    return SampleStore(cfg, g.n, rumor, hit_flags, hit_indptr, hit_cands)
+    per_set = []
+    for s in range(len(rumors)):
+        hit_flags = np.concatenate([r[s][0] for r in results])
+        hit_lengths = np.concatenate([r[s][1] for r in results])
+        hit_cands = np.concatenate([r[s][2] for r in results])
+        for r in results:  # each chunk's rows live on only in the concatenation
+            r[s] = None
+        hit_indptr = np.concatenate(
+            [np.zeros(1, dtype=np.int64), np.cumsum(hit_lengths, dtype=np.int64)])
+        per_set.append((hit_flags, hit_indptr, hit_cands))
+    return per_set
 
 
 def _node_rng(seed: int, u: int) -> np.random.Generator:
@@ -363,59 +497,16 @@ def _candidate_positions(n_nodes: int, rumor_set):
     return candidates, cand_pos
 
 
-def _simulate_chunk(adj_indptr, adj_flat, degs, is_rumor, cand_pos, starts,
-                    cfg: SampleConfig):
-    """Vectorized simulation of X walks for each start in `starts`.
-
-    Walk (u, i) consumes row i of start u's (X, T) uniform block, one value per
-    step, matching sample_walk's consumption pattern exactly.  The blocks are
-    stored transposed, as one (T, W) array, so step t gathers the uniforms of
-    the walks still alive from one contiguous row.  Stepping is compacted: only
-    the alive walks' ids and current nodes are carried from step to step, and a
-    walk leaves them at a dead end or at a rumor node.  Both stay int64, numpy's
-    index type, since an int32 index array is converted again on every gather.
-    Only the hit walks' columns of the step matrix are sorted and deduplicated.
-    Returns every walk's hit flag, and the hit walks' prefixes as a CSR: each
-    hit walk's prefix size (int32) and the prefixes concatenated, in walk
-    order, as candidate positions through the int32 lookup `cand_pos`.  Node
-    order is position order, so each prefix is ascending.  A miss leaves
-    nothing else.
-    """
-    T, X = cfg.T, cfg.X
-    W = starts.size * X
-    uniforms = np.empty((T, W), dtype=np.float64)
-    for j, u in enumerate(starts):
-        uniforms[:, j * X:(j + 1) * X] = _node_rng(cfg.seed, int(u)).random((X, T)).T
-
-    seq = np.full((T + 1, W), -1, dtype=np.int32)
-    cur = np.repeat(starts, X)
-    seq[0] = cur
-    ids = np.arange(W, dtype=np.int64)
-    hit = np.zeros(W, dtype=bool)
-    for t in range(T):
-        deg = degs[cur]
-        stuck = deg == 0
-        if stuck.any():
-            ids, cur, deg = ids[~stuck], cur[~stuck], deg[~stuck]
-        if ids.size == 0:
-            break
-        choice = (uniforms[t, ids] * deg).astype(np.int64)
-        nxt = adj_flat[adj_indptr[cur] + choice]
-        hits_now = is_rumor[nxt]
-        if hits_now.any():
-            hit[ids[hits_now]] = True
-            ids, nxt = ids[~hits_now], nxt[~hits_now]
-        cur = nxt
-        seq[t + 1, ids] = cur
-
-    # Distinct visited nodes per hit walk: column-sort then drop repeats and -1
-    # pads.  A miss feeds no objective, so nothing of it is kept.
-    steps = seq.take(np.flatnonzero(hit), axis=1)
+def _hit_prefixes(steps, hit_node, cand_pos):
+    """Each hit walk's prefix from its column of `steps`, in which every step
+    from the hit on reads `hit_node`: the column's distinct other nodes,
+    ascending, as int32 candidate positions through `cand_pos`.  Returns the
+    prefix sizes (int32) and the prefixes concatenated in column order.
+    Sorts `steps` in place."""
     steps.sort(axis=0)
-    keep = np.empty(steps.shape, dtype=bool)
-    keep[0] = steps[0] != -1
-    keep[1:] = (steps[1:] != steps[:-1]) & (steps[1:] != -1)
-    return hit, keep.sum(axis=0, dtype=np.int32), cand_pos[steps.T[keep.T]]
+    keep = steps != hit_node
+    keep[1:] &= steps[1:] != steps[:-1]
+    return keep.sum(axis=0, dtype=np.int32), cand_pos[steps.T[keep.T]]
 
 
 def _stable_order(keys):

@@ -19,7 +19,8 @@ from rcic.bench import (
 )
 from rcic.blocking import LogisticParams
 from rcic.graph import bfs_subgraph, dump_edge_list, load_edge_list, top_decile_nodes
-from rcic.sampling import SampleConfig, build_sample_store, hoeffding_sample_size
+from rcic.sampling import (SampleConfig, build_sample_store, build_sample_stores,
+                           hoeffding_sample_size)
 from rcic.solvers import run_solver
 from rcic.synth import barabasi_albert_graph
 
@@ -148,23 +149,67 @@ def test_run_on_graph_sweep_reuses_consistent_stores():
         assert row.objective == report.objective
 
 
+def track_store_builds(monkeypatch):
+    """Wrap `build_sample_stores` where `run_on_graph` calls it.  Returns the
+    rumor-set count of each pass, weak references to the stores built, and
+    how many earlier stores were alive as each store's index was built."""
+    passes, built, alive_at_build = [], [], []
+
+    def tracking_builds(g, rumor_sets, cfg, threads=1):
+        passes.append(len(rumor_sets))
+        stores = build_sample_stores(g, rumor_sets, cfg, threads)
+        for _ in rumor_sets:
+            gc.collect()
+            alive_at_build.append(sum(ref() is not None for ref in built))
+            store = next(stores)  # builds the store's index
+            built.append(weakref.ref(store))
+            yield store
+            del store
+
+    monkeypatch.setattr(rcic.bench, "build_sample_stores", tracking_builds)
+    return passes, built, alive_at_build
+
+
 def test_run_on_graph_frees_each_store_before_the_next(monkeypatch):
-    built = []
-    alive_at_build = []
-
-    def tracking_build(*args, **kwargs):
-        gc.collect()
-        alive_at_build.append(sum(ref() is not None for ref in built))
-        store = build_sample_store(*args, **kwargs)
-        built.append(weakref.ref(store))
-        return store
-
-    monkeypatch.setattr(rcic.bench, "build_sample_store", tracking_build)
+    passes, built, alive_at_build = track_store_builds(monkeypatch)
     run_on_graph(small_graph(), base_config(algorithms=("topk",),
                                             sweep_axis="T",
                                             sweep_values=(2.0, 3.0, 4.0)))
+    assert passes == [1, 1, 1]
     assert len(built) == 3
     assert alive_at_build == [0, 0, 0]
+
+
+@pytest.mark.parametrize("values, epsilon, passes", [
+    ((2.0, 4.0, 6.0), None, [3]),  # nested sets: one pass for three points
+    ((6.0, 2.0, 4.0), None, [1, 2]),  # a shrinking set starts a new pass
+    # epsilon and delta derive X from |R|, so each point samples on its own
+    ((1.0, 6.0), 0.05, [1, 1]),
+], ids=["nested", "shrinking", "hoeffding"])
+def test_run_on_graph_samples_nested_rumor_sets_in_one_pass(monkeypatch, values,
+                                                            epsilon, passes):
+    sizes, built, alive_at_build = track_store_builds(monkeypatch)
+    run_on_graph(small_graph(), base_config(
+        algorithms=("topk",), sweep_axis="rumor_size", sweep_values=values,
+        epsilon=epsilon, delta=None if epsilon is None else 0.1))
+    assert sizes == passes
+    assert len(built) == len(values)
+    assert alive_at_build == [0] * len(values)
+
+
+def test_run_on_graph_rumor_sweep_matches_separate_stores():
+    g = small_graph()
+    rows = run_on_graph(g, base_config(algorithms=("greedy",),
+                                       sweep_axis="rumor_size",
+                                       sweep_values=(2.0, 4.0, 6.0)))
+    for row, size in zip(rows, (2, 4, 6)):
+        store = build_sample_store(g, generate_rumor_set(g, size, 1),
+                                   SampleConfig(T=3, X=50, seed=0))
+        report = run_solver("greedy", store, LogisticParams(3.0, 1.0), 3)
+        assert row.rumor_size == size
+        assert row.objective == report.objective
+        assert row.influenced_mass == store.index.influenced_mass
+        assert row.store_bytes == store.store_bytes
 
 
 def test_run_on_graph_integer_sweep_axis():
@@ -202,7 +247,7 @@ def test_run_on_graph_checks_every_sweep_point_before_sampling(monkeypatch,
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before every point was checked")
 
-    monkeypatch.setattr(rcic.bench, "build_sample_store", no_sampling)
+    monkeypatch.setattr(rcic.bench, "build_sample_stores", no_sampling)
     rows = []
     with pytest.raises(ValueError):
         run_on_graph(small_graph(), base_config(**overrides), rows=rows)

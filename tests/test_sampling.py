@@ -10,6 +10,7 @@ from rcic.sampling import (
     SampleConfig,
     WalkIndex,
     build_sample_store,
+    build_sample_stores,
     hoeffding_sample_size,
     sample_walk,
 )
@@ -414,6 +415,78 @@ def test_store_bytes_are_pinned(threads):
     assert store.candidates.size > 2 * _CHUNK_NODES
     assert store_digest(store) == (
         "06c12ff38589584c9334c738ea555cce8bb315ac38c88b9011dadfac3468dd7d")
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_nested_stores_equal_separate_builds(threads):
+    g = barabasi_albert_graph(400, 3, seed=11)
+    cfg = SampleConfig(T=5, X=40, seed=2)
+    rumors = [{0, 3, 5, 8}, {0, 3, 5, 8, 13, 40, 77}, set(range(0, 400, 9)) | {
+        0, 3, 5, 8, 13, 40, 77}]
+    stores = build_sample_stores(g, rumors, cfg, threads=threads)
+    for rumor, store in zip(rumors, stores):
+        alone = build_sample_store(g, rumor, cfg, threads=threads)
+        assert alone.candidates.size > 2 * _CHUNK_NODES
+        assert store.rumor_set == rumor
+        assert store_digest(store) == store_digest(alone)
+        assert store.index.hit_mass.tobytes() == alone.index.hit_mass.tobytes()
+    assert next(stores, None) is None
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_nested_stores_replay_scalar_walks(threads):
+    # starts in the larger sets are dropped; walks meet sinks before and after
+    # they first step into a larger set
+    g = sink_graph()
+    rumors = [{5, 17}, {5, 17, 42, 123, 250}, {5, 17, 42, 123, 250, 7, 90, 201}]
+    cfg = SampleConfig(T=6, X=5, seed=4)
+    for rumor, store in zip(rumors, build_sample_stores(g, rumors, cfg,
+                                                        threads=threads)):
+        assert store.candidates.size == g.n - len(rumor)
+        assert assert_store_replays_scalar_walks(g, rumor, cfg, store) > 0
+
+
+def test_nested_stores_cut_at_the_first_step_and_at_dead_ends():
+    # 1 -> 2 -> {0, 3}, 2 -> 0 hits R_1 at step 1, 1 -> 2 hits R_2 at step 1,
+    # and node 3 is a dead end
+    g = Graph([[1], [2], [0, 3], []], directed=True)
+    rumors = [{0}, {0, 2}]
+    cfg = SampleConfig(T=4, X=8, seed=21)
+    small, large = build_sample_stores(g, rumors, cfg)
+    for rumor, store in zip(rumors, (small, large)):
+        assert_store_replays_scalar_walks(g, rumor, cfg, store)
+    from_2 = [small.profile(2, i) for i in range(cfg.X)]
+    assert any(w.hit and w.prefix == {2} for w in from_2)  # 2 -> 0
+    assert not all(w.hit for w in from_2)  # 2 -> 3, a dead end
+    assert large.hit_flags.reshape(2, cfg.X)[0].all()  # every walk from 1
+    assert not large.hit_flags.reshape(2, cfg.X)[1].any()  # from dead end 3
+    assert large.profile(1, 0).prefix == {1}
+
+
+@pytest.mark.parametrize("rumors", [[], [{0, 1}, {0}], [{0}, {1}],
+                                    [{0}, {0, 1}, {1, 2}]],
+                         ids=["none", "shrinking", "disjoint", "not_nested"])
+def test_build_sample_stores_rejects_sets_that_do_not_grow_nested(rumors):
+    g = barabasi_albert_graph(20, 2, seed=1)
+    with pytest.raises(ValueError):
+        build_sample_stores(g, rumors, SampleConfig(T=2, X=5))
+
+
+@pytest.mark.parametrize("case", ["sampled", "exact"])
+def test_hit_mass_is_one_bincount(monkeypatch, case):
+    # summed a block at a time, in the order one bincount over every entry adds
+    if case == "sampled":
+        store = build_sample_store(barabasi_albert_graph(120, 3, seed=4),
+                                   {0, 1, 2}, SampleConfig(T=4, X=25, seed=6))
+    else:  # realization probabilities: sums that depend on their order
+        store = ExactStore(gnp_graph(8, 0.5, seed=2), {3}, T=4)
+    index = store.index
+    monkeypatch.setattr(rcic.sampling, "_BLOCK_ENTRIES", 16)
+    assert len(index._walk_blocks()) > 4
+    oracle = np.bincount(index.walk_cands, np.repeat(
+        index.walk_weights, np.diff(index.walk_indptr)), index.n_candidates)
+    assert index.hit_mass.dtype == oracle.dtype
+    assert index.hit_mass.tobytes() == oracle.tobytes()
 
 
 def test_profile_accessors():
