@@ -4,13 +4,14 @@ One experiment = one graph, one rumor protocol, one or more algorithms, and
 optionally one sweep axis.  Rumor sets are drawn uniformly from the top
 degree decile; the same rumor seed yields nested sets across sizes (a prefix
 of one permutation), so growing |R| never swaps the rumor population.
-Every sweep point's settings are checked before the first sampling pass.
-Sample stores are reused across sweep points whenever the rumor set, T, X
-and seed are unchanged (k and rho sweeps amortize one sampling pass), and
-consecutive points that share T, X and seed and whose rumor sets grow
-nested (an |R| sweep with one rumor seed) share one walk pass
-(`build_sample_stores`).  Each point's store and index are built when the
-point runs, and dropped before the next point's are built.
+Every sweep point's settings are checked, and its rumor set drawn, before
+the first sampling pass.  Sample stores are reused across sweep points
+whenever the rumor set and the `SampleConfig` (T, X, seed) are unchanged (k
+and rho sweeps amortize one sampling pass), and consecutive points that
+share a `SampleConfig` and whose rumor sets grow nested (an |R| sweep with
+one rumor seed) share one walk pass (`build_sample_stores`).  Each point's
+store and index are built when the point runs, and dropped before the next
+point's are built.
 With epsilon and delta, X is derived from the sampling bound, so X cannot
 also be swept.  A row's chosen_set holds the edge-list file's node ids
 (`Graph.original_ids`), also on a scalability slice.
@@ -227,28 +228,21 @@ def run_on_graph(g: Graph, config: ExperimentConfig, fraction: float = 1.0,
     row and propagates."""
     rows = [] if rows is None else rows
     points = []
-    max_rumor = len(top_decile_nodes(g))
     for axis, value in _sweep_points(config):
         cfg = config if axis is None else _apply_sweep(config, axis, value)
-        SampleConfig(T=cfg.T, X=cfg.X, seed=cfg.seed)  # checks T and X
-        # a point whose rumor set cannot be drawn fails when it is reached
-        key = None
-        if 1 <= cfg.rumor_size <= max_rumor:
-            _check_k(cfg.k, g.n - cfg.rumor_size)
-            rumor = generate_rumor_set(g, cfg.rumor_size, cfg.rumor_seed)
-            key = (rumor, cfg.T, _resolve_x(cfg, g.n - len(rumor)), cfg.seed)
-        points.append((axis, value, cfg, key, LogisticParams(cfg.alpha, cfg.beta),
+        rumor = generate_rumor_set(g, cfg.rumor_size, cfg.rumor_seed)
+        n_candidates = g.n - len(rumor)
+        _check_k(cfg.k, n_candidates)
+        sample = SampleConfig(T=cfg.T, X=_resolve_x(cfg, n_candidates),
+                              seed=cfg.seed)
+        points.append((axis, value, cfg, (rumor, sample),
+                       LogisticParams(cfg.alpha, cfg.beta),
                        SolverLimits(node_expansion_cap=cfg.node_cap,
                                     wall_time_cap=cfg.time_cap)))
     for run in _sampling_runs(points):
-        _, _, first, first_key, _, _ = run[0]
-        if first_key is None:
-            generate_rumor_set(g, first.rumor_size, first.rumor_seed)  # raises
         keys = list(dict.fromkeys(point[3] for point in run))
-        stores = build_sample_stores(
-            g, [rumor for rumor, _, _, _ in keys],
-            SampleConfig(T=first.T, X=first_key[2], seed=first.seed),
-            threads=first.threads)
+        stores = build_sample_stores(g, [rumor for rumor, _ in keys], keys[0][1],
+                                     threads=config.threads)
         key = None
         for axis, value, cfg, point_key, params, limits in run:
             if point_key != key:
@@ -271,16 +265,14 @@ def run_on_graph(g: Graph, config: ExperimentConfig, fraction: float = 1.0,
 
 def _sampling_runs(points):
     """Split the sweep points into runs that one walk pass serves: consecutive
-    points whose store keys (rumor set, T, X, seed) share T, X and seed and
-    whose rumor sets each contain the one before.  Points with equal keys
-    share a store.  A point without a key (its rumor set cannot be drawn)
-    runs alone."""
+    points whose store keys (rumor set, SampleConfig) have equal SampleConfigs
+    and whose rumor sets each contain the one before.  Points with equal keys
+    share a store."""
     runs = []
     for point in points:
-        key = point[3]
-        last = runs[-1][-1][3] if runs else None
-        if (last is not None and key is not None and key[1:] == last[1:]
-                and last[0] <= key[0]):
+        rumor, sample = point[3]
+        last_rumor, last_sample = runs[-1][-1][3] if runs else (None, None)
+        if sample == last_sample and last_rumor <= rumor:
             runs[-1].append(point)
         else:
             runs.append([point])

@@ -23,6 +23,7 @@ import numpy as np
 from .blocking import LogisticParams, estimate_envelope_objective
 from .graph import Graph
 from .sampling import WalkIndex, _candidate_positions
+from .synth import gnp_graph
 
 _ENUMERATION_LIMIT = 10_000_000
 _COMBINATION_LIMIT = 1_000_000
@@ -201,13 +202,7 @@ def _random_instance(rng: np.random.Generator) -> tuple[Graph, frozenset[int], i
     """Small random graph with a random rumor set and walk bound, for probes."""
     n = int(rng.integers(3, 9))
     p = float(rng.uniform(0.3, 0.8))
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                adj[i].append(j)
-                adj[j].append(i)
-    g = Graph(adj, directed=False)
+    g = gnp_graph(n, p, seed=rng)
     r_size = int(rng.integers(1, 3))
     rumor = frozenset(int(x) for x in rng.choice(n, size=r_size, replace=False))
     T = int(rng.integers(1, 4))
@@ -284,12 +279,13 @@ def check_envelope_dominance(params: LogisticParams, trials: int,
         P = anchor | _random_subset(rng, sorted(set(cands) - anchor), extra)
 
         env_at_anchor = estimate_envelope_objective(store, params, anchor, anchor)
-        exact_at_anchor = exact_objective(g, params, rumor, anchor, T)
+        exact_at_anchor = exact_objective(g, params, rumor, anchor, T,
+                                          store.realizations)
         if abs(env_at_anchor - exact_at_anchor) > 1e-12:
             return DominanceCounterexample(g, rumor, T, anchor, anchor,
                                            env_at_anchor, exact_at_anchor)
         env = estimate_envelope_objective(store, params, anchor, P)
-        exact = exact_objective(g, params, rumor, P, T)
+        exact = exact_objective(g, params, rumor, P, T, store.realizations)
         if env < exact - 1e-9:
             return DominanceCounterexample(g, rumor, T, anchor, P, env, exact)
     return None

@@ -241,7 +241,7 @@ def pro_sam_compute_bound(store, params: LogisticParams, anchor_set, k: int,
     init_gains = np.where(state.addable, state.gains, -np.inf)
     state.gain_evals += int(state.addable.sum())
     order = np.argsort(-init_gains, kind="stable")
-    top_gains = float(init_gains[order[:needed]].sum())
+    top_gains = state.top_gains(needed)
     h = float(init_gains[order[0]])
     floor = max(1e-12, h * 1e-9)
     added = 0

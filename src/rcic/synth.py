@@ -38,8 +38,9 @@ def barabasi_albert_graph(n: int, m_attach: int, seed: int = 0) -> Graph:
     return Graph([sorted(s) for s in adj], directed=False)
 
 
-def gnp_graph(n: int, p: float, seed: int = 0) -> Graph:
-    """Erdos-Renyi G(n, p), undirected, no self-loops."""
+def gnp_graph(n: int, p: float, seed: int | np.random.Generator = 0) -> Graph:
+    """Erdos-Renyi G(n, p), undirected, no self-loops.  `seed` may also be a
+    `np.random.Generator`, which then advances by one double per node pair."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0 <= p <= 1:

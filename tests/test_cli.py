@@ -96,16 +96,15 @@ def test_run_reports_rows_computed_before_a_solver_error(graph_file, tmp_path,
         assert rows[1].status == "error: ValueError: solver failed"
 
 
-def test_out_holds_the_rows_computed_before_a_rumor_set_error(graph_file,
-                                                             tmp_path, capsys):
-    # the second sweep point's rumor set cannot be drawn: no solver runs
+def test_infeasible_rumor_size_at_a_later_sweep_point_writes_no_report(
+        graph_file, tmp_path, capsys):
+    # the second sweep point's rumor set cannot be drawn: nothing is sampled
     out = tmp_path / "report.csv"
     assert main(["run", "--graph", graph_file, "--algo", "topk", "--k", "2",
                  "--rumor-size", "4", "-T", "2", "--samples", "20",
                  "--sweep", "rumor_size=4,500", "--out", str(out)]) == 1
     assert "infeasible" in capsys.readouterr().err
-    assert [(r.rumor_size, r.status) for r in read_rows(out.open())] == \
-        [(4, "ok")]
+    assert not out.exists()
 
 
 def test_thread_count_below_one_is_an_error(graph_file, capsys):

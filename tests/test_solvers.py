@@ -280,6 +280,25 @@ def test_pro_bound_matches_sam_at_k1():
         assert pro.lower == pytest.approx(sam.lower, abs=1e-12)
 
 
+def test_pro_and_sam_bounds_are_one_quantity():
+    # both sum the same k - |anchor| largest initial gains: equal bit for bit
+    rng = np.random.default_rng(5)
+    stores = [s for _, s in tiny_instances()] + list(sampled_ba_stores())
+    for store, params in itertools.product(stores, (P31, LogisticParams(7.0, 3.0))):
+        cands = [int(v) for v in store.index.candidates]
+        for _ in range(8):
+            k = int(rng.integers(1, min(len(cands), 12) + 1))
+            picks = [cands[i] for i in rng.permutation(len(cands))]
+            n_anchor = int(rng.integers(0, k + 1))
+            n_excluded = int(rng.integers(0, len(cands) - k + 1))
+            anchor = frozenset(picks[:n_anchor])
+            excluded = frozenset(picks[n_anchor:n_anchor + n_excluded])
+            sam = sam_compute_bound(store, params, anchor, k, excluded=excluded)
+            pro = pro_sam_compute_bound(store, params, anchor, k, rho=0.1,
+                                        excluded=excluded)
+            assert pro.upper == sam.upper
+
+
 def test_pro_bound_outputs_valid_completion():
     for _, store in tiny_instances():
         pro = pro_sam_compute_bound(store, P31, frozenset(), k=3, rho=0.5)
