@@ -91,7 +91,8 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--time-cap", type=float, dest="time_cap",
                    help="branch-and-bound wall-time cap in seconds")
     p.add_argument("--seed", type=int, help="walk sampling seed")
-    p.add_argument("--threads", type=int, help="sampling worker cap")
+    p.add_argument("--threads", type=int,
+                   help="worker threads for the walk pass and the index placement")
     p.add_argument("--out", help="report path; stdout when omitted")
     p.add_argument("--format", choices=("csv", "json"))
 

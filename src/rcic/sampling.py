@@ -13,7 +13,10 @@ percentage, so only their prefixes are kept, and only once, as the index's
 forward CSR.  A miss's prefix is taken to be its start node, which follows
 from the walk number.  Stores built from the same graph, rumor set and seed
 are bit-identical regardless of thread count: each start node draws from its
-own seed substream.
+own seed substream, `SeedSequence(entropy=seed, spawn_key=(u,))`'s PCG64.
+Every start's PCG64 state is computed up front in one vectorized pass
+(`_pcg64_states`); each worker thread then sets it on its one reused
+generator.
 
 Walks are simulated a chunk of start nodes at a time, every walk of the
 chunk in lockstep, on a copy of the graph with two absorbing sinks: HIT
@@ -37,13 +40,16 @@ The inverted index is placed one block of whole hit walks at a time: each
 block's entries are ordered by a stable radix order over 16-bit digits
 (`_stable_order`) and written behind the entries of earlier blocks, which
 gives the permutation of one stable sort over every entry while no scratch
-array spans more than a block.  `hit_mass` is summed over the same blocks.
+array spans more than a block.  Blocks fill disjoint slots, so they are
+placed on the build's worker threads.  `hit_mass` is summed over the same
+blocks.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -71,6 +77,8 @@ class SampleConfig:
             raise ValueError(f"walk length threshold must be >= 1, got {self.T}")
         if self.X < 1:
             raise ValueError(f"walks per node must be >= 1, got {self.X}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -138,8 +146,8 @@ class WalkIndex:
     ids: `hit_prefix_cands` is kept as `walk_cands` (int32, without a copy
     when it already is int32), and an entry outside [0, n_candidates) raises
     `ValueError`.  The inverted CSR is placed a block of about
-    `_BLOCK_ENTRIES` entries of whole walks at a time, so the build needs no
-    scratch array that spans every entry.
+    `_BLOCK_ENTRIES` entries of whole walks at a time, on `threads` worker
+    threads, so the build needs no scratch array that spans every entry.
 
     Attributes:
         candidates: sorted array of non-rumor node ids.
@@ -155,7 +163,7 @@ class WalkIndex:
     """
 
     def __init__(self, n_nodes, rumor_set, hit_prefix_indptr, hit_prefix_cands,
-                 walk_weights):
+                 walk_weights, threads: int = 1):
         self.n_nodes = int(n_nodes)
         self.candidates, cand_pos = _candidate_positions(self.n_nodes, rumor_set)
         if self.candidates.size == 0:
@@ -176,7 +184,10 @@ class WalkIndex:
         # behind its candidate's entries from earlier blocks (`filled`), at its
         # rank among the block's entries of that candidate.  Blocks run in walk
         # order, so this is one global stable sort's permutation.  (A bincount
-        # over every entry would convert all of them to int64.)
+        # over every entry would convert all of them to int64.)  Blocks write
+        # disjoint slots, so the second pass places them on `threads` worker
+        # threads; this thread computes each block's slot base, at most
+        # `threads` blocks ahead of the placed ones.
         blocks = self._walk_blocks()
 
         def keys_of(w0, w1):
@@ -188,21 +199,29 @@ class WalkIndex:
         self.indptr = np.concatenate(
             [np.zeros(1, dtype=np.int64), np.cumsum(per_cand, dtype=np.int64)])
         self.walk_ids = np.empty(self.walk_cands.size, dtype=np.int32)
-        filled = self.indptr[:-1].copy()
-        self.max_count = 0
-        for w0, w1 in blocks:
+
+        def place(job):
+            """Write one block's walk ids; return its longest prefix."""
+            w0, w1, base = job
             lengths = np.diff(self.walk_indptr[w0:w1 + 1])
-            self.max_count = max(self.max_count, int(lengths.max()))
             keys = keys_of(w0, w1)
             order = _stable_order(keys)
-            counts = np.bincount(keys, minlength=n_cand)
-            # slot of the block's i-th entry in key order: its candidate's
-            # first free slot plus i minus the block's entries of smaller keys
-            base = filled - (np.cumsum(counts) - counts)
             slots = base[keys[order]] + np.arange(order.size)
             self.walk_ids[slots] = np.repeat(
                 np.arange(w0, w1, dtype=np.int32), lengths)[order]
-            filled += counts
+            return int(lengths.max())
+
+        def jobs():
+            filled = self.indptr[:-1].copy()
+            for w0, w1 in blocks:
+                counts = np.bincount(keys_of(w0, w1), minlength=n_cand)
+                # slot of the block's i-th entry in key order: its candidate's
+                # first free slot plus i minus the block's entries of smaller
+                # keys
+                yield w0, w1, filled - (np.cumsum(counts) - counts)
+                filled += counts
+
+        self.max_count = max(_thread_map(place, jobs(), threads), default=0)
         self.influenced_mass = float(self.walk_weights.sum())
 
     def _walk_blocks(self):
@@ -271,14 +290,15 @@ class SampleStore:
 
     def __init__(self, config: SampleConfig, n_nodes: int, rumor_set,
                  hit_flags: np.ndarray, hit_indptr: np.ndarray,
-                 hit_cands: np.ndarray):
+                 hit_cands: np.ndarray, threads: int = 1):
         self.config = config
         self.n_nodes = int(n_nodes)
         self.rumor_set = frozenset(int(r) for r in rumor_set)
         self.hit_flags = hit_flags
 
         weights = np.full(hit_indptr.size - 1, 1.0 / config.X, dtype=np.float64)
-        self.index = WalkIndex(n_nodes, self.rumor_set, hit_indptr, hit_cands, weights)
+        self.index = WalkIndex(n_nodes, self.rumor_set, hit_indptr, hit_cands,
+                               weights, threads)
         self.store_bytes = sum(
             a.nbytes for obj in (self, self.index) for a in vars(obj).values()
             if isinstance(a, np.ndarray))
@@ -375,7 +395,7 @@ def _yield_stores(g: Graph, rumors, cfg: SampleConfig, threads: int):
     pending = _sample_hit_rows(g, rumors, cfg, threads)
     for rumor in rumors:
         # no local keeps the yielded store, so a dropped store is freed
-        yield SampleStore(cfg, g.n, rumor, *pending.pop(0))
+        yield SampleStore(cfg, g.n, rumor, *pending.pop(0), threads=threads)
 
 
 def _sample_hit_rows(g: Graph, rumors, cfg: SampleConfig, threads: int):
@@ -413,11 +433,15 @@ def _sample_hit_rows(g: Graph, rumors, cfg: SampleConfig, threads: int):
         inside[hit_node] = True
         cuts.append((inside, _candidate_positions(n, rumor)[1]))
     candidates, first_pos = _candidate_positions(n, rumors[0])
+    states, incs = _pcg64_states(cfg.seed, candidates)
     scratch = threading.local()
 
-    def run_chunk(starts):
+    def run_chunk(chunk):
+        starts = candidates[chunk]
         W = starts.size * X
         if not hasattr(scratch, "seq"):  # this worker's first chunk
+            scratch.bits = np.random.PCG64(0)
+            scratch.rng = np.random.Generator(scratch.bits)
             width = _CHUNK_NODES * X
             scratch.seq = np.empty((T + 1) * width, dtype=np.int64)
             scratch.uniforms = np.empty(T * width, dtype=np.float64)
@@ -431,8 +455,11 @@ def _sample_hit_rows(g: Graph, rumors, cfg: SampleConfig, threads: int):
         scaled, offset, choice = (scratch.scaled[:W], scratch.offset[:W],
                                   scratch.choice[:W])
         # walk (u, i) reads row i of start u's (X, T) block, one value a step
-        for j, u in enumerate(starts):
-            _node_rng(cfg.seed, int(u)).random(out=scratch.block)
+        for j, (state, inc) in enumerate(zip(states[chunk], incs[chunk])):
+            scratch.bits.state = {"bit_generator": "PCG64",
+                                  "state": {"state": state, "inc": inc},
+                                  "has_uint32": 0, "uinteger": 0}
+            scratch.rng.random(out=scratch.block)
             uniforms[:, j * X:(j + 1) * X] = scratch.block.T
         seq[0] = np.repeat(starts, X)
         # mode="clip" keeps `take` from buffering its output; every index is
@@ -461,13 +488,9 @@ def _sample_hit_rows(g: Graph, rumors, cfg: SampleConfig, threads: int):
             rows.append((hit[kept], *_hit_prefixes(steps, hit_node, cand_pos)))
         return rows
 
-    chunks = [candidates[i:i + _CHUNK_NODES]
+    chunks = [slice(i, i + _CHUNK_NODES)
               for i in range(0, candidates.size, _CHUNK_NODES)]
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_chunk, chunks))
-    else:
-        results = [run_chunk(c) for c in chunks]
+    results = _thread_map(run_chunk, chunks, threads)
     del scratch  # frees this thread's buffers before the rows are joined
 
     per_set = []
@@ -483,8 +506,93 @@ def _sample_hit_rows(g: Graph, rumors, cfg: SampleConfig, threads: int):
     return per_set
 
 
-def _node_rng(seed: int, u: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(u,)))
+def _thread_map(fn, items, threads: int) -> list:
+    """`[fn(x) for x in items]`, on `threads` worker threads when there are
+    more than one.  Items are drawn from `items` at most `threads` ahead of
+    the results, so a generator of large items has a bounded number live."""
+    if threads == 1:
+        return [fn(x) for x in items]
+    results, running = [], deque()
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for x in items:
+            running.append(pool.submit(fn, x))
+            if len(running) > threads:
+                results.append(running.popleft().result())
+        results.extend(f.result() for f in running)
+    return results
+
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
+# PCG64's 128-bit LCG multiplier
+_MASK32 = (1 << 32) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_words(seed: int, starts) -> np.ndarray:
+    """Per start u, `SeedSequence(entropy=seed, spawn_key=(u,))
+    .generate_state(4, np.uint64)`: a (len(starts), 4) uint64 array.
+
+    numpy's algorithm on uint32 words: the seed's little-endian words, padded
+    with zeros to at least the 4-word pool, then u.  u is mixed in last, so
+    every round before it runs once, on one-element arrays, and only u's
+    round and the output hash run over all starts.  `seed` must be
+    non-negative and `starts` in [0, 2**32).
+    """
+    entropy = []
+    while True:
+        entropy.append(np.array([seed & _MASK32], dtype=np.uint32))
+        seed >>= 32
+        if not seed:
+            break
+    entropy += [np.zeros(1, dtype=np.uint32)] * (4 - len(entropy))
+    entropy.append(np.asarray(starts).astype(np.uint32))
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return value ^ value >> 16
+
+    pool = [hashmix(word) for word in entropy[:4]]
+    for i_src in range(4):
+        for i_dst in range(4):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[4:]:
+        for i_dst in range(4):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+
+    const = _INIT_B
+    out = np.empty((entropy[-1].size, 8), dtype=np.uint32)
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const
+        out[:, i] = value ^ value >> 16
+    return out.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _pcg64_states(seed: int, starts):
+    """Per start u, the (state, inc) of `PCG64(SeedSequence(entropy=seed,
+    spawn_key=(u,)))`, as two object arrays of Python ints.
+
+    PCG64 seeds from the words (s0, s1, q0, q1): inc = 2 (q0 q1) + 1, one LCG
+    step from state 0, add (s0 s1), one more step.
+    """
+    words = _seed_words(seed, starts).astype(object)
+    mask = (1 << 128) - 1
+    inc = (words[:, 2] << 65 | words[:, 3] << 1 | 1) & mask
+    state = ((inc + (words[:, 0] << 64 | words[:, 1])) * _PCG64_MULT + inc) & mask
+    return state, inc
 
 
 def _candidate_positions(n_nodes: int, rumor_set):

@@ -114,6 +114,13 @@ def test_thread_count_below_one_is_an_error(graph_file, capsys):
     assert "threads" in capsys.readouterr().err
 
 
+def test_negative_seed_is_an_error(graph_file, tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    assert main(run_flags(graph_file, str(out)) + ["--seed", "-1"]) == 1
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_thread_count_does_not_change_results(graph_file, tmp_path):
     out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(run_flags(graph_file, str(out_a)) + ["--threads", "1"]) == 0

@@ -1,4 +1,5 @@
 import hashlib
+import sys
 import tracemalloc
 
 import numpy as np
@@ -14,9 +15,14 @@ from rcic.sampling import (
     hoeffding_sample_size,
     sample_walk,
 )
-from rcic.sampling import _CHUNK_NODES, _node_rng, _stable_order
+from rcic.sampling import _CHUNK_NODES, _pcg64_states, _seed_words, _stable_order
 from rcic.exact import ExactStore, exact_hit_probabilities
 from rcic.synth import barabasi_albert_graph, gnp_graph
+
+
+def _node_rng(seed: int, u: int) -> np.random.Generator:
+    """Start u's substream as numpy builds it; the oracle for `_pcg64_states`."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(u,)))
 
 
 def path3():
@@ -44,6 +50,34 @@ def test_sample_config_validation():
         SampleConfig(T=0, X=10)
     with pytest.raises(ValueError):
         SampleConfig(T=3, X=0)
+    with pytest.raises(ValueError, match="seed"):
+        SampleConfig(T=1, X=1, seed=-1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**64 + 3,
+                                  2**130 + 7])
+def test_substream_states_match_seed_sequence(seed):
+    # seeds of 2**32 and above are several entropy words, 2**130 + 7 more
+    # than the 4-word pool holds
+    n = 8846
+    starts = np.arange(n, dtype=np.int64)
+    words = _seed_words(seed, starts)
+    states, incs = _pcg64_states(seed, starts)
+    assert words.shape == (n, 4) and words.dtype == np.uint64
+    bits = np.random.PCG64(0)
+    rng = np.random.Generator(bits)
+    X, T = 7, 3
+    for u in (0, 1, 127, 128, 4000, n - 1):
+        seq = np.random.SeedSequence(entropy=seed, spawn_key=(u,))
+        assert np.array_equal(words[u], seq.generate_state(4, np.uint64))
+        expected = np.random.PCG64(seq).state["state"]
+        assert (states[u], incs[u]) == (expected["state"], expected["inc"])
+        bits.state = {"bit_generator": "PCG64",
+                      "state": {"state": states[u], "inc": incs[u]},
+                      "has_uint32": 0, "uinteger": 0}
+        block = np.empty((X, T))
+        rng.random(out=block)
+        assert block.tobytes() == _node_rng(seed, u).random((X, T)).tobytes()
 
 
 def test_hoeffding_sample_size_values():
@@ -405,20 +439,47 @@ def store_digest(store) -> str:
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_store_bytes_are_pinned(threads):
-    # every byte of the store and index arrays, as the one-stable-sort index
-    # build and the node-id kernel output made them
+PINNED_DIGEST = "06c12ff38589584c9334c738ea555cce8bb315ac38c88b9011dadfac3468dd7d"
+
+
+def pinned_store(threads):
     store = build_sample_store(barabasi_albert_graph(400, 3, seed=11),
                                {0, 3, 5, 8}, SampleConfig(T=5, X=40, seed=2),
                                threads=threads)
     assert store.candidates.size > 2 * _CHUNK_NODES
-    assert store_digest(store) == (
-        "06c12ff38589584c9334c738ea555cce8bb315ac38c88b9011dadfac3468dd7d")
+    return store
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_store_bytes_are_pinned(threads):
+    # every byte of the store and index arrays, as the one-stable-sort index
+    # build and the node-id kernel output made them
+    assert store_digest(pinned_store(threads)) == PINNED_DIGEST
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_nested_stores_equal_separate_builds(threads):
+    assert_nested_stores_equal_separate_builds(threads)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_multi_block_placement_keeps_the_pinned_bytes(monkeypatch, threads):
+    # about 90 blocks, placed on `threads` workers, more of them than a small
+    # machine's cores, switched between often
+    monkeypatch.setattr(rcic.sampling, "_BLOCK_ENTRIES", 97)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        store = pinned_store(threads)
+        assert len(store.index._walk_blocks()) > 50
+        assert store_digest(store) == PINNED_DIGEST
+        assert store.index.max_count == 5
+        assert_nested_stores_equal_separate_builds(threads)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def assert_nested_stores_equal_separate_builds(threads):
     g = barabasi_albert_graph(400, 3, seed=11)
     cfg = SampleConfig(T=5, X=40, seed=2)
     rumors = [{0, 3, 5, 8}, {0, 3, 5, 8, 13, 40, 77}, set(range(0, 400, 9)) | {
