@@ -42,7 +42,8 @@ from .graph import Graph, bfs_subgraph, load_edge_list, top_decile_nodes
 # build_sample_store stays importable from here: perfbench's tracer wraps it
 from .sampling import (SampleConfig, SampleStore, build_sample_store,  # noqa: F401
                        build_sample_stores, hoeffding_sample_size)
-from .solvers import SolveReport, SolverLimits, _check_k, run_solver
+from .solvers import (SolveReport, SolverLimits, _check_k, _check_rho,
+                      run_solver)
 
 ALGORITHMS = ("topk", "greedy", "bab", "probab")
 SWEEP_AXES = ("k", "rumor_size", "T", "X", "rho", "alpha", "beta")
@@ -233,6 +234,7 @@ def run_on_graph(g: Graph, config: ExperimentConfig, fraction: float = 1.0,
         rumor = generate_rumor_set(g, cfg.rumor_size, cfg.rumor_seed)
         n_candidates = g.n - len(rumor)
         _check_k(cfg.k, n_candidates)
+        _check_rho(cfg.rho)
         sample = SampleConfig(T=cfg.T, X=_resolve_x(cfg, n_candidates),
                               seed=cfg.seed)
         points.append((axis, value, cfg, (rumor, sample),

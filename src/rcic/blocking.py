@@ -37,9 +37,10 @@ class LogisticParams:
     beta: float
 
     def __post_init__(self):
-        if self.alpha <= 0:
+        # `not > 0` also rejects NaN, under which every block value is NaN
+        if not self.alpha > 0:
             raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if self.beta <= 0:
+        if not self.beta > 0:
             raise ValueError(f"beta must be > 0, got {self.beta}")
 
     @property

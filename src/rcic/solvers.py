@@ -9,10 +9,14 @@ the true objective is not submodular, so cached gains can go stale upward.
 Greedy uses true logistic gains.  The bound estimators greedily maximize the
 anchored envelope, the least concave majorant of the logistic at integer
 counts above each walk's anchor count (`EnvelopeTable.env`), which is
-monotone and submodular.  Each returns its completed set's true value L and
-one subtree bound B: the anchor's true value plus the k - |P'| largest
-initial envelope gains over the pool.  Branch and bound orders its heap and
-prunes on B alone.
+monotone and submodular.  Both run one shared step, `_bound_step`.  It
+computes one subtree bound B, the anchor's true value plus the k - |P'|
+largest initial envelope gains over the pool, and the branch node, the
+first addable candidate of largest initial gain.  Only then does it call
+the estimator's completion (greedy for SAM, threshold sweeps for PRO),
+whose true value is L.  So bab and probab search one tree: branch and bound
+orders its heap and prunes on B alone and splits on the branch node; the
+completion only proposes incumbents.
 
 B is sound: the subtree's true optimum is at most its envelope optimum, which
 is at most B by the data-dependent bound for monotone submodular functions
@@ -46,7 +50,8 @@ class SolverLimits:
     def __post_init__(self):
         if self.node_expansion_cap is not None and self.node_expansion_cap < 0:
             raise ValueError("node_expansion_cap must be >= 0")
-        if self.wall_time_cap is not None and self.wall_time_cap <= 0:
+        # `not > 0` also rejects NaN, which no elapsed time ever exceeds
+        if self.wall_time_cap is not None and not self.wall_time_cap > 0:
             raise ValueError("wall_time_cap must be positive")
 
 
@@ -54,7 +59,8 @@ class SolverLimits:
 class BoundResult:
     """A bound estimator's completed k-set with its true value L, the subtree
     bound B on every k-set that keeps the anchor and avoids the excluded
-    nodes, and first_added, the branch node for the driver."""
+    nodes, and first_added, the branch node for the driver (None when the
+    anchor already holds k nodes)."""
 
     completed_set: frozenset[int]
     lower: float
@@ -82,6 +88,11 @@ class SolveReport:
 def _check_k(k: int, n_candidates: int) -> None:
     if not 1 <= k <= n_candidates:
         raise ValueError(f"k={k} infeasible with {n_candidates} candidates")
+
+
+def _check_rho(rho: float) -> None:
+    if not rho > 0:  # also rejects NaN, under which no threshold sweep runs
+        raise ValueError(f"rho must be > 0, got {rho}")
 
 
 def _report(algo: str, store, params, chosen, t0: float, **counters) -> SolveReport:
@@ -139,7 +150,6 @@ class _GainState:
             self.addable[index.position(v)] = False
         if len(self.anchor) + int(self.addable.sum()) < k:
             raise ValueError("anchor plus remaining pool cannot reach k nodes")
-        self.first_added: int | None = None
         self.gain_evals = 0
         self.refresh_gains()
 
@@ -169,8 +179,6 @@ class _GainState:
         self.in_set[pos] = True
         self.addable[pos] = False
         self.counts[self.index.walks_of(pos)] += 1
-        if self.first_added is None:
-            self.first_added = int(self.index.candidates[pos])
 
     def greedy_steps(self, rounds: int) -> None:
         """Add the best addable candidate `rounds` times, keeping `gains` exact."""
@@ -191,38 +199,41 @@ class _GainState:
         pool = self.gains[self.addable]
         return float(np.partition(pool, pool.size - m)[pool.size - m:].sum())
 
-    def result(self, table: EnvelopeTable, top_gains: float) -> BoundResult:
-        """The completion's true value and the subtree bound: the anchor's
-        true value (the envelope meets f at its anchor) plus top_gains."""
-        chosen = frozenset(int(v) for v in self.index.candidates[self.in_set])
-        weights = self.index.walk_weights
-        lower = float(np.dot(weights, table.f_table[self.counts]))
-        upper = float(np.dot(weights, table.f_table[self.anchor_counts])) + top_gains
-        return BoundResult(chosen, lower, upper, self.first_added, self.gain_evals)
+
+def _bound_step(store, params: LogisticParams, anchor_set, k: int, excluded,
+                complete) -> BoundResult:
+    """One bound call, whichever the estimator: B (the anchor's true value,
+    where the envelope meets f, plus the k - |anchor| largest initial gains),
+    the branch node (the first addable candidate of largest initial gain), and
+    L, the true value of the set `complete(state, needed)` fills to k nodes."""
+    index = store.index
+    table = EnvelopeTable(params, index.max_count)
+    state = _GainState(index, table.env_gain, anchor_set, k, excluded)
+    needed = k - len(state.anchor)
+    upper = (float(np.dot(index.walk_weights, table.f_table[state.anchor_counts]))
+             + state.top_gains(needed))
+    branch_node = None
+    if needed:
+        pos = int(np.argmax(np.where(state.addable, state.gains, -np.inf)))
+        branch_node = int(index.candidates[pos])
+        complete(state, needed)
+    chosen = frozenset(int(v) for v in index.candidates[state.in_set])
+    lower = float(np.dot(index.walk_weights, table.f_table[state.counts]))
+    return BoundResult(chosen, lower, upper, branch_node, state.gain_evals)
 
 
 def sam_compute_bound(store, params: LogisticParams, anchor_set, k: int,
                       excluded=frozenset()) -> BoundResult:
-    """Greedy envelope completion of the anchor to k nodes.
-
-    Nodes are added from the pool V', the candidates minus the anchor and
-    the excluded nodes.  Returns the completed set with L = its true value
-    and the subtree bound B, taken from the initial gains.
-    """
-    table = EnvelopeTable(params, store.index.max_count)
-    state = _GainState(store.index, table.env_gain, anchor_set, k, excluded)
-    needed = k - len(state.anchor)
-    top_gains = state.top_gains(needed)
-    state.greedy_steps(needed)
-    return state.result(table, top_gains)
+    """Greedy envelope completion of the anchor to k nodes from the pool V',
+    the candidates minus the anchor and the excluded nodes (`_bound_step`)."""
+    return _bound_step(store, params, anchor_set, k, excluded,
+                       _GainState.greedy_steps)
 
 
-def pro_sam_compute_bound(store, params: LogisticParams, anchor_set, k: int,
-                          rho: float, excluded=frozenset()) -> BoundResult:
-    """Threshold-relaxed envelope completion: one initial gain scan of the
-    pool V' (the candidates minus the anchor and the excluded nodes), then
-    sweeps that accept any node whose current gain clears a threshold h,
-    lowering h by (1+rho) between sweeps.
+def _threshold_sweeps(state: _GainState, needed: int, rho: float) -> None:
+    """PRO's completion: one initial gain scan of the pool, then sweeps that
+    accept any node whose current gain clears a threshold h, lowering h by
+    (1+rho) between sweeps.
 
     Sweeps stop early at the first node whose initial gain is below h, which
     is safe because anchored envelope gains only shrink.  The first node
@@ -230,18 +241,9 @@ def pro_sam_compute_bound(store, params: LogisticParams, anchor_set, k: int,
     current gain until the first add.  If h underflows its floor with slots
     still open, a plain greedy pass fills them.
     """
-    if rho <= 0:
-        raise ValueError(f"rho must be > 0, got {rho}")
-    table = EnvelopeTable(params, store.index.max_count)
-    state = _GainState(store.index, table.env_gain, anchor_set, k, excluded)
-    needed = k - len(state.anchor)
-    if needed == 0:
-        return state.result(table, 0.0)
-
     init_gains = np.where(state.addable, state.gains, -np.inf)
     state.gain_evals += int(state.addable.sum())
     order = np.argsort(-init_gains, kind="stable")
-    top_gains = state.top_gains(needed)
     h = float(init_gains[order[0]])
     floor = max(1e-12, h * 1e-9)
     added = 0
@@ -265,7 +267,15 @@ def pro_sam_compute_bound(store, params: LogisticParams, anchor_set, k: int,
         # the threshold adds above did not scatter their gain changes
         state.refresh_gains()
         state.greedy_steps(needed - added)
-    return state.result(table, top_gains)
+
+
+def pro_sam_compute_bound(store, params: LogisticParams, anchor_set, k: int,
+                          rho: float, excluded=frozenset()) -> BoundResult:
+    """Threshold-relaxed envelope completion (`_threshold_sweeps`) of the
+    anchor to k nodes from the pool V'; B and the branch node as for SAM."""
+    _check_rho(rho)
+    return _bound_step(store, params, anchor_set, k, excluded,
+                       functools.partial(_threshold_sweeps, rho=rho))
 
 
 def branch_and_bound(store, params: LogisticParams, k: int,
@@ -277,7 +287,10 @@ def branch_and_bound(store, params: LogisticParams, k: int,
     A search node is a pair (P', E) of included and excluded nodes; its
     remaining pool V' is the candidates minus P' and E.  Each heap entry holds
     the pair and the estimator's result from V'.  Expanding it splits on the
-    estimator's first added node u: (P' + u, E) and (P', E + u).  The
+    branch node u of the shared bound step, the first candidate of largest
+    initial envelope gain in V': (P' + u, E) and (P', E + u).  Both
+    estimators give the same B and u, so "sam" and "pro" search one tree and
+    differ only in the completions they propose as incumbents.  The
     incumbent is seeded with solve_greedy's set so the result never falls
     below greedy.  Expansion or wall-time caps return the incumbent with
     truncated=True.

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import io
 import json
+import math
 import weakref
 
 import pytest
@@ -242,9 +243,12 @@ def test_run_on_graph_resolves_hoeffding_samples():
     dict(sweep_axis="k", sweep_values=(3.0, 57.0)),
     # the top degree decile of 60 nodes cannot supply 500 rumor nodes
     dict(sweep_axis="rumor_size", sweep_values=(4.0, 500.0)),
+    # rho fails before any row, topk's included
+    dict(algorithms=("topk", "probab"), rho=math.nan),
+    dict(algorithms=("topk", "probab"), sweep_axis="rho", sweep_values=(0.1, 0.0)),
 ], ids=["alpha", "node_cap", "time_cap", "sweep_alpha", "sweep_beta",
         "sweep_T", "sweep_X", "k0", "k_above_candidates", "sweep_k",
-        "sweep_rumor_size"])
+        "sweep_rumor_size", "rho_nan", "sweep_rho"])
 def test_run_on_graph_checks_every_sweep_point_before_sampling(monkeypatch,
                                                                overrides):
     def no_sampling(*args, **kwargs):

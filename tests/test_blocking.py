@@ -34,6 +34,9 @@ def test_params_validation():
         LogisticParams(alpha=0.0, beta=1.0)
     with pytest.raises(ValueError):
         LogisticParams(alpha=3.0, beta=-1.0)
+    for alpha, beta in ((math.nan, 1.0), (3.0, math.nan)):
+        with pytest.raises(ValueError):
+            LogisticParams(alpha, beta)
     assert P31.inflection == 3.0
     assert LogisticParams(7.0, 3.0).inflection == pytest.approx(7.0 / 3.0)
 

@@ -107,6 +107,18 @@ def test_infeasible_rumor_size_at_a_later_sweep_point_writes_no_report(
     assert not out.exists()
 
 
+def test_nan_logistic_parameter_fails_before_sampling(graph_file, tmp_path,
+                                                      monkeypatch, capsys):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before alpha was checked")
+
+    monkeypatch.setattr(rcic.bench, "build_sample_stores", no_sampling)
+    out = tmp_path / "report.csv"
+    assert main(run_flags(graph_file, str(out)) + ["--alpha", "nan"]) == 1
+    assert "alpha must be > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_thread_count_below_one_is_an_error(graph_file, capsys):
     assert main(["run", "--graph", graph_file, "--algo", "topk", "--k", "2",
                  "--rumor-size", "4", "--samples", "10",

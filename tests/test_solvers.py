@@ -175,6 +175,8 @@ def test_limits_validation():
         SolverLimits(node_expansion_cap=-1)
     with pytest.raises(ValueError):
         SolverLimits(wall_time_cap=0.0)
+    with pytest.raises(ValueError):
+        SolverLimits(wall_time_cap=math.nan)
 
 
 def test_topk_path_instance():
@@ -297,6 +299,7 @@ def test_pro_and_sam_bounds_are_one_quantity():
             pro = pro_sam_compute_bound(store, params, anchor, k, rho=0.1,
                                         excluded=excluded)
             assert pro.upper == sam.upper
+            assert pro.first_added == sam.first_added
 
 
 def test_pro_bound_outputs_valid_completion():
@@ -307,8 +310,9 @@ def test_pro_bound_outputs_valid_completion():
 
 
 def test_pro_bound_needs_positive_rho():
-    with pytest.raises(ValueError):
-        pro_sam_compute_bound(path_store(), P31, frozenset(), k=1, rho=0.0)
+    for rho in (0.0, math.nan):
+        with pytest.raises(ValueError):
+            pro_sam_compute_bound(path_store(), P31, frozenset(), k=1, rho=rho)
 
 
 def test_pro_bound_saves_gain_evaluations():
@@ -451,6 +455,39 @@ def test_branch_and_bound_search_nodes_complete_within_their_pool(
                                     realizations)
                     for extra in itertools.combinations(pool, k - len(anchor)))
                 assert res.upper >= subtree_opt - 1e-12
+
+
+def test_sam_and_pro_search_one_tree(monkeypatch):
+    # both estimators share B and the branch node: every bound call sees the
+    # same search node, and only the completions (the incumbents) may differ
+    def search(store, params, k, estimator, limits):
+        calls = []
+        name = ("sam_compute_bound" if estimator == "sam"
+                else "pro_sam_compute_bound")
+        original = getattr(solvers, name)
+
+        def recording(*args, excluded, **kwargs):
+            res = original(*args, excluded=excluded, **kwargs)
+            calls.append((frozenset(args[2]), frozenset(excluded), res.upper,
+                          res.first_added))
+            return res
+
+        with monkeypatch.context() as m:
+            m.setattr(solvers, name, recording)
+            report = branch_and_bound(store, params, k=k, estimator=estimator,
+                                      limits=limits)
+        return calls, (report.expansions, report.bound_calls, report.bound_gap)
+
+    cases = [(store, params, k, None) for params, (_, store), k in
+             itertools.product(SEARCH_PARAMS, tiny_instances(), (2, 3))]
+    store = next(sampled_ba_stores())
+    cases += [(store, params, 10, SolverLimits(node_expansion_cap=cap))
+              for params in (P31, LogisticParams(7.0, 3.0)) for cap in (5, 20)]
+    for store, params, k, limits in cases:
+        sam = search(store, params, k, "sam", limits)
+        pro = search(store, params, k, "pro", limits)
+        assert sam == pro
+        assert len(sam[0]) == sam[1][1]
 
 
 def test_branch_and_bound_deterministic():
