@@ -11,7 +11,8 @@ and rho sweeps amortize one sampling pass), and consecutive points that
 share a `SampleConfig` and whose rumor sets grow nested (an |R| sweep with
 one rumor seed) share one walk pass (`build_sample_stores`).  Each point's
 store and index are built when the point runs, and dropped before the next
-point's are built.
+point's are built.  At each point, a greedy row seeds the search of the bab
+and probab rows listed after it, so one greedy runs per point.
 With epsilon and delta, X is derived from the sampling bound, so X cannot
 also be swept.  A row's chosen_set holds the edge-list file's node ids
 (`Graph.original_ids`), also on a scalability slice.
@@ -251,10 +252,12 @@ def run_on_graph(g: Graph, config: ExperimentConfig, fraction: float = 1.0,
                 store = None  # free the old store before sampling the next
                 store = next(stores)
                 key = point_key
+            greedy = None  # the point's greedy row seeds bab's and probab's search
             for algo in cfg.algorithms:
                 try:
                     report = run_solver(algo, store, params, cfg.k,
-                                        rho=cfg.rho, limits=limits)
+                                        rho=cfg.rho, limits=limits,
+                                        incumbent=greedy)
                 except Exception as exc:
                     rows.append(_make_row(cfg, axis, value, fraction, algo, None,
                                           store, g.original_ids,
@@ -262,6 +265,8 @@ def run_on_graph(g: Graph, config: ExperimentConfig, fraction: float = 1.0,
                     raise
                 rows.append(_make_row(cfg, axis, value, fraction, algo, report,
                                       store, g.original_ids, "ok"))
+                if algo == "greedy":
+                    greedy = report
     return rows
 
 

@@ -4,8 +4,13 @@ All four solvers run off one immutable store index and a per-run mutable
 array of per-walk impression counts.  Gains are only ever scattered: a fresh
 `_GainState` is one shared unit gain times each candidate's hit-walk mass plus
 a scatter from the touched walks, and each add in `greedy_steps` (greedy, SAM,
-PRO's fallback) scatters its walks' change, so gains stay exact.  It is not lazy:
-the true objective is not submodular, so cached gains can go stale upward.
+PRO's fallback) scatters its walks' change, so gains stay exact.  The scatter
+skips the walks whose unit gain did not change (an anchored envelope is linear
+up to its tangent point), which leaves every gain bit-identical.  It is not
+lazy: the true objective is not submodular, so cached gains can go stale upward.
+A bound call reads only the set's walks: the state keeps the list of walks its
+set touches, and L, B's anchor value and the gain refresh sum over that list,
+since a walk of count 0 adds f(0) = 0 and the shared unit gain.
 Greedy uses true logistic gains.  The bound estimators greedily maximize the
 anchored envelope, the least concave majorant of the logistic at integer
 counts above each walk's anchor count (`EnvelopeTable.env`), which is
@@ -125,14 +130,20 @@ def solve_greedy(store, params: LogisticParams, k: int) -> SolveReport:
                        frozenset(), k, frozenset())
     state.greedy_steps(k)
     chosen = frozenset(int(v) for v in index.candidates[state.in_set])
-    return _report("greedy", store, params, chosen, t0, gain_evals=state.gain_evals)
+    gain_evals = state.gain_evals
+    del state  # free its per-walk counts before the objective builds its own
+    return _report("greedy", store, params, chosen, t0, gain_evals=gain_evals)
 
 
 class _GainState:
     """Greedy completion of an anchor set from the pool outside it and outside
     `excluded`.  gain_mat[a, c] is one walk's unit gain at anchor count a and
     current count c; gains[p], its weighted sum over candidate p's walks, is
-    only ever scattered from the walks the set touches, and kept exact."""
+    only ever scattered from the walks the set touches, and kept exact; an
+    add scatters only the walks whose unit gain it changed.  The touched
+    walks, those of count > 0, are kept as a list (`touched_walks`), and
+    the refresh and the bound step's true values read only that list, so
+    nothing but the two count arrays spans every hit walk."""
 
     def __init__(self, index, gain_mat, anchor_set, k, excluded):
         self.index = index
@@ -140,12 +151,15 @@ class _GainState:
         self.anchor = frozenset(int(v) for v in anchor_set)
         if len(self.anchor) > k:
             raise ValueError(f"anchor of size {len(self.anchor)} exceeds k={k}")
-        self.anchor_counts = index.counts_for(self.anchor)
-        self.counts = self.anchor_counts.copy()
+        self.counts = np.zeros(index.n_hit_walks, dtype=np.int32)
+        self._touched: list[np.ndarray] = []
         self.in_set = np.zeros(index.n_candidates, dtype=bool)
+        self.addable = np.ones(index.n_candidates, dtype=bool)
         for v in self.anchor:
-            self.in_set[index.position(v)] = True
-        self.addable = ~self.in_set
+            self.add(index.position(v))
+        walks = self.touched_walks()
+        self.anchor_counts = np.zeros(index.n_hit_walks, dtype=np.int32)
+        self.anchor_counts[walks] = self.counts[walks]
         for v in excluded:
             self.addable[index.position(v)] = False
         if len(self.anchor) + int(self.addable.sum()) < k:
@@ -162,10 +176,19 @@ class _GainState:
         return np.bincount(cands, weights=np.repeat(walk_vals, np.diff(indptr)),
                            minlength=self.index.n_candidates)
 
+    def touched_walks(self) -> np.ndarray:
+        """The walks of count > 0, ascending.  Each add appends the walks it
+        takes from 0 to 1, a subset of one ascending `walks_of` list, and
+        several parts are merged by one sort."""
+        if len(self._touched) != 1:
+            self._touched = [np.sort(np.concatenate(
+                [np.empty(0, dtype=np.int32), *self._touched]))]
+        return self._touched[0]
+
     def refresh_gains(self) -> None:
         """Recompute every gain: untouched walks have counts (0, 0), so a gain is
         gain_mat[0, 0] times the hit-walk mass plus a touched-walk correction."""
-        walks = np.flatnonzero(self.counts)
+        walks = self.touched_walks()
         base = self.gain_mat[0, 0]
         correction = self.index.walk_weights[walks] * (self._unit_gains(walks) - base)
         self.gains = base * self.index.hit_mass + self._scatter(walks, correction)
@@ -174,23 +197,33 @@ class _GainState:
         walks = self.index.walks_of(pos)
         return float(np.dot(self.index.walk_weights[walks], self._unit_gains(walks)))
 
-    def add(self, pos: int) -> None:
-        """Add candidate pos without updating `gains`."""
+    def add(self, pos: int) -> tuple[np.ndarray, np.ndarray]:
+        """Add candidate pos without updating `gains`; return its walks and
+        their counts before the add."""
         self.in_set[pos] = True
         self.addable[pos] = False
-        self.counts[self.index.walks_of(pos)] += 1
+        walks = self.index.walks_of(pos)
+        prior = self.counts[walks]
+        self.counts[walks] = prior + 1
+        self._touched.append(walks[prior == 0])
+        return walks, prior
 
     def greedy_steps(self, rounds: int) -> None:
-        """Add the best addable candidate `rounds` times, keeping `gains` exact."""
-        index = self.index
+        """Add the best addable candidate `rounds` times, keeping `gains` exact.
+
+        Only walks whose unit gain changed are scattered.  `bincount` sums in
+        input order from +0.0, and adding +0.0 never changes such a sum, so
+        the gains equal those of a scatter over all the added node's walks."""
+        weights = self.index.walk_weights
         for _ in range(rounds):
             self.gain_evals += int(self.addable.sum())
             pos = int(np.argmax(np.where(self.addable, self.gains, -np.inf)))
-            walks = index.walks_of(pos)
-            before = self._unit_gains(walks)
-            self.add(pos)
-            self.gains += self._scatter(
-                walks, index.walk_weights[walks] * (self._unit_gains(walks) - before))
+            walks, prior = self.add(pos)
+            anchor = self.anchor_counts[walks]
+            delta = self.gain_mat[anchor, prior + 1] - self.gain_mat[anchor, prior]
+            moved = np.flatnonzero(delta)
+            walks = walks[moved]
+            self.gains += self._scatter(walks, weights[walks] * delta[moved])
 
     def top_gains(self, m: int) -> float:
         """Sum of the m largest gains over the addable candidates."""
@@ -210,16 +243,21 @@ def _bound_step(store, params: LogisticParams, anchor_set, k: int, excluded,
     table = EnvelopeTable(params, index.max_count)
     state = _GainState(index, table.env_gain, anchor_set, k, excluded)
     needed = k - len(state.anchor)
-    upper = (float(np.dot(index.walk_weights, table.f_table[state.anchor_counts]))
-             + state.top_gains(needed))
+
+    def true_value(counts) -> float:
+        # over the set's walks only: every other walk adds f(0) = 0
+        walks = state.touched_walks()
+        return float(np.dot(index.walk_weights[walks], table.f_table[counts[walks]]))
+
+    upper = true_value(state.anchor_counts) + state.top_gains(needed)
     branch_node = None
     if needed:
         pos = int(np.argmax(np.where(state.addable, state.gains, -np.inf)))
         branch_node = int(index.candidates[pos])
         complete(state, needed)
     chosen = frozenset(int(v) for v in index.candidates[state.in_set])
-    lower = float(np.dot(index.walk_weights, table.f_table[state.counts]))
-    return BoundResult(chosen, lower, upper, branch_node, state.gain_evals)
+    return BoundResult(chosen, true_value(state.counts), upper, branch_node,
+                       state.gain_evals)
 
 
 def sam_compute_bound(store, params: LogisticParams, anchor_set, k: int,
@@ -280,7 +318,8 @@ def pro_sam_compute_bound(store, params: LogisticParams, anchor_set, k: int,
 
 def branch_and_bound(store, params: LogisticParams, k: int,
                      estimator: str = "sam", limits: SolverLimits | None = None,
-                     rho: float = 0.1) -> SolveReport:
+                     rho: float = 0.1, incumbent: SolveReport | None = None
+                     ) -> SolveReport:
     """Best-first search over include/exclude splits, pruned on the subtree
     bound B.
 
@@ -292,8 +331,11 @@ def branch_and_bound(store, params: LogisticParams, k: int,
     estimators give the same B and u, so "sam" and "pro" search one tree and
     differ only in the completions they propose as incumbents.  The
     incumbent is seeded with solve_greedy's set so the result never falls
-    below greedy.  Expansion or wall-time caps return the incumbent with
-    truncated=True.
+    below greedy: `incumbent`, a greedy report for the same store, params
+    and k, is taken as that seed, else solve_greedy runs here.  Either way
+    the report counts the greedy's wall time and gain evaluations, and the
+    wall-time cap counts its time.  Expansion or wall-time caps return the
+    incumbent with truncated=True.
     """
     t0 = time.perf_counter()
     index = store.index
@@ -301,13 +343,21 @@ def branch_and_bound(store, params: LogisticParams, k: int,
     limits = limits or SolverLimits()
     if estimator not in ("sam", "pro"):
         raise ValueError(f"unknown bound estimator {estimator!r}")
+    if estimator == "pro":
+        _check_rho(rho)
     bound = (functools.partial(sam_compute_bound, store, params, k=k)
              if estimator == "sam" else
              functools.partial(pro_sam_compute_bound, store, params, k=k, rho=rho))
 
-    greedy = solve_greedy(store, params, k)
-    best_set, best_val = greedy.chosen_set, greedy.objective
-    gain_evals = greedy.gain_evals
+    if incumbent is None:
+        incumbent = solve_greedy(store, params, k)
+    else:
+        if len(incumbent.chosen_set) != k:
+            raise ValueError(f"incumbent holds {len(incumbent.chosen_set)} "
+                             f"nodes, not k={k}")
+        t0 -= incumbent.wall_time
+    best_set, best_val = incumbent.chosen_set, incumbent.objective
+    gain_evals = incumbent.gain_evals
     bound_calls = 0
     heap: list = []
     ticket = itertools.count()
@@ -360,17 +410,18 @@ def branch_and_bound(store, params: LogisticParams, k: int,
 
 
 def run_solver(algo: str, store, params: LogisticParams, k: int,
-               rho: float = 0.1, limits: SolverLimits | None = None
-               ) -> SolveReport:
-    """Dispatch by the benchmark's algorithm names."""
+               rho: float = 0.1, limits: SolverLimits | None = None,
+               incumbent: SolveReport | None = None) -> SolveReport:
+    """Dispatch by the benchmark's algorithm names; bab and probab seed their
+    search with `incumbent` when given (see `branch_and_bound`)."""
     if algo == "topk":
         return solve_topk(store, params, k)
     if algo == "greedy":
         return solve_greedy(store, params, k)
     if algo == "bab":
         return branch_and_bound(store, params, k, estimator="sam",
-                                limits=limits)
+                                limits=limits, incumbent=incumbent)
     if algo == "probab":
         return branch_and_bound(store, params, k, estimator="pro",
-                                limits=limits, rho=rho)
+                                limits=limits, rho=rho, incumbent=incumbent)
     raise ValueError(f"unknown algorithm {algo!r}")

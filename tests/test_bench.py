@@ -136,6 +136,37 @@ def test_run_on_graph_rows_match_direct_solving():
         assert row.store_bytes == store.store_bytes
 
 
+def test_run_on_graph_runs_one_greedy_per_sweep_point(monkeypatch):
+    # the point's greedy row seeds bab and probab; a search that runs before
+    # the greedy row computes its own, with the same rows either way
+    g = small_graph()
+    original = rcic.solvers.solve_greedy
+    greedy_ks = []
+
+    def counting(store, params, k):
+        greedy_ks.append(k)
+        return original(store, params, k)
+
+    monkeypatch.setattr(rcic.solvers, "solve_greedy", counting)
+    sweep = dict(sweep_axis="k", sweep_values=(2.0, 3.0), node_cap=4)
+    shared = run_on_graph(g, base_config(
+        algorithms=("topk", "greedy", "bab", "probab"), **sweep))
+    assert greedy_ks == [2, 3]
+    greedy_ks.clear()
+    own = run_on_graph(g, base_config(algorithms=("bab", "probab", "greedy"),
+                                      **sweep))
+    assert greedy_ks == [2, 2, 2, 3, 3, 3]
+
+    def stable(row):
+        return dataclasses.replace(row, wall_time_ms=0, peak_mem_mb=None)
+
+    by_key = {(r.sweep_value, r.algorithm): stable(r) for r in own}
+    compared = [r for r in shared if r.algorithm != "topk"]
+    assert len(compared) == len(by_key) == 6
+    for row in compared:
+        assert stable(row) == by_key[row.sweep_value, row.algorithm]
+
+
 def test_run_on_graph_sweep_reuses_consistent_stores():
     g = small_graph()
     rows = run_on_graph(g, base_config(algorithms=("greedy",),

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -137,18 +138,27 @@ def covering_anchor(index, share):
     return frozenset(anchor)
 
 
+def step_anchors(index, matrix_name):
+    """Anchors to step from: none for greedy's matrix; for the envelope, the
+    last candidate and a covering anchor, which puts most hit walks in
+    refresh_gains' correction term rather than its base."""
+    if matrix_name == "greedy":
+        return [frozenset()]
+    return [frozenset({int(index.candidates[-1])}), covering_anchor(index, 0.8)]
+
+
+def step_budget(index, anchor):
+    return min(max(6, len(anchor) + 4), index.n_candidates)
+
+
 def test_incremental_gains_equal_refresh_after_every_step():
-    # ExactStore walks carry unequal weights, and the covering anchors put
-    # most hit walks in refresh_gains' correction term rather than its base
+    # ExactStore walks carry unequal weights
     stores = [s for _, s in tiny_instances()] + list(sampled_ba_stores())
     for store in stores:
         index = store.index
         for name, mat in gain_matrices(index, P31).items():
-            anchors = [frozenset()] if name == "greedy" else [
-                frozenset({int(index.candidates[-1])}),
-                covering_anchor(index, 0.8)]
-            for anchor in anchors:
-                k = min(max(6, len(anchor) + 4), index.n_candidates)
+            for anchor in step_anchors(index, name):
+                k = step_budget(index, anchor)
                 state = _GainState(index, mat, anchor, k, ())
                 np.testing.assert_allclose(
                     state.gains, rescan_gains(index, mat, state.anchor_counts,
@@ -166,6 +176,110 @@ def test_incremental_gains_equal_refresh_after_every_step():
                         rtol=0, atol=1e-12)
                     # carry on from the incremental vector so errors accumulate
                     state.gains = incremental
+
+
+def unfiltered_greedy_step(state):
+    """One greedy step that scatters every walk of the added node, unchanged
+    unit gains included: the oracle for `greedy_steps`' scatter.  Returns
+    how many of those walks' unit gains did not change."""
+    pos = int(np.argmax(np.where(state.addable, state.gains, -np.inf)))
+    walks = state.index.walks_of(pos)
+    before = state._unit_gains(walks)
+    state.add(pos)
+    delta = state._unit_gains(walks) - before
+    state.gains += state._scatter(walks, state.index.walk_weights[walks] * delta)
+    return int(np.count_nonzero(delta == 0))
+
+
+def test_gain_scatter_without_unchanged_walks_is_exact():
+    # greedy_steps scatters only the walks whose unit gain moved; the gains
+    # must equal the full scatter's bit for bit, not merely within rounding
+    stores = [s for _, s in tiny_instances()] + list(sampled_ba_stores())
+    skipped = 0
+    for store, params in itertools.product(stores, (P31, LogisticParams(7.0, 3.0))):
+        index = store.index
+        for name, mat in gain_matrices(index, params).items():
+            for anchor in step_anchors(index, name):
+                k = step_budget(index, anchor)
+                state = _GainState(index, mat, anchor, k, ())
+                oracle = _GainState(index, mat, anchor, k, ())
+                for _ in range(k - len(anchor)):
+                    state.greedy_steps(1)
+                    skipped += unfiltered_greedy_step(oracle)
+                    assert np.array_equal(state.in_set, oracle.in_set)
+                    assert np.array_equal(state.gains, oracle.gains)
+    # the envelope is linear up to its tangent point: there were walks to skip
+    assert skipped > 0
+
+
+def star_store():
+    # rumor at leaf 3, one step: only the hub ever appears in a hit prefix
+    star = Graph([[1, 2, 3], [0], [0], [0]], directed=False)
+    return ExactStore(star, {3}, T=1)
+
+
+def test_bound_calls_read_only_the_sets_walks(monkeypatch):
+    # after every add the touched list is exactly the walks of count > 0,
+    # and L and B's anchor value, summed over that list, are the true values
+    # of the completed set and of the anchor
+    def listed(state):
+        return np.sort(np.concatenate([np.empty(0, dtype=np.int32),
+                                       *state._touched]))
+
+    adds = []
+    original_add = _GainState.add
+
+    def checked_add(self, pos):
+        result = original_add(self, pos)
+        assert np.array_equal(listed(self), np.flatnonzero(self.counts))
+        adds.append(pos)
+        return result
+
+    step_calls = []
+    original_steps = _GainState.greedy_steps
+
+    def recorded_steps(self, rounds):
+        step_calls.append(rounds)
+        return original_steps(self, rounds)
+
+    monkeypatch.setattr(_GainState, "add", checked_add)
+    monkeypatch.setattr(_GainState, "greedy_steps", recorded_steps)
+    rng = np.random.default_rng(11)
+    stores = ([star_store()] + [s for _, s in tiny_instances()]
+              + list(sampled_ba_stores()))
+    pro_fallbacks = 0
+    for store, params in itertools.product(stores, (P31, LogisticParams(7.0, 3.0))):
+        index = store.index
+        table = EnvelopeTable(params, index.max_count)
+        cands = [int(v) for v in index.candidates]
+        for trial in range(6):
+            k = min(len(cands), 2 if trial == 0 else int(rng.integers(1, 13)))
+            picks = [cands[i] for i in rng.permutation(len(cands))]
+            n_anchor = int(rng.integers(0, k + 1))
+            n_excluded = int(rng.integers(0, len(cands) - k + 1))
+            anchor = frozenset(picks[:n_anchor])
+            excluded = frozenset(picks[n_anchor:n_anchor + n_excluded])
+            top = _GainState(index, table.env_gain, anchor, k, excluded).top_gains(
+                k - len(anchor))
+            for estimator in ("sam", "pro"):
+                adds.clear()
+                step_calls.clear()
+                if estimator == "sam":
+                    res = sam_compute_bound(store, params, anchor, k,
+                                            excluded=excluded)
+                else:
+                    res = pro_sam_compute_bound(store, params, anchor, k, rho=0.1,
+                                                excluded=excluded)
+                    pro_fallbacks += bool(step_calls)
+                assert len(adds) == k
+                assert math.isclose(
+                    res.lower, estimate_objective(store, params, res.completed_set),
+                    rel_tol=1e-12)
+                assert math.isclose(
+                    res.upper - top, estimate_objective(store, params, anchor),
+                    rel_tol=1e-12)
+    # the star's second slot is only reachable by PRO's refresh-plus-greedy
+    assert pro_fallbacks > 0
 
 
 def test_limits_validation():
@@ -217,9 +331,7 @@ def test_greedy_path_instance():
 
 
 def test_greedy_fills_zero_gain_slots_by_id():
-    # star, rumor at leaf 3: only the hub ever appears in a hit prefix
-    star = Graph([[1, 2, 3], [0], [0], [0]], directed=False)
-    store = ExactStore(star, {3}, T=1)
+    store = star_store()
     report = solve_greedy(store, P31, k=2)
     assert report.chosen_set == frozenset({0, 1})
     assert report.objective == pytest.approx(0.11920292202211755 / 3.0, abs=1e-12)
@@ -419,6 +531,48 @@ def test_branch_and_bound_validation():
     store = path_store()
     with pytest.raises(ValueError):
         branch_and_bound(store, P31, k=1, estimator="magic")
+
+
+def test_progressive_search_checks_rho_before_any_work(monkeypatch):
+    def no_greedy(*args, **kwargs):
+        raise AssertionError("solve_greedy ran before rho was checked")
+
+    monkeypatch.setattr(solvers, "solve_greedy", no_greedy)
+    for rho in (0.0, math.nan):
+        with pytest.raises(ValueError, match="rho"):
+            branch_and_bound(path_store(), P31, k=1, estimator="pro", rho=rho)
+
+
+def test_branch_and_bound_takes_a_greedy_incumbent(monkeypatch):
+    # a shared greedy report seeds the search as its own greedy run would,
+    # and the report still counts that greedy's time and gain evaluations
+    exact = ExactStore(gnp_graph(9, 0.4, seed=5), {0, 1}, T=3)
+    sampled = next(sampled_ba_stores())
+    cut_by_time = 0
+    for store, k, estimator in itertools.product((exact, sampled), (2, 4),
+                                                 ("sam", "pro")):
+        limits = SolverLimits(node_expansion_cap=4)
+        own = branch_and_bound(store, P31, k, estimator=estimator, limits=limits)
+        # a greedy that took 1000 s: the search's time and its cap count it
+        greedy = dataclasses.replace(solve_greedy(store, P31, k), wall_time=1e3)
+        with monkeypatch.context() as m:
+            m.setattr(solvers, "solve_greedy", None)  # must not be called
+            shared = branch_and_bound(store, P31, k, estimator=estimator,
+                                      limits=limits, incumbent=greedy)
+            capped = branch_and_bound(store, P31, k, estimator=estimator,
+                                      limits=SolverLimits(wall_time_cap=500.0),
+                                      incumbent=greedy)
+        assert shared.wall_time >= 1e3
+        assert (dataclasses.replace(shared, wall_time=0.0)
+                == dataclasses.replace(own, wall_time=0.0))
+        # the root was open iff the node-capped run expanded it
+        assert capped.expansions == 0
+        assert capped.truncated == (own.expansions > 0)
+        cut_by_time += capped.truncated
+    assert cut_by_time > 0
+    with pytest.raises(ValueError, match="incumbent"):
+        branch_and_bound(path_store(), P31, k=2,
+                         incumbent=solve_greedy(path_store(), P31, k=1))
 
 
 def test_branch_and_bound_search_nodes_complete_within_their_pool(
