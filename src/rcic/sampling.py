@@ -479,12 +479,15 @@ def _sample_hit_rows(g: Graph, rumors, cfg: SampleConfig, threads: int):
             # a walk under the larger set ends at its first step into it
             reached = scratch.cut[:T * W].reshape(T, W)
             np.take(inside, seq[1:], out=reached, mode="clip")
-            np.logical_or.accumulate(reached, axis=0, out=reached)
+            # row by row: `logical_or.accumulate` along axis 0 walks the
+            # (T, W) matrix a column at a time, ~100x slower
+            for t in range(1, T):
+                np.logical_or(reached[t - 1], reached[t], out=reached[t])
             kept = np.repeat(~inside[starts], X)
             hit = reached[-1] & kept
             cols = np.flatnonzero(hit)
             steps = seq.take(cols, axis=1)
-            steps[1:][reached.take(cols, axis=1)] = hit_node
+            np.copyto(steps[1:], hit_node, where=reached.take(cols, axis=1))
             rows.append((hit[kept], *_hit_prefixes(steps, hit_node, cand_pos)))
         return rows
 

@@ -14,14 +14,14 @@ since a walk of count 0 adds f(0) = 0 and the shared unit gain.
 Greedy uses true logistic gains.  The bound estimators greedily maximize the
 anchored envelope, the least concave majorant of the logistic at integer
 counts above each walk's anchor count (`EnvelopeTable.env`), which is
-monotone and submodular.  Both run one shared step, `_bound_step`.  It
-computes one subtree bound B, the anchor's true value plus the k - |P'|
-largest initial envelope gains over the pool, and the branch node, the
-first addable candidate of largest initial gain.  Only then does it call
-the estimator's completion (greedy for SAM, threshold sweeps for PRO),
-whose true value is L.  So bab and probab search one tree: branch and bound
-orders its heap and prunes on B alone and splits on the branch node; the
-completion only proposes incumbents.
+monotone and submodular.  Both bound a search node the same way
+(`_SearchNode`): one subtree bound B, the anchor's true value plus the
+k - |P'| largest initial envelope gains over the pool, and the branch node,
+the first addable candidate of largest initial gain.  Only then does the
+estimator's completion (greedy for SAM, threshold sweeps for PRO) run, whose
+true value is L.  So bab and probab search one tree: branch and bound orders
+its heap and prunes on B alone and splits on the branch node; the completion
+only proposes incumbents, and runs only on the nodes the search pops.
 
 B is sound: the subtree's true optimum is at most its envelope optimum, which
 is at most B by the data-dependent bound for monotone submodular functions
@@ -147,7 +147,9 @@ class _GainState:
 
     def __init__(self, index, gain_mat, anchor_set, k, excluded):
         self.index = index
-        self.gain_mat = gain_mat
+        # one flat `take` of anchor * width + count reads gain_mat[anchor, count]
+        self._flat_gains = gain_mat.ravel()
+        self._width = gain_mat.shape[1]
         self.anchor = frozenset(int(v) for v in anchor_set)
         if len(self.anchor) > k:
             raise ValueError(f"anchor of size {len(self.anchor)} exceeds k={k}")
@@ -168,7 +170,8 @@ class _GainState:
         self.refresh_gains()
 
     def _unit_gains(self, walks) -> np.ndarray:
-        return self.gain_mat[self.anchor_counts[walks], self.counts[walks]]
+        return self._flat_gains.take(self.anchor_counts[walks] * self._width
+                                     + self.counts[walks])
 
     def _scatter(self, walks, walk_vals) -> np.ndarray:
         """Sum per-walk values onto each walk's prefix candidates, in walk order."""
@@ -189,7 +192,7 @@ class _GainState:
         """Recompute every gain: untouched walks have counts (0, 0), so a gain is
         gain_mat[0, 0] times the hit-walk mass plus a touched-walk correction."""
         walks = self.touched_walks()
-        base = self.gain_mat[0, 0]
+        base = self._flat_gains[0]
         correction = self.index.walk_weights[walks] * (self._unit_gains(walks) - base)
         self.gains = base * self.index.hit_mass + self._scatter(walks, correction)
 
@@ -219,8 +222,8 @@ class _GainState:
             self.gain_evals += int(self.addable.sum())
             pos = int(np.argmax(np.where(self.addable, self.gains, -np.inf)))
             walks, prior = self.add(pos)
-            anchor = self.anchor_counts[walks]
-            delta = self.gain_mat[anchor, prior + 1] - self.gain_mat[anchor, prior]
+            at = self.anchor_counts[walks] * self._width + prior
+            delta = self._flat_gains.take(at + 1) - self._flat_gains.take(at)
             moved = np.flatnonzero(delta)
             walks = walks[moved]
             self.gains += self._scatter(walks, weights[walks] * delta[moved])
@@ -233,39 +236,47 @@ class _GainState:
         return float(np.partition(pool, pool.size - m)[pool.size - m:].sum())
 
 
-def _bound_step(store, params: LogisticParams, anchor_set, k: int, excluded,
-                complete) -> BoundResult:
-    """One bound call, whichever the estimator: B (the anchor's true value,
-    where the envelope meets f, plus the k - |anchor| largest initial gains),
-    the branch node (the first addable candidate of largest initial gain), and
-    L, the true value of the set `complete(state, needed)` fills to k nodes."""
-    index = store.index
-    table = EnvelopeTable(params, index.max_count)
-    state = _GainState(index, table.env_gain, anchor_set, k, excluded)
-    needed = k - len(state.anchor)
+class _SearchNode:
+    """A search node (P', E) with its gain state and subtree bound B: the
+    anchor's true value (the envelope meets f there) plus the k - |P'|
+    largest initial gains over the pool.  Building one is a visit's whole
+    cost; `complete` is the rest of a bound call."""
 
-    def true_value(counts) -> float:
+    def __init__(self, store, params: LogisticParams, anchor_set, k: int, excluded):
+        table = EnvelopeTable(params, store.index.max_count)
+        self.f_table = table.f_table
+        self.state = _GainState(store.index, table.env_gain, anchor_set, k, excluded)
+        self.needed = k - len(self.state.anchor)
+        self.upper = (self.true_value(self.state.anchor_counts)
+                      + self.state.top_gains(self.needed))
+
+    def true_value(self, counts) -> float:
         # over the set's walks only: every other walk adds f(0) = 0
-        walks = state.touched_walks()
-        return float(np.dot(index.walk_weights[walks], table.f_table[counts[walks]]))
+        walks = self.state.touched_walks()
+        return float(np.dot(self.state.index.walk_weights[walks],
+                            self.f_table[counts[walks]]))
 
-    upper = true_value(state.anchor_counts) + state.top_gains(needed)
-    branch_node = None
-    if needed:
-        pos = int(np.argmax(np.where(state.addable, state.gains, -np.inf)))
-        branch_node = int(index.candidates[pos])
-        complete(state, needed)
-    chosen = frozenset(int(v) for v in index.candidates[state.in_set])
-    return BoundResult(chosen, true_value(state.counts), upper, branch_node,
-                       state.gain_evals)
+    def complete(self, fill) -> BoundResult:
+        """The branch node (the first addable candidate of largest initial
+        gain), then L, the true value of the set `fill(state, needed)` fills
+        to k nodes."""
+        state, index = self.state, self.state.index
+        branch_node = None
+        if self.needed:
+            pos = int(np.argmax(np.where(state.addable, state.gains, -np.inf)))
+            branch_node = int(index.candidates[pos])
+            fill(state, self.needed)
+        chosen = frozenset(int(v) for v in index.candidates[state.in_set])
+        return BoundResult(chosen, self.true_value(state.counts), self.upper,
+                           branch_node, state.gain_evals)
 
 
 def sam_compute_bound(store, params: LogisticParams, anchor_set, k: int,
                       excluded=frozenset()) -> BoundResult:
     """Greedy envelope completion of the anchor to k nodes from the pool V',
-    the candidates minus the anchor and the excluded nodes (`_bound_step`)."""
-    return _bound_step(store, params, anchor_set, k, excluded,
-                       _GainState.greedy_steps)
+    the candidates minus the anchor and the excluded nodes (`_SearchNode`)."""
+    return _SearchNode(store, params, anchor_set, k, excluded).complete(
+        _GainState.greedy_steps)
 
 
 def _threshold_sweeps(state: _GainState, needed: int, rho: float) -> None:
@@ -312,8 +323,8 @@ def pro_sam_compute_bound(store, params: LogisticParams, anchor_set, k: int,
     """Threshold-relaxed envelope completion (`_threshold_sweeps`) of the
     anchor to k nodes from the pool V'; B and the branch node as for SAM."""
     _check_rho(rho)
-    return _bound_step(store, params, anchor_set, k, excluded,
-                       functools.partial(_threshold_sweeps, rho=rho))
+    return _SearchNode(store, params, anchor_set, k, excluded).complete(
+        functools.partial(_threshold_sweeps, rho=rho))
 
 
 def branch_and_bound(store, params: LogisticParams, k: int,
@@ -324,12 +335,14 @@ def branch_and_bound(store, params: LogisticParams, k: int,
     bound B.
 
     A search node is a pair (P', E) of included and excluded nodes; its
-    remaining pool V' is the candidates minus P' and E.  Each heap entry holds
-    the pair and the estimator's result from V'.  Expanding it splits on the
-    branch node u of the shared bound step, the first candidate of largest
-    initial envelope gain in V': (P' + u, E) and (P', E + u).  Both
-    estimators give the same B and u, so "sam" and "pro" search one tree and
-    differ only in the completions they propose as incumbents.  The
+    remaining pool V' is the candidates minus P' and E.  A visit computes
+    only B, and each heap entry holds the pair and B.  The estimator's
+    completion runs once per node, when it is popped: if it lifts the
+    incumbent to the node's B, the node closes unexpanded, and else the node
+    splits on the branch node u, the first candidate of largest initial
+    envelope gain in V': (P' + u, E) and (P', E + u).  Both estimators give
+    the same B and u, so "sam" and "pro" search one tree and differ only in
+    the completions they propose as incumbents.  The
     incumbent is seeded with solve_greedy's set so the result never falls
     below greedy: `incumbent`, a greedy report for the same store, params
     and k, is taken as that seed, else solve_greedy runs here.  Either way
@@ -362,26 +375,31 @@ def branch_and_bound(store, params: LogisticParams, k: int,
     heap: list = []
     ticket = itertools.count()
 
-    def visit(partial, excluded):
-        """Bound a search node, take its completion if it beats the
-        incumbent, and queue it if its bound may still beat the incumbent
-        and its pool holds more nodes than it needs."""
-        nonlocal best_set, best_val, bound_calls, gain_evals
-        bres = bound(partial, excluded=excluded)
-        bound_calls += 1
+    def offer(bres: BoundResult) -> None:
+        nonlocal best_set, best_val, gain_evals
         gain_evals += bres.gain_evals
         if bres.lower > best_val:
             best_set, best_val = bres.completed_set, bres.lower
-        if (bres.upper > best_val + _PRUNE_SLACK
-                and len(partial) < k and index.n_candidates - len(excluded) > k):
-            heapq.heappush(heap, (-bres.upper, next(ticket),
-                                  partial, excluded, bres))
+
+    def visit(partial, excluded):
+        """Bound a search node and queue it if its bound may still beat the
+        incumbent.  A node whose subtree holds one k-set, P' of k nodes or a
+        pool of k - |P'|, is never queued: its completion, that set, is
+        taken now."""
+        nonlocal bound_calls
+        bound_calls += 1
+        if len(partial) == k or index.n_candidates - len(excluded) == k:
+            offer(bound(partial, excluded=excluded))
+            return
+        upper = _SearchNode(store, params, partial, k, excluded).upper
+        if upper > best_val + _PRUNE_SLACK:
+            heapq.heappush(heap, (-upper, next(ticket), partial, excluded))
 
     visit(frozenset(), frozenset())
     expansions = 0
     truncated = False
     while heap:
-        neg_upper, _, partial, excluded, bres = heap[0]
+        neg_upper, _, partial, excluded = heap[0]
         if -neg_upper <= best_val + _PRUNE_SLACK:
             break
         if (limits.node_expansion_cap is not None
@@ -393,6 +411,12 @@ def branch_and_bound(store, params: LogisticParams, k: int,
             truncated = True
             break
         heapq.heappop(heap)
+        # the node's gain state is rebuilt, not kept: one per open node
+        # would hold two count arrays over every hit walk
+        bres = bound(partial, excluded=excluded)
+        offer(bres)
+        if -neg_upper <= best_val + _PRUNE_SLACK:
+            continue  # its completion reached its bound, the highest open one
         expansions += 1
         u = bres.first_added
         visit(partial | {u}, excluded)

@@ -575,62 +575,136 @@ def test_branch_and_bound_takes_a_greedy_incumbent(monkeypatch):
                          incumbent=solve_greedy(path_store(), P31, k=1))
 
 
+def one_k_set(store, k, anchor, excluded):
+    """Whether the subtree of search node (anchor, excluded) holds one k-set:
+    the anchor holds k nodes, or the pool holds the k - |anchor| missing."""
+    return len(anchor) == k or store.index.n_candidates - len(excluded) == k
+
+
+def recorded_search(monkeypatch, store, params, k, estimator, limits=None):
+    """Run one search; return its report, its visits as (P', E, B) in visit
+    order, and its completions as (P', E, bound result) in call order.  A
+    popped node is rebuilt inside its completion, which is not a visit; a
+    node whose subtree holds one k-set is built inside its completion at its
+    visit."""
+    visits, completions, completing = [], [], []
+    original_init = solvers._SearchNode.__init__
+
+    def recording_init(self, store_, params_, anchor_set, k_, excluded):
+        original_init(self, store_, params_, anchor_set, k_, excluded)
+        anchor, excluded = frozenset(anchor_set), frozenset(excluded)
+        if not completing or one_k_set(store_, k_, anchor, excluded):
+            visits.append((anchor, excluded, self.upper))
+
+    name = "sam_compute_bound" if estimator == "sam" else "pro_sam_compute_bound"
+    original = getattr(solvers, name)
+
+    def recording(*args, excluded, **kwargs):
+        completing.append(True)
+        try:
+            res = original(*args, excluded=excluded, **kwargs)
+        finally:
+            completing.pop()
+        completions.append((frozenset(args[2]), frozenset(excluded), res))
+        return res
+
+    with monkeypatch.context() as m:
+        m.setattr(solvers._SearchNode, "__init__", recording_init)
+        m.setattr(solvers, name, recording)
+        report = branch_and_bound(store, params, k=k, estimator=estimator,
+                                  limits=limits)
+    return report, visits, completions
+
+
 def test_branch_and_bound_search_nodes_complete_within_their_pool(
         monkeypatch):
-    for estimator, name in (("sam", "sam_compute_bound"),
-                            ("pro", "pro_sam_compute_bound")):
-        calls = []
-        original = getattr(solvers, name)
+    for estimator, params, (g, store), k in itertools.product(
+            ("sam", "pro"), SEARCH_PARAMS, tiny_instances(), (2, 3)):
+        realizations = enumerate_realizations(g, {0}, 3)
+        report, visits, completions = recorded_search(monkeypatch, store, params,
+                                                      k, estimator)
+        assert report.bound_calls == len(visits) == 1 + 2 * report.expansions
+        for i, (anchor, excluded, upper) in enumerate(visits):
+            assert not anchor & excluded
+            # visit i comes after (i + 1) // 2 expansions, and each
+            # expansion moves one node into the anchor or excluded set
+            assert len(anchor) + len(excluded) <= (i + 1) // 2
+            # the bound covers every k-set of the node's subtree
+            pool = [int(v) for v in store.index.candidates
+                    if int(v) not in anchor | excluded]
+            subtree_opt = max(
+                exact_objective(g, params, {0}, anchor | set(extra), 3,
+                                realizations)
+                for extra in itertools.combinations(pool, k - len(anchor)))
+            assert upper >= subtree_opt - 1e-12
+        for anchor, excluded, res in completions:
+            assert len(res.completed_set) == k
+            assert anchor <= res.completed_set
+            assert not excluded & res.completed_set
 
-        def recording(*args, excluded, original=original, **kwargs):
-            res = original(*args, excluded=excluded, **kwargs)
-            calls.append((frozenset(args[2]), frozenset(excluded), res))
-            return res
 
-        monkeypatch.setattr(solvers, name, recording)
-        for params, (g, store), k in itertools.product(
-                SEARCH_PARAMS, tiny_instances(), (2, 3)):
-            realizations = enumerate_realizations(g, {0}, 3)
-            calls.clear()
-            report = branch_and_bound(store, params, k=k, estimator=estimator)
-            assert report.bound_calls == len(calls) == 1 + 2 * report.expansions
-            for i, (anchor, excluded, res) in enumerate(calls):
-                assert anchor <= res.completed_set
-                assert not excluded & res.completed_set
-                assert not anchor & excluded
-                # call i comes after (i + 1) // 2 expansions, and each
-                # expansion moves one node into the anchor or excluded set
-                assert len(anchor) + len(excluded) <= (i + 1) // 2
-                # the bound covers every k-set of the node's subtree
-                pool = [int(v) for v in store.index.candidates
-                        if int(v) not in anchor | excluded]
-                subtree_opt = max(
-                    exact_objective(g, params, {0}, anchor | set(extra), 3,
-                                    realizations)
-                    for extra in itertools.combinations(pool, k - len(anchor)))
-                assert res.upper >= subtree_opt - 1e-12
+def test_search_takes_every_one_set_subtree_at_its_visit(monkeypatch):
+    # such a node is never queued, so its visit is the search's only look
+    # at its set: both kinds (a full anchor, and a pool of exactly the
+    # missing nodes) must be completed there.  At k=4 on the last graph the
+    # optimum, 0.40039 at (7,3), lies only in a pool-kind subtree: a search
+    # that drops those nodes returns 0.39634.
+    cases = [(store, k) for (_, store), k in
+             itertools.product(tiny_instances(), (2, 3))]
+    cases.append((ExactStore(gnp_graph(7, 0.5, seed=12), {0}, T=3), 4))
+    kinds = set()
+    for estimator, params, (store, k) in itertools.product(
+            ("sam", "pro"), SEARCH_PARAMS, cases):
+        report, visits, completions = recorded_search(monkeypatch, store, params,
+                                                      k, estimator)
+        completed = {(anchor, excluded): res
+                     for anchor, excluded, res in completions}
+        for anchor, excluded, _ in visits:
+            if not one_k_set(store, k, anchor, excluded):
+                continue
+            only = anchor if len(anchor) == k else frozenset(
+                int(v) for v in store.index.candidates if int(v) not in excluded)
+            assert (estimate_objective(store, params, only)
+                    <= report.objective + 1e-12)
+            assert completed[anchor, excluded].completed_set == only
+            kinds.add("anchor" if len(anchor) == k else "pool")
+    assert kinds == {"anchor", "pool"}
+
+
+def test_capped_search_completes_each_popped_node_once(monkeypatch):
+    # a visit only bounds its node; the completion runs when it is popped
+    popped = []
+    original_pop = solvers.heapq.heappop
+
+    def recording_pop(heap):
+        entry = original_pop(heap)
+        popped.append((entry[2], entry[3]))  # the entry's (P', E)
+        return entry
+
+    monkeypatch.setattr(solvers.heapq, "heappop", recording_pop)
+    store = next(sampled_ba_stores())
+    for estimator, params, cap in itertools.product(
+            ("sam", "pro"), (P31, LogisticParams(7.0, 3.0)), (5, 20)):
+        popped.clear()
+        report, visits, completions = recorded_search(
+            monkeypatch, store, params, 10, estimator,
+            SolverLimits(node_expansion_cap=cap))
+        assert report.truncated and report.expansions == cap
+        assert [(anchor, excluded) for anchor, excluded, _ in completions] == popped
+        assert len(completions) == cap < len(visits) == report.bound_calls
 
 
 def test_sam_and_pro_search_one_tree(monkeypatch):
-    # both estimators share B and the branch node: every bound call sees the
-    # same search node, and only the completions (the incumbents) may differ
+    # both estimators share B and the branch node: every visit and every
+    # completion sees the same search node, and only the completed sets
+    # (the incumbents) may differ
     def search(store, params, k, estimator, limits):
-        calls = []
-        name = ("sam_compute_bound" if estimator == "sam"
-                else "pro_sam_compute_bound")
-        original = getattr(solvers, name)
-
-        def recording(*args, excluded, **kwargs):
-            res = original(*args, excluded=excluded, **kwargs)
-            calls.append((frozenset(args[2]), frozenset(excluded), res.upper,
-                          res.first_added))
-            return res
-
-        with monkeypatch.context() as m:
-            m.setattr(solvers, name, recording)
-            report = branch_and_bound(store, params, k=k, estimator=estimator,
-                                      limits=limits)
-        return calls, (report.expansions, report.bound_calls, report.bound_gap)
+        report, visits, completions = recorded_search(monkeypatch, store, params,
+                                                      k, estimator, limits)
+        return (visits,
+                [(anchor, excluded, res.upper, res.first_added)
+                 for anchor, excluded, res in completions],
+                (report.expansions, report.bound_calls, report.bound_gap))
 
     cases = [(store, params, k, None) for params, (_, store), k in
              itertools.product(SEARCH_PARAMS, tiny_instances(), (2, 3))]
@@ -641,7 +715,7 @@ def test_sam_and_pro_search_one_tree(monkeypatch):
         sam = search(store, params, k, "sam", limits)
         pro = search(store, params, k, "pro", limits)
         assert sam == pro
-        assert len(sam[0]) == sam[1][1]
+        assert len(sam[0]) == sam[2][1]
 
 
 def test_branch_and_bound_deterministic():
