@@ -5,12 +5,11 @@ optionally one sweep axis.  Rumor sets are drawn uniformly from the top
 degree decile; the same rumor seed yields nested sets across sizes (a prefix
 of one permutation), so growing |R| never swaps the rumor population.
 Every sweep point's settings are checked, and its rumor set drawn, before
-the first sampling pass.  Sample stores are reused across sweep points
-whenever the rumor set and the `SampleConfig` (T, X, seed) are unchanged (k
-and rho sweeps amortize one sampling pass), and consecutive points that
-share a `SampleConfig` and whose rumor sets grow nested (an |R| sweep with
-one rumor seed) share one walk pass (`build_sample_stores`).  Each point's
-store and index are built when the point runs, and dropped before the next
+the first sampling pass.  `build_sample_stores` then gets every point's
+store key, (rumor set, `SampleConfig`), and is the one place that plans
+walk passes and stores: a k, rho, alpha or beta sweep reuses one store, and
+an |R| sweep with one rumor seed shares one walk pass.  Each point's store
+and index are built when the point runs, and dropped before the next
 point's are built.  At each point, a greedy row seeds the search of the bab
 and probab rows listed after it, so one greedy runs per point.
 With epsilon and delta, X is derived from the sampling bound, so X cannot
@@ -242,48 +241,26 @@ def run_on_graph(g: Graph, config: ExperimentConfig, fraction: float = 1.0,
                        LogisticParams(cfg.alpha, cfg.beta),
                        SolverLimits(node_expansion_cap=cfg.node_cap,
                                     wall_time_cap=cfg.time_cap)))
-    for run in _sampling_runs(points):
-        keys = list(dict.fromkeys(point[3] for point in run))
-        stores = build_sample_stores(g, [rumor for rumor, _ in keys], keys[0][1],
-                                     threads=config.threads)
-        key = None
-        for axis, value, cfg, point_key, params, limits in run:
-            if point_key != key:
-                store = None  # free the old store before sampling the next
-                store = next(stores)
-                key = point_key
-            greedy = None  # the point's greedy row seeds bab's and probab's search
-            for algo in cfg.algorithms:
-                try:
-                    report = run_solver(algo, store, params, cfg.k,
-                                        rho=cfg.rho, limits=limits,
-                                        incumbent=greedy)
-                except Exception as exc:
-                    rows.append(_make_row(cfg, axis, value, fraction, algo, None,
-                                          store, g.original_ids,
-                                          f"error: {type(exc).__name__}: {exc}"))
-                    raise
-                rows.append(_make_row(cfg, axis, value, fraction, algo, report,
-                                      store, g.original_ids, "ok"))
-                if algo == "greedy":
-                    greedy = report
+    stores = build_sample_stores(g, [point[3] for point in points],
+                                 threads=config.threads)
+    for axis, value, cfg, _, params, limits in points:
+        store = None  # free the last point's store before the next is built
+        store = next(stores)
+        greedy = None  # the point's greedy row seeds bab's and probab's search
+        for algo in cfg.algorithms:
+            try:
+                report = run_solver(algo, store, params, cfg.k, rho=cfg.rho,
+                                    limits=limits, incumbent=greedy)
+            except Exception as exc:
+                rows.append(_make_row(cfg, axis, value, fraction, algo, None,
+                                      store, g.original_ids,
+                                      f"error: {type(exc).__name__}: {exc}"))
+                raise
+            rows.append(_make_row(cfg, axis, value, fraction, algo, report,
+                                  store, g.original_ids, "ok"))
+            if algo == "greedy":
+                greedy = report
     return rows
-
-
-def _sampling_runs(points):
-    """Split the sweep points into runs that one walk pass serves: consecutive
-    points whose store keys (rumor set, SampleConfig) have equal SampleConfigs
-    and whose rumor sets each contain the one before.  Points with equal keys
-    share a store."""
-    runs = []
-    for point in points:
-        rumor, sample = point[3]
-        last_rumor, last_sample = runs[-1][-1][3] if runs else (None, None)
-        if sample == last_sample and last_rumor <= rumor:
-            runs[-1].append(point)
-        else:
-            runs.append([point])
-    return runs
 
 
 def run_experiment(config: ExperimentConfig, rows=None) -> list[ReportRow]:

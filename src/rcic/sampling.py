@@ -29,12 +29,15 @@ once per worker thread per build.  Only the hit walks' columns are sorted and
 deduplicated; their rows leave the kernel as candidate positions (int32) and
 become the index's forward CSR as they are.
 
-`build_sample_stores` serves nested rumor sets R_1 ⊆ R_2 ⊆ ... (the |R|
-sweep) from one pass: under R_b walk (u, i) is walk (u, i) under R_1 cut at
-its first node in R_b, so each larger set's hit flags and prefixes follow
-from the same step matrix, and the walks from starts in R_b are dropped.
-`build_sample_store` is its one-set case.  Each set's store, and so its
-index, is built only when the caller asks for it.
+`build_sample_stores` plans the walk passes of a sequence of store keys
+(rumor set, SampleConfig), such as a sweep's points: equal consecutive keys
+share a store, and consecutive keys with one SampleConfig whose rumor sets
+grow nested, R_1 ⊆ R_2 ⊆ ... (the |R| sweep), share one pass: under R_b
+walk (u, i) is walk (u, i) under R_1 cut at its first node in R_b, so each
+larger set's hit flags and prefixes follow from the same step matrix, and
+the walks from starts in R_b are dropped.  `build_sample_store` is its
+one-key case.  Each store, and so its index, is built only when the caller
+asks for it.
 
 The inverted index is placed one block of whole hit walks at a time: each
 block's entries are ordered by a stable radix order over 16-bit digits
@@ -48,6 +51,7 @@ blocks.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -73,6 +77,9 @@ class SampleConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not all(isinstance(v, numbers.Integral)
+                   for v in (self.T, self.X, self.seed)):
+            raise ValueError(f"T, X and seed must be integers, got {self}")
         if self.T < 1:
             raise ValueError(f"walk length threshold must be >= 1, got {self.T}")
         if self.X < 1:
@@ -355,47 +362,56 @@ def build_sample_store(g: Graph, rumor_set, cfg: SampleConfig,
 
     Each start node owns an independent seed substream, so chunked or threaded
     builds produce exactly the same store as a serial one.  This is the
-    one-set case of `build_sample_stores`.
+    one-key case of `build_sample_stores`.
     """
-    return next(build_sample_stores(g, [rumor_set], cfg, threads))
+    return next(build_sample_stores(g, [(rumor_set, cfg)], threads))
 
 
-def build_sample_stores(g: Graph, rumor_sets, cfg: SampleConfig,
-                        threads: int = 1):
-    """The stores of nested rumor sets R_1 ⊆ R_2 ⊆ ..., from one walk pass.
+def build_sample_stores(g: Graph, keys, threads: int = 1):
+    """One store per (rumor set, SampleConfig) key, in order, each equal byte
+    for byte to `build_sample_store` on that key alone.
 
-    Returns an iterator that yields each set's store in order, each equal
-    byte for byte to `build_sample_store` on that set alone.  The walks are
-    stepped once, under R_1, on the first `next()`: under a larger set R_b,
-    walk (u, i) is walk (u, i) under R_1 cut at its first node in R_b, and
-    the walks from starts in R_b are dropped.  The pass keeps every set's
-    hit flags and hit prefixes; a store's index is built only when it is
-    yielded, so a caller that drops each store before asking for the next
-    holds one index at a time.  Raises `ValueError` at the call if the sets
-    do not grow nested.
+    A key equal to the one before it gets the same store object.
+    Consecutive keys with one SampleConfig whose sets grow nested, R_1 ⊆ R_2
+    ⊆ ..., share one walk pass over their distinct sets, stepped under R_1;
+    any other step starts a new pass.  A pass runs when its first store is
+    asked for, and a store's index is built when it is yielded, after the
+    iterator drops the last store: a caller that drops each store before
+    asking for the next holds one index at a time.  The rumor sets and
+    `threads` are checked at the call.
     """
-    rumors = [frozenset(int(r) for r in rumor) for rumor in rumor_sets]
-    if not rumors:
-        raise ValueError("no rumor sets given")
-    if not rumors[0]:
-        raise ValueError("rumor set is empty")
-    for smaller, larger in zip(rumors, rumors[1:]):
-        if not smaller <= larger:
-            raise ValueError("rumor sets must be nested, each containing the "
-                             "one before it")
-    for r in rumors[-1]:
-        if not 0 <= r < g.n:
-            raise ValueError(f"rumor node {r} out of range")
-    if len(rumors[-1]) == g.n:
-        raise ValueError("rumor set covers every node; nothing to sample")
-    return _yield_stores(g, rumors, cfg, threads)
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    keys = [(frozenset(int(r) for r in rumor), cfg) for rumor, cfg in keys]
+    if not keys:
+        raise ValueError("no store keys given")
+    for rumor, _ in keys:
+        if not rumor:
+            raise ValueError("rumor set is empty")
+        if min(rumor) < 0 or max(rumor) >= g.n:
+            raise ValueError(f"rumor set holds a node outside [0, {g.n})")
+        if len(rumor) == g.n:
+            raise ValueError("rumor set covers every node; nothing to sample")
+    return _yield_stores(g, keys, threads)
 
 
-def _yield_stores(g: Graph, rumors, cfg: SampleConfig, threads: int):
-    pending = _sample_hit_rows(g, rumors, cfg, threads)
-    for rumor in rumors:
-        # no local keeps the yielded store, so a dropped store is freed
-        yield SampleStore(cfg, g.n, rumor, *pending.pop(0), threads=threads)
+def _yield_stores(g: Graph, keys, threads: int):
+    store, pending = None, deque()
+    for i, (rumor, cfg) in enumerate(keys):
+        if i and keys[i - 1] == (rumor, cfg):
+            yield store
+            continue
+        store = None  # the last store is not kept while the next is built
+        if not pending:  # one pass serves the run of nested sets from here
+            run = [rumor]
+            for later, later_cfg in keys[i + 1:]:
+                if later_cfg != cfg or not run[-1] <= later:
+                    break
+                if later != run[-1]:
+                    run.append(later)
+            pending = deque(_sample_hit_rows(g, run, cfg, threads))
+        store = SampleStore(cfg, g.n, rumor, *pending.popleft(), threads=threads)
+        yield store
 
 
 def _sample_hit_rows(g: Graph, rumors, cfg: SampleConfig, threads: int):

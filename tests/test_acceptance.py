@@ -199,6 +199,7 @@ def coupling_violations(small, large) -> tuple[int, int, int]:
     return int(w_small.size), lost, grown
 
 
+@pytest.mark.slow
 def test_acceptance_6_benchmark_trends(verdict):
     g = bench_graph()
     algos = ("topk", "greedy", "bab", "probab")

@@ -8,6 +8,7 @@ import weakref
 import pytest
 
 import rcic.bench
+import rcic.sampling
 from rcic.bench import (
     ExperimentConfig,
     ReportRow,
@@ -20,8 +21,7 @@ from rcic.bench import (
 )
 from rcic.blocking import LogisticParams
 from rcic.graph import bfs_subgraph, dump_edge_list, load_edge_list, top_decile_nodes
-from rcic.sampling import (SampleConfig, build_sample_store, build_sample_stores,
-                           hoeffding_sample_size)
+from rcic.sampling import SampleConfig, build_sample_store, hoeffding_sample_size
 from rcic.solvers import run_solver
 from rcic.synth import barabasi_albert_graph
 
@@ -167,13 +167,15 @@ def test_run_on_graph_runs_one_greedy_per_sweep_point(monkeypatch):
         assert stable(row) == by_key[row.sweep_value, row.algorithm]
 
 
-def test_run_on_graph_sweep_reuses_consistent_stores():
+def test_run_on_graph_sweep_reuses_consistent_stores(monkeypatch):
     g = small_graph()
+    passes, built, _ = track_store_builds(monkeypatch)
     rows = run_on_graph(g, base_config(algorithms=("greedy",),
                                        sweep_axis="alpha",
                                        sweep_values=(3.0, 7.0)))
     assert [r.sweep_value for r in rows] == ["3", "7"]
     # same store both points: only the logistic changed
+    assert passes == [1] and len(built) == 1
     rumor = generate_rumor_set(g, 4, 1)
     store = build_sample_store(g, rumor, SampleConfig(T=3, X=50, seed=0))
     for row, alpha in zip(rows, (3.0, 7.0)):
@@ -182,23 +184,27 @@ def test_run_on_graph_sweep_reuses_consistent_stores():
 
 
 def track_store_builds(monkeypatch):
-    """Wrap `build_sample_stores` where `run_on_graph` calls it.  Returns the
-    rumor-set count of each pass, weak references to the stores built, and
-    how many earlier stores were alive as each store's index was built."""
+    """Wrap the walk pass and the store build where `build_sample_stores`
+    calls them.  Returns the rumor-set count of each pass, weak references
+    to the stores built, and how many earlier stores were alive as each
+    store was built."""
     passes, built, alive_at_build = [], [], []
+    sample_hit_rows = rcic.sampling._sample_hit_rows
+    sample_store = rcic.sampling.SampleStore
 
-    def tracking_builds(g, rumor_sets, cfg, threads=1):
-        passes.append(len(rumor_sets))
-        stores = build_sample_stores(g, rumor_sets, cfg, threads)
-        for _ in rumor_sets:
-            gc.collect()
-            alive_at_build.append(sum(ref() is not None for ref in built))
-            store = next(stores)  # builds the store's index
-            built.append(weakref.ref(store))
-            yield store
-            del store
+    def tracking_pass(g, rumors, cfg, threads):
+        passes.append(len(rumors))
+        return sample_hit_rows(g, rumors, cfg, threads)
 
-    monkeypatch.setattr(rcic.bench, "build_sample_stores", tracking_builds)
+    def tracking_store(*args, **kwargs):
+        gc.collect()
+        alive_at_build.append(sum(ref() is not None for ref in built))
+        store = sample_store(*args, **kwargs)  # builds the store's index
+        built.append(weakref.ref(store))
+        return store
+
+    monkeypatch.setattr(rcic.sampling, "_sample_hit_rows", tracking_pass)
+    monkeypatch.setattr(rcic.sampling, "SampleStore", tracking_store)
     return passes, built, alive_at_build
 
 

@@ -52,6 +52,11 @@ def test_sample_config_validation():
         SampleConfig(T=3, X=0)
     with pytest.raises(ValueError, match="seed"):
         SampleConfig(T=1, X=1, seed=-1)
+    # a float T or X would fail only deep inside the walk pass
+    for T, X in ((2.5, 10), (2, 10.0), (2.0, 10)):
+        with pytest.raises(ValueError, match="integers"):
+            SampleConfig(T=T, X=X)
+    SampleConfig(T=np.int64(2), X=np.int32(10))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**64 + 3,
@@ -302,6 +307,15 @@ def test_sink_graph_store_is_thread_count_invariant():
 
 def test_store_build_validation():
     g = path3()
+    cfg = SampleConfig(T=2, X=5)
+    # raised at the call, before any `next()`, for every key's rumor set
+    with pytest.raises(ValueError):
+        build_sample_stores(g, [])
+    with pytest.raises(ValueError, match="outside"):
+        build_sample_stores(g, [({2}, cfg), ({2, 3}, cfg)])
+    for threads in (0, -1):
+        with pytest.raises(ValueError, match="threads"):
+            build_sample_stores(g, [({2}, cfg)], threads)
     with pytest.raises(ValueError):
         build_sample_store(g, set(), SampleConfig(T=2, X=5))
     with pytest.raises(ValueError):
@@ -484,7 +498,8 @@ def assert_nested_stores_equal_separate_builds(threads):
     cfg = SampleConfig(T=5, X=40, seed=2)
     rumors = [{0, 3, 5, 8}, {0, 3, 5, 8, 13, 40, 77}, set(range(0, 400, 9)) | {
         0, 3, 5, 8, 13, 40, 77}]
-    stores = build_sample_stores(g, rumors, cfg, threads=threads)
+    stores = build_sample_stores(g, [(rumor, cfg) for rumor in rumors],
+                                 threads=threads)
     for rumor, store in zip(rumors, stores):
         alone = build_sample_store(g, rumor, cfg, threads=threads)
         assert alone.candidates.size > 2 * _CHUNK_NODES
@@ -501,8 +516,9 @@ def test_nested_stores_replay_scalar_walks(threads):
     g = sink_graph()
     rumors = [{5, 17}, {5, 17, 42, 123, 250}, {5, 17, 42, 123, 250, 7, 90, 201}]
     cfg = SampleConfig(T=6, X=5, seed=4)
-    for rumor, store in zip(rumors, build_sample_stores(g, rumors, cfg,
-                                                        threads=threads)):
+    stores = build_sample_stores(g, [(rumor, cfg) for rumor in rumors],
+                                 threads=threads)
+    for rumor, store in zip(rumors, stores):
         assert store.candidates.size == g.n - len(rumor)
         assert assert_store_replays_scalar_walks(g, rumor, cfg, store) > 0
 
@@ -513,7 +529,7 @@ def test_nested_stores_cut_at_the_first_step_and_at_dead_ends():
     g = Graph([[1], [2], [0, 3], []], directed=True)
     rumors = [{0}, {0, 2}]
     cfg = SampleConfig(T=4, X=8, seed=21)
-    small, large = build_sample_stores(g, rumors, cfg)
+    small, large = build_sample_stores(g, [(rumor, cfg) for rumor in rumors])
     for rumor, store in zip(rumors, (small, large)):
         assert_store_replays_scalar_walks(g, rumor, cfg, store)
     from_2 = [small.profile(2, i) for i in range(cfg.X)]
@@ -524,13 +540,29 @@ def test_nested_stores_cut_at_the_first_step_and_at_dead_ends():
     assert large.profile(1, 0).prefix == {1}
 
 
-@pytest.mark.parametrize("rumors", [[], [{0, 1}, {0}], [{0}, {1}],
-                                    [{0}, {0, 1}, {1, 2}]],
-                         ids=["none", "shrinking", "disjoint", "not_nested"])
-def test_build_sample_stores_rejects_sets_that_do_not_grow_nested(rumors):
-    g = barabasi_albert_graph(20, 2, seed=1)
-    with pytest.raises(ValueError):
-        build_sample_stores(g, rumors, SampleConfig(T=2, X=5))
+def test_build_sample_stores_plans_one_pass_per_nested_run(monkeypatch):
+    # an equal key repeats its store; a shrinking set and a new SampleConfig
+    # each start a pass
+    g = barabasi_albert_graph(60, 2, seed=3)
+    cfg, other = SampleConfig(T=3, X=20, seed=1), SampleConfig(T=4, X=20, seed=1)
+    keys = [({0}, cfg), ({0, 1}, cfg), ({0, 1}, cfg), ({1}, cfg),
+            ({1, 2}, cfg), ({1, 2}, other)]
+    passes = []
+    sample_hit_rows = rcic.sampling._sample_hit_rows
+
+    def tracking_pass(g, rumors, cfg, threads):
+        passes.append(len(rumors))
+        return sample_hit_rows(g, rumors, cfg, threads)
+
+    monkeypatch.setattr(rcic.sampling, "_sample_hit_rows", tracking_pass)
+    stores = list(build_sample_stores(g, keys))
+    assert passes == [2, 2, 1]
+    assert [a is b for a, b in zip(stores, stores[1:])] == [
+        False, True, False, False, False]
+    for (rumor, key_cfg), store in zip(keys, stores):
+        assert store.rumor_set == rumor and store.config == key_cfg
+        assert store_digest(store) == store_digest(
+            build_sample_store(g, rumor, key_cfg))
 
 
 @pytest.mark.parametrize("case", ["sampled", "exact"])
