@@ -565,6 +565,36 @@ def test_build_sample_stores_plans_one_pass_per_nested_run(monkeypatch):
             build_sample_store(g, rumor, key_cfg))
 
 
+@pytest.mark.parametrize("rumors, passes", [([], None), ([{0, 1}, {0}], [1, 1]),
+                                            ([{0}, {1}], [1, 1]),
+                                            ([{0}, {0, 1}, {1, 2}], [2, 1])],
+                         ids=["none", "shrinking", "disjoint", "not_nested"])
+def test_build_sample_stores_rejects_sets_that_do_not_grow_nested(
+        monkeypatch, rumors, passes):
+    # no keys at all is an error; a set that does not grow the one before it
+    # is kept out of that set's walk pass and starts its own
+    g = barabasi_albert_graph(20, 2, seed=1)
+    cfg = SampleConfig(T=2, X=5)
+    if passes is None:
+        with pytest.raises(ValueError):
+            build_sample_stores(g, [(rumor, cfg) for rumor in rumors])
+        return
+    runs = []
+    sample_hit_rows = rcic.sampling._sample_hit_rows
+
+    def tracking_pass(g, rumors, cfg, threads):
+        runs.append([set(rumor) for rumor in rumors])
+        return sample_hit_rows(g, rumors, cfg, threads)
+
+    monkeypatch.setattr(rcic.sampling, "_sample_hit_rows", tracking_pass)
+    stores = list(build_sample_stores(g, [(rumor, cfg) for rumor in rumors]))
+    assert [len(run) for run in runs] == passes
+    assert all(a < b for run in runs for a, b in zip(run, run[1:]))
+    for rumor, store in zip(rumors, stores):
+        assert store_digest(store) == store_digest(
+            build_sample_store(g, rumor, cfg))
+
+
 @pytest.mark.parametrize("case", ["sampled", "exact"])
 def test_hit_mass_is_one_bincount(monkeypatch, case):
     # summed a block at a time, in the order one bincount over every entry adds
