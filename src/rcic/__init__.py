@@ -8,14 +8,12 @@ uses the least concave majorant of the logistic at integer counts.
 """
 
 from .blocking import (
-    EnvelopeAnchor,
     EnvelopeTable,
     LogisticParams,
     blocking_percentage,
     estimate_envelope_objective,
     estimate_objective,
     logistic_block,
-    tangent_point,
 )
 from .bench import (
     ExperimentConfig,

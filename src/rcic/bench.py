@@ -39,7 +39,9 @@ import numpy as np
 
 from .blocking import LogisticParams
 from .graph import Graph, bfs_subgraph, load_edge_list, top_decile_nodes
-# build_sample_store stays importable from here: perfbench's tracer wraps it
+# build_sample_store stays importable from here because perfbench's tracer
+# rebinds it, but run_on_graph builds through build_sample_stores, so the
+# tracer's bench.build_sample_store span reads 0 for a run
 from .sampling import (SampleConfig, SampleStore, build_sample_store,  # noqa: F401
                        build_sample_stores, hoeffding_sample_size)
 from .solvers import (SolveReport, SolverLimits, _check_k, _check_rho,

@@ -11,11 +11,12 @@ points, which exists for every alpha and beta.  The envelope is submodular in
 the added set, upper-bounds the true objective, and agrees with it exactly at
 the anchor, which is what the bound-based solvers rely on.
 
-`tangent_point` keeps the paper's continuous construction (a tangent line
-from the anchor up to the logistic, the logistic beyond).  No solver uses
-it: at integer counts the hull is never above it, it has no solution from
-the origin when alpha <= 2, and just above alpha = 2 its line passes below
-f(1), so it is not an upper bound there.
+The paper's continuous construction (a tangent line from the anchor up to
+the logistic, the logistic beyond) lives in `tests/paper_tangent.py`, where
+the tests pin its tangent and show the hull is tighter.  No solver uses it:
+at integer counts the hull is never above it, it has no solution from the
+origin when alpha <= 2, and just above alpha = 2 its line passes below f(1),
+so it is not an upper bound there.
 """
 
 from __future__ import annotations
@@ -24,9 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-_BISECT_TOL = 1e-9
-_BISECT_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -55,11 +53,6 @@ def _logistic(params: LogisticParams, t: float) -> float:
         return 0.0
 
 
-def logistic_slope(params: LogisticParams, t: float) -> float:
-    v = _logistic(params, t)
-    return params.beta * v * (1.0 - v)
-
-
 def logistic_block(params: LogisticParams, C: int) -> float:
     """Block probability at impression count C; 0 at C=0 by convention."""
     if C < 0:
@@ -67,61 +60,6 @@ def logistic_block(params: LogisticParams, C: int) -> float:
     if C == 0:
         return 0.0
     return _logistic(params, C)
-
-
-@dataclass(frozen=True)
-class EnvelopeAnchor:
-    """The paper's continuous tangent construction for one anchor count c0.
-
-    The line through (c0, y0) with tangent_slope touches the logistic at
-    tangent_c; the envelope follows the line on [c0, tangent_c] and the
-    logistic beyond.  When c0 is already past the inflection the logistic is
-    concave onward and tangent_c collapses to c0.
-    """
-
-    c0: float
-    y0: float
-    tangent_c: float
-    tangent_slope: float
-
-
-def tangent_point(params: LogisticParams, c0: float, y0: float) -> EnvelopeAnchor:
-    """Solve (f(t) - y0)/(t - c0) = f'(t) for the tangency point t >= c0.
-
-    Bracketed bisection on [inflection, inflection + 60/beta] to absolute
-    tolerance 1e-9.  Anchors at or past the inflection need no line segment.
-    An anchor (0, 0) with alpha <= 2 has no tangent: the chord slope from the
-    origin exceeds every derivative, and the solve reports failure.
-    """
-    if c0 < 0:
-        raise ValueError(f"anchor count must be >= 0, got {c0}")
-    if c0 >= params.inflection:
-        return EnvelopeAnchor(c0, y0, c0, logistic_slope(params, c0))
-
-    def slope_gap(t: float) -> float:
-        return (_logistic(params, t) - y0) / (t - c0) - logistic_slope(params, t)
-
-    lo = params.inflection
-    hi = params.inflection + 60.0 / params.beta
-    if not (slope_gap(lo) < 0.0 < slope_gap(hi)):
-        raise ArithmeticError(
-            f"no tangent bracket for anchor ({c0}, {y0}) with alpha={params.alpha}, "
-            f"beta={params.beta}; the envelope construction needs alpha > 2 "
-            "for anchors at count 0")
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if slope_gap(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < _BISECT_TOL:
-            break
-    else:
-        raise ArithmeticError("tangent bisection did not converge")
-    t = 0.5 * (lo + hi)
-    # chord slope through the converged point; keeps the line on the curve at t
-    slope = (_logistic(params, t) - y0) / (t - c0)
-    return EnvelopeAnchor(c0, y0, t, slope)
 
 
 def _upper_hull(y: np.ndarray) -> np.ndarray:

@@ -77,7 +77,8 @@ class SampleConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not all(isinstance(v, numbers.Integral)
+        # bool is an Integral too, but True is no walk length
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
                    for v in (self.T, self.X, self.seed)):
             raise ValueError(f"T, X and seed must be integers, got {self}")
         if self.T < 1:

@@ -17,7 +17,6 @@ from rcic.blocking import (
     LogisticParams,
     estimate_objective,
     logistic_block,
-    tangent_point,
 )
 from rcic.cli import main
 from rcic.exact import (
@@ -32,6 +31,8 @@ from rcic.sampling import SampleConfig, build_sample_store, hoeffding_sample_siz
 from rcic.sampling import _csr_take
 from rcic.solvers import SolverLimits, run_solver, solve_greedy, solve_topk
 from rcic.synth import barabasi_albert_graph
+
+from paper_tangent import tangent_point
 
 P31 = LogisticParams(alpha=3.0, beta=1.0)
 P73 = LogisticParams(alpha=7.0, beta=3.0)

@@ -10,12 +10,12 @@ from rcic.blocking import (
     estimate_envelope_objective,
     estimate_objective,
     logistic_block,
-    logistic_slope,
-    tangent_point,
 )
 from rcic.exact import ExactStore
 from rcic.graph import Graph
 from rcic.solvers import solve_topk
+
+from paper_tangent import logistic_slope, tangent_point
 
 P31 = LogisticParams(alpha=3.0, beta=1.0)
 P73 = LogisticParams(alpha=7.0, beta=3.0)

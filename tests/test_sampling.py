@@ -56,6 +56,10 @@ def test_sample_config_validation():
     for T, X in ((2.5, 10), (2, 10.0), (2.0, 10)):
         with pytest.raises(ValueError, match="integers"):
             SampleConfig(T=T, X=X)
+    # bool passes numbers.Integral; True would build a T=1 or X=1 config
+    for T, X, seed in ((True, 500, 0), (2, True, 0), (2, 10, False)):
+        with pytest.raises(ValueError, match="integers"):
+            SampleConfig(T=T, X=X, seed=seed)
     SampleConfig(T=np.int64(2), X=np.int32(10))
 
 

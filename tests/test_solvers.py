@@ -8,6 +8,7 @@ import pytest
 from rcic.blocking import (
     EnvelopeTable,
     LogisticParams,
+    blocking_percentage,
     estimate_envelope_objective,
     estimate_objective,
 )
@@ -509,6 +510,23 @@ def test_truncated_search_over_a_zero_incumbent_has_an_unbounded_gap():
         closed = branch_and_bound(path_store(), params, k=1, estimator=estimator)
         assert closed.objective == 0.0
         assert closed.bound_gap == 1.0
+
+
+def test_solvers_on_a_store_that_no_walk_hits():
+    # node 3 has no in-arc, so no walk reaches the rumor; walks from 0, 1
+    # and 2 end at the dead end 2 (the DEAD sink)
+    g = Graph([[1], [2], [], [0]], directed=True)
+    store = build_sample_store(g, {3}, SampleConfig(T=4, X=20))
+    assert store.index.influenced_mass == 0.0
+    with pytest.raises(ValueError, match="no walk reaches"):
+        blocking_percentage(store, P31, {0})
+    for algo in ("topk", "greedy", "bab", "probab"):
+        report = run_solver(algo, store, P31, k=2)
+        assert report.objective == 0.0
+        assert report.blocking_percentage == 0.0
+        if algo in ("bab", "probab"):
+            assert not report.truncated
+            assert report.bound_gap == 1.0
 
 
 def test_branch_and_bound_time_cap_truncates():
