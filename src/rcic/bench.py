@@ -43,7 +43,7 @@ from .graph import Graph, bfs_subgraph, load_edge_list, top_decile_nodes
 # rebinds it, but run_on_graph builds through build_sample_stores, so the
 # tracer's bench.build_sample_store span reads 0 for a run
 from .sampling import (SampleConfig, SampleStore, build_sample_store,  # noqa: F401
-                       build_sample_stores, hoeffding_sample_size)
+                       build_sample_stores, check_count, hoeffding_sample_size)
 from .solvers import (SolveReport, SolverLimits, _check_k, _check_rho,
                       run_solver)
 
@@ -105,8 +105,7 @@ class ExperimentConfig:
             raise ValueError("epsilon and delta must be given together")
         if self.sweep_axis == "X" and self.epsilon is not None:
             raise ValueError("epsilon and delta derive X; it cannot be swept")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
+        check_count(self.threads, "threads", 1)
 
 
 @dataclass(frozen=True)
@@ -144,8 +143,9 @@ class ReportRow:
 
 def generate_rumor_set(g: Graph, size: int, seed: int) -> frozenset[int]:
     """`size` nodes uniformly without replacement from the top degree decile."""
+    check_count(seed, "rumor seed", 0)
     decile = top_decile_nodes(g)
-    if not 1 <= size <= len(decile):
+    if check_count(size, "rumor size", 1) > len(decile):
         raise ValueError(
             f"rumor size {size} infeasible; top decile holds {len(decile)} nodes")
     rng = np.random.default_rng(seed)

@@ -128,9 +128,7 @@ def estimate_envelope_objective(store, params: LogisticParams, anchor_set, P) ->
 
 
 def blocking_percentage(store, params: LogisticParams, P) -> float:
-    """B(P|R) over the expected number of users the rumor reaches, in [0, 1)."""
+    """B(P|R) over the expected number of users the rumor reaches, in [0, 1);
+    0.0 when no walk reaches the rumor set, as in every `SolveReport`."""
     mass = store.index.influenced_mass
-    if mass <= 0.0:
-        raise ValueError("no walk reaches the rumor set within T; "
-                         "blocking percentage is undefined")
-    return estimate_objective(store, params, P) / mass
+    return estimate_objective(store, params, P) / mass if mass > 0 else 0.0

@@ -22,7 +22,8 @@ import numpy as np
 
 from .blocking import LogisticParams, estimate_envelope_objective
 from .graph import Graph
-from .sampling import WalkIndex, _candidate_positions
+from .sampling import WalkIndex, _candidate_positions, check_count
+from .solvers import _check_k
 from .synth import gnp_graph
 
 _ENUMERATION_LIMIT = 10_000_000
@@ -46,8 +47,10 @@ def enumerate_realizations(g: Graph, rumor_set, T: int,
 
     Realizations with the same (start, hit, prefix) are merged; per start the
     probabilities sum to 1.  Depth-first expansion, no memoization (prefixes
-    matter), guarded by `limit` edge expansions.
+    matter), guarded by `limit` edge expansions.  T is a count >= 1.
     """
+    check_count(T, "T", 1)
+    check_count(limit, "limit", 0)
     rumor = frozenset(int(r) for r in rumor_set)
     for r in rumor:
         if not 0 <= r < g.n:
@@ -129,8 +132,7 @@ def exhaustive_optimum(g: Graph, params: LogisticParams, rumor_set, k: int,
     smallest set.  Guarded: C(candidates, k) must stay within 10^6."""
     rumor = frozenset(int(r) for r in rumor_set)
     candidates = sorted(set(range(g.n)) - rumor)
-    if not 1 <= k <= len(candidates):
-        raise ValueError(f"k={k} infeasible with {len(candidates)} candidates")
+    _check_k(k, len(candidates))
     n_subsets = math.comb(len(candidates), k)
     if n_subsets > _COMBINATION_LIMIT:
         raise ValueError(
@@ -227,7 +229,7 @@ def find_submodularity_violation(params: LogisticParams, trials: int,
     alpha/beta > 1).  With envelope=True it probes the envelope anchored at A
     and must come back empty: the anchored envelope is submodular.
     """
-    for _ in range(trials):
+    for _ in range(check_count(trials, "trials", 1)):
         g, rumor, T = _random_instance(rng)
         cands = sorted(set(range(g.n)) - rumor)
         if len(cands) < 2:
@@ -269,7 +271,7 @@ def check_envelope_dominance(params: LogisticParams, trials: int,
     """Probe random (graph, R, anchor, superset) tuples for an envelope that
     fails to dominate the exact objective, or drifts off it at the anchor.
     Returns the first counterexample, or None when all probes pass."""
-    for _ in range(trials):
+    for _ in range(check_count(trials, "trials", 1)):
         g, rumor, T = _random_instance(rng)
         cands = sorted(set(range(g.n)) - rumor)
         store = ExactStore(g, rumor, T)

@@ -68,25 +68,28 @@ _CHUNK_NODES = 128
 _BLOCK_ENTRIES = 1 << 18
 
 
+def check_count(value, name: str, floor: int) -> int:
+    """`value` as an int, or `ValueError` unless it is an integer >= floor:
+    the one rule for every count setting, checked where the setting enters.
+    NumPy integers count; bool, although an `Integral`, does not."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < floor):
+        raise ValueError(f"{name} takes integers >= {floor}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SampleConfig:
-    """Walk-length threshold T, walks per start node X, and the RNG seed."""
+    """Walk-length threshold T >= 1, walks per start node X >= 1, seed >= 0."""
 
     T: int
     X: int
     seed: int = 0
 
     def __post_init__(self):
-        # bool is an Integral too, but True is no walk length
-        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
-                   for v in (self.T, self.X, self.seed)):
-            raise ValueError(f"T, X and seed must be integers, got {self}")
-        if self.T < 1:
-            raise ValueError(f"walk length threshold must be >= 1, got {self.T}")
-        if self.X < 1:
-            raise ValueError(f"walks per node must be >= 1, got {self.X}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_count(self.T, "T", 1)
+        check_count(self.X, "X", 1)
+        check_count(self.seed, "seed", 0)
 
 
 @dataclass(frozen=True)
@@ -114,8 +117,7 @@ def hoeffding_sample_size(epsilon: float, delta: float, candidates: int) -> int:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     if not 0 < delta < 1:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
-    if candidates < 1:
-        raise ValueError(f"candidates must be >= 1, got {candidates}")
+    check_count(candidates, "candidates", 1)
     return math.ceil(math.log(candidates / delta) / (2.0 * epsilon * epsilon))
 
 
@@ -381,8 +383,7 @@ def build_sample_stores(g: Graph, keys, threads: int = 1):
     asking for the next holds one index at a time.  The rumor sets and
     `threads` are checked at the call.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    check_count(threads, "threads", 1)
     keys = [(frozenset(int(r) for r in rumor), cfg) for rumor, cfg in keys]
     if not keys:
         raise ValueError("no store keys given")

@@ -40,21 +40,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocking import EnvelopeTable, LogisticParams, estimate_objective
-from .sampling import _csr_take
+from .sampling import _csr_take, check_count
 
 _PRUNE_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
 class SolverLimits:
-    """Optional caps on branch-and-bound work; None means unlimited."""
+    """Optional caps on branch-and-bound work; None means unlimited.  The
+    expansion cap is a count >= 0, the wall-time cap positive seconds."""
 
     node_expansion_cap: int | None = None
     wall_time_cap: float | None = None
 
     def __post_init__(self):
-        if self.node_expansion_cap is not None and self.node_expansion_cap < 0:
-            raise ValueError("node_expansion_cap must be >= 0")
+        if self.node_expansion_cap is not None:
+            check_count(self.node_expansion_cap, "node_expansion_cap", 0)
         # `not > 0` also rejects NaN, which no elapsed time ever exceeds
         if self.wall_time_cap is not None and not self.wall_time_cap > 0:
             raise ValueError("wall_time_cap must be positive")
@@ -91,7 +92,7 @@ class SolveReport:
 
 
 def _check_k(k: int, n_candidates: int) -> None:
-    if not 1 <= k <= n_candidates:
+    if check_count(k, "k", 1) > n_candidates:
         raise ValueError(f"k={k} infeasible with {n_candidates} candidates")
 
 

@@ -11,14 +11,13 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import Graph
+from .sampling import check_count
 
 
 def barabasi_albert_graph(n: int, m_attach: int, seed: int = 0) -> Graph:
     """Preferential attachment: each new node links to m_attach distinct
     existing nodes drawn with probability proportional to degree."""
-    if m_attach < 1:
-        raise ValueError(f"m_attach must be >= 1, got {m_attach}")
-    if n <= m_attach:
+    if check_count(n, "n", 1) <= check_count(m_attach, "m_attach", 1):
         raise ValueError(f"need n > m_attach, got n={n}, m_attach={m_attach}")
     rng = np.random.default_rng(seed)
     adj: list[set[int]] = [set() for _ in range(n)]
@@ -41,8 +40,7 @@ def barabasi_albert_graph(n: int, m_attach: int, seed: int = 0) -> Graph:
 def gnp_graph(n: int, p: float, seed: int | np.random.Generator = 0) -> Graph:
     """Erdos-Renyi G(n, p), undirected, no self-loops.  `seed` may also be a
     `np.random.Generator`, which then advances by one double per node pair."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    check_count(n, "n", 1)
     if not 0 <= p <= 1:
         raise ValueError(f"p must be in [0, 1], got {p}")
     rng = np.random.default_rng(seed)

@@ -5,6 +5,7 @@ import json
 import math
 import weakref
 
+import numpy as np
 import pytest
 
 import rcic.bench
@@ -52,8 +53,13 @@ def test_generate_rumor_set_is_deterministic_and_nested():
 
 def test_generate_rumor_set_size_limits():
     g = barabasi_albert_graph(100, 3, seed=2)
-    with pytest.raises(ValueError):
-        generate_rumor_set(g, 0, seed=0)
+    # a float size used to fail as a slice index; seed True ran as seed 1
+    for size, seed in ((0, 0), (2.5, 0), (5.0, 0), (True, 0), (math.nan, 0),
+                       (5, -1), (5, 2.5), (5, True)):
+        with pytest.raises(ValueError, match="integers"):
+            generate_rumor_set(g, size, seed=seed)
+    assert (generate_rumor_set(g, np.int64(5), np.int64(9))
+            == generate_rumor_set(g, 5, seed=9))
     with pytest.raises(ValueError):
         generate_rumor_set(g, 11, seed=0)  # decile holds 10 nodes
 
@@ -96,9 +102,10 @@ def test_config_rejects_an_x_sweep_when_epsilon_derives_x():
 
 
 def test_config_rejects_thread_counts_below_one():
-    for threads in (0, -2):
+    for threads in (0, -2, 1.5, True, math.nan):
         with pytest.raises(ValueError, match="threads"):
             base_config(threads=threads)
+    assert base_config(threads=np.int64(2)).threads == 2
 
 
 def test_run_on_graph_basic_rows():
@@ -296,6 +303,31 @@ def test_run_on_graph_checks_every_sweep_point_before_sampling(monkeypatch,
     with pytest.raises(ValueError):
         run_on_graph(small_graph(), base_config(**overrides), rows=rows)
     assert rows == []
+
+
+def test_run_on_graph_checks_counts_before_any_walk_pass(monkeypatch):
+    # k=5.0 used to pass the range check, run the walk pass and fail in the
+    # first solver; no expansion count reaches a NaN cap, so bab never stopped
+    passes, _, _ = track_store_builds(monkeypatch)
+    for overrides in (dict(k=5.0), dict(k=True), dict(node_cap=math.nan),
+                      dict(rumor_size=4.0), dict(T=2.5), dict(X=math.nan)):
+        with pytest.raises(ValueError, match="integers"):
+            run_on_graph(small_graph(), base_config(**overrides))
+    assert passes == []
+    # NumPy integers are counts, and give the rows Python integers give
+    counts = dict(k=3, rumor_size=4, rumor_seed=1, T=3, X=50, seed=0,
+                  node_cap=2, threads=1)
+
+    def untimed_rows(cast):
+        config = base_config(algorithms=("topk", "greedy", "bab"),
+                             **{name: cast(v) for name, v in counts.items()})
+        return [dataclasses.replace(r, wall_time_ms=0, peak_mem_mb=None)
+                for r in run_on_graph(small_graph(), config)]
+
+    numpy_rows = untimed_rows(np.int64)
+    assert numpy_rows == untimed_rows(int)
+    assert passes == [1, 1]
+    assert [r.status for r in numpy_rows] == ["ok"] * 3
 
 
 def test_run_on_graph_accepts_k_equal_to_the_candidate_count():

@@ -261,8 +261,9 @@ def test_blocking_percentage_path_instance():
 
 
 def test_blocking_percentage_needs_reachable_rumor():
-    # the rumor node is isolated: no walk can hit, the ratio is undefined
+    # the rumor node is isolated: no walk can hit, and the share reads 0.0,
+    # as every solver report's does
     g = Graph([[1], [0], []], directed=False)
     store = ExactStore(g, {2}, T=3)
-    with pytest.raises(ValueError):
-        blocking_percentage(store, P31, {0})
+    assert store.index.influenced_mass == 0.0
+    assert blocking_percentage(store, P31, {0}) == 0.0

@@ -19,6 +19,11 @@ def graph_file(tmp_path):
     return str(path)
 
 
+def read_report(path):
+    with path.open() as fh:
+        return read_rows(fh)
+
+
 def run_flags(graph_file, out):
     return ["run", "--graph", graph_file, "--algo", "topk,greedy", "--k", "3",
             "--rumor-size", "4", "--rumor-seed", "1", "-T", "3",
@@ -29,7 +34,7 @@ def run_flags(graph_file, out):
 def test_run_writes_report(graph_file, tmp_path):
     out = tmp_path / "report.csv"
     assert main(run_flags(graph_file, str(out))) == 0
-    rows = read_rows(out.open())
+    rows = read_report(out)
     assert [r.algorithm for r in rows] == ["topk", "greedy"]
     assert all(r.status == "ok" for r in rows)
 
@@ -59,7 +64,7 @@ def test_bound_solvers_run_at_alpha_two(graph_file, tmp_path):
     assert main(["run", "--graph", graph_file, "--algo", "bab,probab",
                  "--k", "3", "--rumor-size", "4", "-T", "4", "--alpha", "2",
                  "--beta", "1", "--samples", "50", "--out", str(out)]) == 0
-    rows = read_rows(out.open())
+    rows = read_report(out)
     assert [r.algorithm for r in rows] == ["bab", "probab"]
     assert all(r.status == "ok" for r in rows)
 
@@ -68,7 +73,7 @@ def test_run_repeats_identically(graph_file, tmp_path):
     out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(run_flags(graph_file, str(out_a))) == 0
     assert main(run_flags(graph_file, str(out_b))) == 0
-    rows_a, rows_b = read_rows(out_a.open()), read_rows(out_b.open())
+    rows_a, rows_b = read_report(out_a), read_report(out_b)
     assert [(r.chosen_set, r.objective) for r in rows_a] == \
         [(r.chosen_set, r.objective) for r in rows_b]
 
@@ -90,7 +95,7 @@ def test_run_reports_rows_computed_before_a_solver_error(graph_file, tmp_path,
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
     assert main(flags + ["--out", str(out)]) == 1
-    for rows in (read_rows(io.StringIO(captured.out)), read_rows(out.open())):
+    for rows in (read_rows(io.StringIO(captured.out)), read_report(out)):
         assert [r.k for r in rows] == [2, 3]
         assert rows[0].status == "ok"
         assert rows[1].status == "error: ValueError: solver failed"
@@ -137,7 +142,7 @@ def test_run_thread_count_does_not_change_results(graph_file, tmp_path):
     out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(run_flags(graph_file, str(out_a)) + ["--threads", "1"]) == 0
     assert main(run_flags(graph_file, str(out_b)) + ["--threads", "4"]) == 0
-    rows_a, rows_b = read_rows(out_a.open()), read_rows(out_b.open())
+    rows_a, rows_b = read_report(out_a), read_report(out_b)
     assert [(r.chosen_set, r.objective) for r in rows_a] == \
         [(r.chosen_set, r.objective) for r in rows_b]
 
@@ -159,7 +164,7 @@ def test_config_file_supplies_flags(graph_file, tmp_path):
     out_flag = tmp_path / "from_flags.csv"
     assert main(["run", "--config", str(cfg), "--out", str(out_cfg)]) == 0
     assert main(run_flags(graph_file, str(out_flag))) == 0
-    rows_cfg, rows_flag = read_rows(out_cfg.open()), read_rows(out_flag.open())
+    rows_cfg, rows_flag = read_report(out_cfg), read_report(out_flag)
     assert [(r.algorithm, r.chosen_set, r.objective) for r in rows_cfg] == \
         [(r.algorithm, r.chosen_set, r.objective) for r in rows_flag]
 
@@ -171,7 +176,7 @@ def test_command_line_beats_config_file(graph_file, tmp_path):
     out = tmp_path / "out.csv"
     assert main(["run", "--config", str(cfg), "--k", "3",
                  "--out", str(out)]) == 0
-    rows = read_rows(out.open())
+    rows = read_report(out)
     assert rows[0].k == 3
     assert rows[0].chosen_size == 3
 
@@ -183,7 +188,7 @@ def test_command_line_zero_beats_config_file(graph_file, tmp_path):
     out = tmp_path / "out.csv"
     assert main(["run", "--config", str(cfg), "--rumor-seed", "0",
                  "--out", str(out)]) == 0
-    assert [r.rumor_seed for r in read_rows(out.open())] == [0]
+    assert [r.rumor_seed for r in read_report(out)] == [0]
 
 
 def test_config_file_value_outside_flag_choices_is_an_error(graph_file,
@@ -226,7 +231,7 @@ def test_config_keys_are_the_commands_own_flags(graph_file, tmp_path,
     assert captured.out == ""
     out = tmp_path / "scal.csv"
     assert main(["scalability", "--config", str(cfg), "--out", str(out)]) == 0
-    assert [r.fraction for r in read_rows(out.open())] == [0.5]
+    assert [r.fraction for r in read_report(out)] == [0.5]
 
 
 def test_undirected_is_not_an_option(graph_file, tmp_path, capsys):
@@ -247,7 +252,7 @@ def test_config_file_sets_directed(graph_file, tmp_path):
     assert main(run_flags(graph_file, str(outs["flag"])) + ["--directed"]) == 0
     assert main(run_flags(graph_file, str(outs["plain"]))) == 0
     rows = {name: [(r.chosen_set, r.objective, r.influenced_mass)
-                   for r in read_rows(out.open())]
+                   for r in read_report(out)]
             for name, out in outs.items()}
     assert rows["cfg"] == rows["flag"]
     assert rows["cfg"] != rows["plain"]
@@ -277,7 +282,7 @@ def test_sweep_flag(graph_file, tmp_path):
                  "--k", "2", "--rumor-size", "4", "-T", "3", "--alpha", "3",
                  "--beta", "1", "--samples", "30", "--sweep", "T=2,3",
                  "--out", str(out)]) == 0
-    rows = read_rows(out.open())
+    rows = read_report(out)
     assert [(r.sweep_axis, r.sweep_value) for r in rows] == \
         [("T", "2"), ("T", "3")]
 
@@ -305,7 +310,7 @@ def test_scalability_command(graph_file, tmp_path):
                  "--k", "2", "--rumor-size", "3", "-T", "2", "--alpha", "3",
                  "--beta", "1", "--samples", "20",
                  "--fractions", "0.5,1.0", "--out", str(out)]) == 0
-    rows = read_rows(out.open())
+    rows = read_report(out)
     assert [r.fraction for r in rows] == [0.5, 1.0]
 
 
@@ -326,7 +331,7 @@ def test_scalability_keeps_earlier_slices_after_a_solver_error(
                  "--beta", "1", "--samples", "20",
                  "--fractions", "0.5,0.75,1.0", "--out", str(out)]) == 1
     assert "solver failed" in capsys.readouterr().err
-    rows = read_rows(out.open())
+    rows = read_report(out)
     assert [r.fraction for r in rows] == [0.5, 0.75, 1.0]
     assert [r.status for r in rows] == [
         "ok", "ok", "error: ValueError: solver failed"]
@@ -343,7 +348,7 @@ def test_run_reports_any_solver_exception(graph_file, tmp_path, monkeypatch,
     out = tmp_path / "report.csv"
     assert main(run_flags(graph_file, str(out))) == 1
     assert "error: RuntimeError: solver broke" in capsys.readouterr().err
-    assert [r.status for r in read_rows(out.open())] == [
+    assert [r.status for r in read_report(out)] == [
         "ok", "error: RuntimeError: solver broke"]
 
 
@@ -367,3 +372,6 @@ def test_oracle_envelope_submodularity(capsys):
 def test_oracle_dominance(capsys):
     assert main(["oracle", "--check", "dominance", "--trials", "150"]) == 0
     assert "pass" in capsys.readouterr().out
+    # zero probes is no evidence: an error, not a pass
+    assert main(["oracle", "--check", "dominance", "--trials", "0"]) == 1
+    assert "trials" in capsys.readouterr().err

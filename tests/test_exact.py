@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,10 @@ def test_enumerate_keys_are_unique():
 def test_enumerate_budget_guard():
     with pytest.raises(ValueError):
         enumerate_realizations(path3(), {2}, T=2, limit=1)
+    # no expansion count exceeds a NaN budget, so it would guard nothing
+    for limit in (-1, 2.5, True, math.nan):
+        with pytest.raises(ValueError, match="integers"):
+            enumerate_realizations(path3(), {2}, T=2, limit=limit)
 
 
 def test_enumerate_validation():
@@ -73,6 +79,12 @@ def test_enumerate_validation():
         enumerate_realizations(path3(), {5}, T=2)
     with pytest.raises(ValueError):
         enumerate_realizations(path3(), {0, 1, 2}, T=2)
+    # a float or negative T used to spend the whole expansion budget
+    for T in (0, -1, 2.5, True, math.nan):
+        with pytest.raises(ValueError, match="integers"):
+            ExactStore(path3(), {2}, T=T)
+    assert (enumerate_realizations(path3(), {2}, T=np.int64(2))
+            == enumerate_realizations(path3(), {2}, T=2))
 
 
 def test_exact_objective_path_values():
@@ -135,8 +147,9 @@ def test_exhaustive_optimum_path():
 
 def test_exhaustive_optimum_validation():
     g = path3()
-    with pytest.raises(ValueError):
-        exhaustive_optimum(g, P31, {2}, k=0, T=2)
+    for k in (0, 1.5, True):
+        with pytest.raises(ValueError):
+            exhaustive_optimum(g, P31, {2}, k=k, T=2)
     with pytest.raises(ValueError):
         exhaustive_optimum(g, P31, {2}, k=3, T=2)
     big = gnp_graph(30, 0.2, seed=4)
@@ -231,3 +244,8 @@ def test_envelope_dominates():
     for params in ENVELOPE_PARAMS:
         rng = np.random.default_rng(2)
         assert check_envelope_dominance(params, trials=300, rng=rng) is None
+    # a check of no probes would pass whatever the envelope did
+    for check in (check_envelope_dominance, find_submodularity_violation):
+        for trials in (0, 2.5, True, math.nan):
+            with pytest.raises(ValueError, match="integers"):
+                check(P31, trials, np.random.default_rng(2))

@@ -1,5 +1,7 @@
 import io
+import math
 
+import numpy as np
 import pytest
 
 from rcic.graph import (
@@ -10,6 +12,7 @@ from rcic.graph import (
     load_edge_list,
     top_decile_nodes,
 )
+from rcic.synth import barabasi_albert_graph, gnp_graph
 
 
 def test_load_path_graph():
@@ -153,3 +156,15 @@ def test_bfs_subgraph_nested():
         _, keep = bfs_subgraph(g, seed=0, fraction=frac)
         assert prev <= set(keep)
         prev = set(keep)
+
+
+def test_synthetic_graph_sizes_are_counts():
+    for n, m_attach in ((0, 1), (2.5, 1), (True, 1), (math.nan, 1), (5, 0),
+                        (5, 1.0), (5, True)):
+        with pytest.raises(ValueError, match="integers"):
+            barabasi_albert_graph(n, m_attach)
+    for n in (0, 2.5, True, math.nan):
+        with pytest.raises(ValueError, match="integers"):
+            gnp_graph(n, 0.5)
+    assert barabasi_albert_graph(np.int64(6), np.int64(2)).n == 6
+    assert gnp_graph(np.int64(6), 0.5).n == 6

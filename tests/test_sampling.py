@@ -1,4 +1,5 @@
 import hashlib
+import math
 import sys
 import tracemalloc
 
@@ -52,15 +53,13 @@ def test_sample_config_validation():
         SampleConfig(T=3, X=0)
     with pytest.raises(ValueError, match="seed"):
         SampleConfig(T=1, X=1, seed=-1)
-    # a float T or X would fail only deep inside the walk pass
-    for T, X in ((2.5, 10), (2, 10.0), (2.0, 10)):
-        with pytest.raises(ValueError, match="integers"):
-            SampleConfig(T=T, X=X)
-    # bool passes numbers.Integral; True would build a T=1 or X=1 config
-    for T, X, seed in ((True, 500, 0), (2, True, 0), (2, 10, False)):
-        with pytest.raises(ValueError, match="integers"):
-            SampleConfig(T=T, X=X, seed=seed)
-    SampleConfig(T=np.int64(2), X=np.int32(10))
+    # a float T or X would fail only deep inside the walk pass; bool passes
+    # numbers.Integral, and True would build a T=1 or X=1 config
+    for bad in (2.5, 2.0, math.nan, True, False):
+        for T, X, seed in ((bad, 10, 0), (2, bad, 0), (2, 10, bad)):
+            with pytest.raises(ValueError, match="integers"):
+                SampleConfig(T=T, X=X, seed=seed)
+    SampleConfig(T=np.int64(2), X=np.int32(10), seed=np.uint64(3))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**64 + 3,
@@ -103,9 +102,11 @@ def test_hoeffding_sample_size_scaling():
 
 def test_hoeffding_sample_size_validation():
     for eps, delta, cand in ((0.0, 0.1, 5), (1.0, 0.1, 5), (0.1, 0.0, 5),
-                             (0.1, 1.0, 5), (0.1, 0.1, 0)):
+                             (0.1, 1.0, 5), (0.1, 0.1, 0), (0.1, 0.1, 2.5),
+                             (0.1, 0.1, True), (0.1, 0.1, math.nan)):
         with pytest.raises(ValueError):
             hoeffding_sample_size(eps, delta, cand)
+    assert hoeffding_sample_size(0.1, 0.01, np.int64(1000)) == 576
 
 
 def test_sample_walk_hit_at_final_step():
@@ -317,9 +318,11 @@ def test_store_build_validation():
         build_sample_stores(g, [])
     with pytest.raises(ValueError, match="outside"):
         build_sample_stores(g, [({2}, cfg), ({2, 3}, cfg)])
-    for threads in (0, -1):
+    # 1.5 would run the pass on 2 workers, True on 1
+    for threads in (0, -1, 1.5, True, math.nan):
         with pytest.raises(ValueError, match="threads"):
             build_sample_stores(g, [({2}, cfg)], threads)
+    assert next(build_sample_stores(g, [({2}, cfg)], np.int64(2))).X == 5
     with pytest.raises(ValueError):
         build_sample_store(g, set(), SampleConfig(T=2, X=5))
     with pytest.raises(ValueError):

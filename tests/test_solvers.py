@@ -286,8 +286,11 @@ def test_bound_calls_read_only_the_sets_walks(monkeypatch):
 def test_limits_validation():
     SolverLimits()
     SolverLimits(node_expansion_cap=0, wall_time_cap=1.0)
-    with pytest.raises(ValueError):
-        SolverLimits(node_expansion_cap=-1)
+    SolverLimits(node_expansion_cap=np.int64(5))
+    # no expansion count reaches a NaN cap, so the search would never stop
+    for cap in (-1, 2.5, True, math.nan):
+        with pytest.raises(ValueError, match="integers"):
+            SolverLimits(node_expansion_cap=cap)
     with pytest.raises(ValueError):
         SolverLimits(wall_time_cap=0.0)
     with pytest.raises(ValueError):
@@ -314,10 +317,12 @@ def test_topk_tie_prefers_smaller_id():
 def test_solver_k_validation():
     store = path_store()
     for solver in (solve_topk, solve_greedy):
-        with pytest.raises(ValueError):
-            solver(store, P31, k=0)
+        for k in (0, 2.5, 1.0, True, math.nan):
+            with pytest.raises(ValueError, match="integers"):
+                solver(store, P31, k=k)
         with pytest.raises(ValueError):
             solver(store, P31, k=3)
+        assert solver(store, P31, k=np.int64(1)).chosen_set == {1}
 
 
 def test_greedy_path_instance():
@@ -518,8 +523,7 @@ def test_solvers_on_a_store_that_no_walk_hits():
     g = Graph([[1], [2], [], [0]], directed=True)
     store = build_sample_store(g, {3}, SampleConfig(T=4, X=20))
     assert store.index.influenced_mass == 0.0
-    with pytest.raises(ValueError, match="no walk reaches"):
-        blocking_percentage(store, P31, {0})
+    assert blocking_percentage(store, P31, {0}) == 0.0
     for algo in ("topk", "greedy", "bab", "probab"):
         report = run_solver(algo, store, P31, k=2)
         assert report.objective == 0.0
