@@ -288,8 +288,7 @@ def run_scalability(config: ExperimentConfig, fractions, rows=None) -> list[Repo
         raise ValueError("fractions must be ascending")
     with open(config.graph_path) as fh:
         g = load_edge_list(fh, directed=config.directed)
-    degrees = g.degrees()
-    bfs_seed = min(range(g.n), key=lambda u: (-degrees[u], u))
+    bfs_seed = int(np.argmax(g.degrees()))  # the first, so smallest, maximum
     rows = [] if rows is None else rows
     for frac in fractions:
         sub, _ = bfs_subgraph(g, bfs_seed, frac)

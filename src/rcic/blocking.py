@@ -36,10 +36,9 @@ class LogisticParams:
 
     def __post_init__(self):
         # `not > 0` also rejects NaN, under which every block value is NaN
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if not self.beta > 0:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
+        for name, value in (("alpha", self.alpha), ("beta", self.beta)):
+            if isinstance(value, bool) or not value > 0:
+                raise ValueError(f"{name} must be > 0, got {value}")
 
     @property
     def inflection(self) -> float:

@@ -58,13 +58,14 @@ def enumerate_realizations(g: Graph, rumor_set, T: int,
     starts = sorted(set(range(g.n)) - rumor)
     if not starts:
         raise ValueError("rumor set covers every node")
+    adj = [g.neighbors(u) for u in range(g.n)]
     agg: dict[tuple[int, bool, frozenset[int]], float] = {}
     expansions = 0
     for u in starts:
         stack = [(u, 0, frozenset((u,)), 1.0)]
         while stack:
             node, depth, prefix, prob = stack.pop()
-            nbrs = g.neighbors(node)
+            nbrs = adj[node]
             if depth == T or not nbrs:
                 key = (u, False, prefix)
                 agg[key] = agg.get(key, 0.0) + prob

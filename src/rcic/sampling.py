@@ -19,7 +19,7 @@ Every start's PCG64 state is computed up front in one vectorized pass
 generator.
 
 Walks are simulated a chunk of start nodes at a time, every walk of the
-chunk in lockstep, on a copy of the graph with two absorbing sinks: HIT
+chunk in lockstep, on a copy of the graph's CSR with two sinks added: HIT
 (node n), which every arc into the rumor set leads to instead, and DEAD
 (node n + 1), a dead end's only neighbour.  Each step is then the same few
 full-width gathers for every walk, with no compaction, into the next row of
@@ -419,23 +419,20 @@ def _yield_stores(g: Graph, keys, threads: int):
 def _sample_hit_rows(g: Graph, rumors, cfg: SampleConfig, threads: int):
     """One walk pass under rumors[0]; per set, its hit flags and hit CSR.
 
-    The walks step on a copy of the graph with two absorbing sinks, HIT = n
-    and DEAD = n + 1, each its own only neighbour: an arc into rumors[0]
-    leads to HIT instead, and a dead end's only arc leads to DEAD.  So every
-    step of every walk is the same few full-width gathers, and row t of the
-    (T + 1, W) step matrix holds each walk's node after t steps.
+    The walks step on the graph's own CSR with two absorbing sinks added,
+    HIT = n and DEAD = n + 1, each its own only neighbour: an arc into
+    rumors[0] leads to HIT instead, and a dead end gets one arc, to DEAD.
+    So every step of every walk is the same few full-width gathers, and row
+    t of the (T + 1, W) step matrix holds each walk's node after t steps.
     """
     n, T, X = g.n, cfg.T, cfg.X
     hit_node, dead_node = n, n + 1
-    degs = np.array(g.degrees(), dtype=np.int64)
-    adj_flat = np.fromiter((v for u in range(n) for v in g.neighbors(u)),
-                           dtype=np.int64, count=int(degs.sum()))
-    in_first = np.zeros(n, dtype=bool)
-    in_first[list(rumors[0])] = True
-    adj_flat[in_first[adj_flat]] = hit_node
+    degs = g.degrees()
+    candidates, first_pos = _candidate_positions(n, rumors[0])
+    adj_flat = np.where(first_pos[g.indices] < 0, hit_node, g.indices)
     dead_ends = np.flatnonzero(degs == 0)  # each one's empty row gets DEAD
     adj_flat = np.concatenate([
-        np.insert(adj_flat, np.cumsum(degs)[dead_ends], dead_node),
+        np.insert(adj_flat, g.indptr[dead_ends], dead_node),
         [hit_node, dead_node]])
     walk_degs = np.concatenate([np.maximum(degs, 1), [1, 1]])
     adj_indptr = np.zeros(n + 3, dtype=np.int64)
@@ -450,7 +447,6 @@ def _sample_hit_rows(g: Graph, rumors, cfg: SampleConfig, threads: int):
         inside[list(rumor)] = True
         inside[hit_node] = True
         cuts.append((inside, _candidate_positions(n, rumor)[1]))
-    candidates, first_pos = _candidate_positions(n, rumors[0])
     states, incs = _pcg64_states(cfg.seed, candidates)
     scratch = threading.local()
 
@@ -619,9 +615,9 @@ def _pcg64_states(seed: int, starts):
 def _candidate_positions(n_nodes: int, rumor_set):
     """The non-rumor nodes in ascending order (int64), and the lookup from
     node id to position among them (int32, -1 for a rumor node)."""
-    candidates = np.array(sorted(set(range(n_nodes)) - set(rumor_set)),
-                          dtype=np.int64)
-    cand_pos = np.full(n_nodes, -1, dtype=np.int32)
+    cand_pos = np.zeros(n_nodes, dtype=np.int32)
+    cand_pos[list(rumor_set)] = -1
+    candidates = np.flatnonzero(cand_pos == 0)
     cand_pos[candidates] = np.arange(candidates.size, dtype=np.int32)
     return candidates, cand_pos
 

@@ -57,7 +57,8 @@ class SolverLimits:
         if self.node_expansion_cap is not None:
             check_count(self.node_expansion_cap, "node_expansion_cap", 0)
         # `not > 0` also rejects NaN, which no elapsed time ever exceeds
-        if self.wall_time_cap is not None and not self.wall_time_cap > 0:
+        cap = self.wall_time_cap
+        if cap is not None and (isinstance(cap, bool) or not cap > 0):
             raise ValueError("wall_time_cap must be positive")
 
 
@@ -97,7 +98,7 @@ def _check_k(k: int, n_candidates: int) -> None:
 
 
 def _check_rho(rho: float) -> None:
-    if not rho > 0:  # also rejects NaN, under which no threshold sweep runs
+    if isinstance(rho, bool) or not rho > 0:  # also rejects NaN
         raise ValueError(f"rho must be > 0, got {rho}")
 
 

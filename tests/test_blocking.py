@@ -34,7 +34,9 @@ def test_params_validation():
         LogisticParams(alpha=0.0, beta=1.0)
     with pytest.raises(ValueError):
         LogisticParams(alpha=3.0, beta=-1.0)
-    for alpha, beta in ((math.nan, 1.0), (3.0, math.nan)):
+    # bool is no curve setting, although True > 0
+    for alpha, beta in ((math.nan, 1.0), (3.0, math.nan), (True, 1.0),
+                        (3.0, True), (True, True)):
         with pytest.raises(ValueError):
             LogisticParams(alpha, beta)
     assert P31.inflection == 3.0

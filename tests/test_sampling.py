@@ -338,6 +338,7 @@ def test_index_structure_invariants():
     index = store.index
 
     assert list(index.candidates) == sorted(set(range(g.n)) - rumor)
+    assert index.candidates.dtype == np.int64
     for pos, v in enumerate(index.candidates):
         assert index.position(int(v)) == pos
     assert index.indptr[0] == 0

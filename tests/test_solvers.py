@@ -293,8 +293,9 @@ def test_limits_validation():
             SolverLimits(node_expansion_cap=cap)
     with pytest.raises(ValueError):
         SolverLimits(wall_time_cap=0.0)
-    with pytest.raises(ValueError):
-        SolverLimits(wall_time_cap=math.nan)
+    for cap in (math.nan, True):
+        with pytest.raises(ValueError):
+            SolverLimits(wall_time_cap=cap)
 
 
 def test_topk_path_instance():
@@ -428,7 +429,7 @@ def test_pro_bound_outputs_valid_completion():
 
 
 def test_pro_bound_needs_positive_rho():
-    for rho in (0.0, math.nan):
+    for rho in (0.0, math.nan, True):
         with pytest.raises(ValueError):
             pro_sam_compute_bound(path_store(), P31, frozenset(), k=1, rho=rho)
 
