@@ -8,10 +8,10 @@ Every sweep point's settings are checked, and its rumor set drawn, before
 the first sampling pass.  `build_sample_stores` then gets every point's
 store key, (rumor set, `SampleConfig`), and is the one place that plans
 walk passes and stores: a k, rho, alpha or beta sweep reuses one store, and
-an |R| sweep with one rumor seed shares one walk pass.  Each point's store
-and index are built when the point runs, and dropped before the next
-point's are built.  At each point, a greedy row seeds the search of the bab
-and probab rows listed after it, so one greedy runs per point.
+an |R| sweep with one rumor seed, or a T sweep, shares one walk pass.  Each
+point's store and index are built when the point runs, and dropped before
+the next point's are built.  At each point, a greedy row seeds the search
+of the bab and probab rows listed after it, so one greedy runs per point.
 With epsilon and delta, X is derived from the sampling bound, so X cannot
 also be swept.  A row's chosen_set holds the edge-list file's node ids
 (`Graph.original_ids`), also on a scalability slice.
@@ -155,7 +155,15 @@ def generate_rumor_set(g: Graph, size: int, seed: int) -> frozenset[int]:
 
 def _apply_sweep(config: ExperimentConfig, axis: str, value: float
                  ) -> ExperimentConfig:
-    cast = int(value) if axis in _INT_AXES else float(value)
+    # `ExperimentConfig` has checked that an integer axis's values are
+    # integral; a bool is no count and no number, although int() takes it
+    if axis in _INT_AXES:
+        cast = check_count(int(value) if isinstance(value, float) else value,
+                           axis, 1)
+    elif isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{axis} takes numbers, got {value!r}")
+    else:
+        cast = float(value)
     return replace(config, **{axis: cast})
 
 

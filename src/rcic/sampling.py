@@ -16,7 +16,9 @@ are bit-identical regardless of thread count: each start node draws from its
 own seed substream, `SeedSequence(entropy=seed, spawn_key=(u,))`'s PCG64.
 Every start's PCG64 state is computed up front in one vectorized pass
 (`_pcg64_states`); each worker thread then sets it on its one reused
-generator.
+generator.  The draws are step-major: start u fills a (T, X) block, and
+walk i's step t reads draw t * X + i, so a build at T' < T reads the first
+T' * X draws of a build at T and its walks are the same walks cut at T'.
 
 Walks are simulated a chunk of start nodes at a time, every walk of the
 chunk in lockstep, on a copy of the graph's CSR with two sinks added: HIT
@@ -27,17 +29,19 @@ an int64 step matrix; a walk hit iff its last row reads HIT.  The step
 matrix, the uniforms and the step temporaries are scratch buffers, allocated
 once per worker thread per build.  Only the hit walks' columns are sorted and
 deduplicated; their rows leave the kernel as candidate positions (int32) and
-become the index's forward CSR as they are.
+become the index's forward CSR as they are, with each hit walk's hit step.
 
 `build_sample_stores` plans the walk passes of a sequence of store keys
 (rumor set, SampleConfig), such as a sweep's points: equal consecutive keys
-share a store, and consecutive keys with one SampleConfig whose rumor sets
-grow nested, R_1 ⊆ R_2 ⊆ ... (the |R| sweep), share one pass: under R_b
-walk (u, i) is walk (u, i) under R_1 cut at its first node in R_b, so each
-larger set's hit flags and prefixes follow from the same step matrix, and
-the walks from starts in R_b are dropped.  `build_sample_store` is its
-one-key case.  Each store, and so its index, is built only when the caller
-asks for it.
+share a store, and consecutive keys with one X and seed whose rumor sets
+grow nested, R_1 ⊆ R_2 ⊆ ... (equal sets count), share one pass at their
+largest T.  Under R_b walk (u, i) is walk (u, i) under R_1 cut at its first
+node in R_b, so each larger set's hit flags and prefixes follow from the
+same step matrix, and the walks from starts in R_b are dropped.  A walk
+ends at its hit, so under T' it hits iff its hit step is at most T', with
+the same prefix: a key's store is its set's rows masked to those walks
+(the |R| sweep and the T sweep).  `build_sample_store` is its one-key case.
+Each store, and so its index, is built only when the caller asks for it.
 
 The inverted index is placed one block of whole hit walks at a time: each
 block's entries are ordered by a stable radix order over 16-bit digits
@@ -55,7 +59,7 @@ import numbers
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -375,10 +379,11 @@ def build_sample_stores(g: Graph, keys, threads: int = 1):
     for byte to `build_sample_store` on that key alone.
 
     A key equal to the one before it gets the same store object.
-    Consecutive keys with one SampleConfig whose sets grow nested, R_1 ⊆ R_2
-    ⊆ ..., share one walk pass over their distinct sets, stepped under R_1;
-    any other step starts a new pass.  A pass runs when its first store is
-    asked for, and a store's index is built when it is yielded, after the
+    Consecutive keys with one X and seed whose sets grow nested, R_1 ⊆ R_2
+    ⊆ ... (equal sets count), share one walk pass over their distinct sets,
+    stepped under R_1 at the largest of their T; any other step starts a new
+    pass.  A pass runs when its first store is asked for, and a store's rows
+    are cut from it and its index built when it is yielded, after the
     iterator drops the last store: a caller that drops each store before
     asking for the next holds one index at a time.  The rumor sets and
     `threads` are checked at the call.
@@ -398,26 +403,36 @@ def build_sample_stores(g: Graph, keys, threads: int = 1):
 
 
 def _yield_stores(g: Graph, keys, threads: int):
-    store, pending = None, deque()
-    for i, (rumor, cfg) in enumerate(keys):
-        if i and keys[i - 1] == (rumor, cfg):
+    runs = [keys[:1]]  # consecutive keys that share one walk pass
+    for (prev, prev_cfg), (rumor, cfg) in zip(keys, keys[1:]):
+        same_draws = (cfg.X, cfg.seed) == (prev_cfg.X, prev_cfg.seed)
+        if same_draws and prev <= rumor:
+            runs[-1].append((rumor, cfg))
+        else:
+            runs.append([(rumor, cfg)])
+    for run in runs:
+        store = None  # the last store is not kept while the next pass runs
+        rumors = [rumor for k, (rumor, _) in enumerate(run)
+                  if not k or rumor != run[k - 1][0]]
+        pass_cfg = replace(run[0][1], T=max(cfg.T for _, cfg in run))
+        pending = deque(_sample_hit_rows(g, rumors, pass_cfg, threads))
+        for k, (rumor, cfg) in enumerate(run):
+            if k and run[k - 1] == (rumor, cfg):
+                yield store
+                continue
+            store = None  # the last store is not kept while the next is built
+            # a set's rows leave `pending` at the last key that reads them,
+            # and its hit steps are freed before the store's index is built
+            last = k + 1 == len(run) or run[k + 1][0] != rumor
+            store = SampleStore(cfg, g.n, rumor, *_hit_rows_within(
+                pending.popleft() if last else pending[0], cfg.T),
+                threads=threads)
             yield store
-            continue
-        store = None  # the last store is not kept while the next is built
-        if not pending:  # one pass serves the run of nested sets from here
-            run = [rumor]
-            for later, later_cfg in keys[i + 1:]:
-                if later_cfg != cfg or not run[-1] <= later:
-                    break
-                if later != run[-1]:
-                    run.append(later)
-            pending = deque(_sample_hit_rows(g, run, cfg, threads))
-        store = SampleStore(cfg, g.n, rumor, *pending.popleft(), threads=threads)
-        yield store
 
 
 def _sample_hit_rows(g: Graph, rumors, cfg: SampleConfig, threads: int):
-    """One walk pass under rumors[0]; per set, its hit flags and hit CSR.
+    """One walk pass under rumors[0]; per set, its hit flags, hit CSR and
+    each hit walk's hit step, the first step into that set.
 
     The walks step on the graph's own CSR with two absorbing sinks added,
     HIT = n and DEAD = n + 1, each its own only neighbour: an arc into
@@ -448,6 +463,7 @@ def _sample_hit_rows(g: Graph, rumors, cfg: SampleConfig, threads: int):
         inside[hit_node] = True
         cuts.append((inside, _candidate_positions(n, rumor)[1]))
     states, incs = _pcg64_states(cfg.seed, candidates)
+    step_dtype = np.min_scalar_type(T)  # holds every hit step, 1..T
     scratch = threading.local()
 
     def run_chunk(chunk):
@@ -459,7 +475,7 @@ def _sample_hit_rows(g: Graph, rumors, cfg: SampleConfig, threads: int):
             width = _CHUNK_NODES * X
             scratch.seq = np.empty((T + 1) * width, dtype=np.int64)
             scratch.uniforms = np.empty(T * width, dtype=np.float64)
-            scratch.block = np.empty((X, T), dtype=np.float64)
+            scratch.block = np.empty((T, X), dtype=np.float64)
             scratch.scaled = np.empty(width, dtype=np.float64)
             scratch.offset = np.empty(width, dtype=np.int64)
             scratch.choice = np.empty(width, dtype=np.int64)
@@ -468,13 +484,17 @@ def _sample_hit_rows(g: Graph, rumors, cfg: SampleConfig, threads: int):
         uniforms = scratch.uniforms[:T * W].reshape(T, W)
         scaled, offset, choice = (scratch.scaled[:W], scratch.offset[:W],
                                   scratch.choice[:W])
-        # walk (u, i) reads row i of start u's (X, T) block, one value a step
+        # step-major: start u fills a (T, X) block, and walk (u, i) reads
+        # column i of it, so its step t is draw t * X + i of u's substream
+        # and a pass at T' < T reads the first T' * X draws of a pass at T.
+        # The block is copied in as it is, so each step's row of `uniforms`
+        # stays contiguous for the step loop.
         for j, (state, inc) in enumerate(zip(states[chunk], incs[chunk])):
             scratch.bits.state = {"bit_generator": "PCG64",
                                   "state": {"state": state, "inc": inc},
                                   "has_uint32": 0, "uinteger": 0}
             scratch.rng.random(out=scratch.block)
-            uniforms[:, j * X:(j + 1) * X] = scratch.block.T
+            uniforms[:, j * X:(j + 1) * X] = scratch.block
         seq[0] = np.repeat(starts, X)
         # mode="clip" keeps `take` from buffering its output; every index is
         # in range, so it clips nothing
@@ -488,7 +508,7 @@ def _sample_hit_rows(g: Graph, rumors, cfg: SampleConfig, threads: int):
 
         hit = seq[T] == hit_node
         steps = seq.take(np.flatnonzero(hit), axis=1)
-        rows = [(hit, *_hit_prefixes(steps, hit_node, first_pos))]
+        rows = [(hit, *_hit_prefixes(steps, hit_node, first_pos, step_dtype))]
         for inside, cand_pos in cuts:
             # a walk under the larger set ends at its first step into it
             reached = scratch.cut[:T * W].reshape(T, W)
@@ -502,7 +522,8 @@ def _sample_hit_rows(g: Graph, rumors, cfg: SampleConfig, threads: int):
             cols = np.flatnonzero(hit)
             steps = seq.take(cols, axis=1)
             np.copyto(steps[1:], hit_node, where=reached.take(cols, axis=1))
-            rows.append((hit[kept], *_hit_prefixes(steps, hit_node, cand_pos)))
+            rows.append((hit[kept], *_hit_prefixes(steps, hit_node, cand_pos,
+                                                   step_dtype)))
         return rows
 
     chunks = [slice(i, i + _CHUNK_NODES)
@@ -512,15 +533,30 @@ def _sample_hit_rows(g: Graph, rumors, cfg: SampleConfig, threads: int):
 
     per_set = []
     for s in range(len(rumors)):
-        hit_flags = np.concatenate([r[s][0] for r in results])
-        hit_lengths = np.concatenate([r[s][1] for r in results])
-        hit_cands = np.concatenate([r[s][2] for r in results])
+        hit_flags, hit_steps, hit_lengths, hit_cands = (
+            np.concatenate([r[s][a] for r in results]) for a in range(4))
         for r in results:  # each chunk's rows live on only in the concatenation
             r[s] = None
-        hit_indptr = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(hit_lengths, dtype=np.int64)])
-        per_set.append((hit_flags, hit_indptr, hit_cands))
+        hit_indptr = np.zeros(hit_lengths.size + 1, dtype=np.int64)
+        np.cumsum(hit_lengths, out=hit_indptr[1:])
+        per_set.append((hit_flags, hit_indptr, hit_cands, hit_steps))
     return per_set
+
+
+def _hit_rows_within(rows, T: int):
+    """One rumor set's rows from a walk pass, cut to the walks that hit
+    within T steps: (hit flags, hit CSR).  A walk ends at its hit, so under
+    T it hits iff its hit step is at most T, with the same prefix."""
+    hit_flags, hit_indptr, hit_cands, hit_steps = rows
+    if hit_steps.max(initial=0) <= T:
+        return hit_flags, hit_indptr, hit_cands
+    kept = hit_steps <= T
+    lengths = np.diff(hit_indptr)
+    flags = hit_flags.copy()
+    flags[hit_flags] = kept
+    indptr = np.zeros(np.count_nonzero(kept) + 1, dtype=np.int64)
+    np.cumsum(lengths[kept], out=indptr[1:])
+    return flags, indptr, hit_cands[np.repeat(kept, lengths)]
 
 
 def _thread_map(fn, items, threads: int) -> list:
@@ -622,16 +658,18 @@ def _candidate_positions(n_nodes: int, rumor_set):
     return candidates, cand_pos
 
 
-def _hit_prefixes(steps, hit_node, cand_pos):
+def _hit_prefixes(steps, hit_node, cand_pos, step_dtype):
     """Each hit walk's prefix from its column of `steps`, in which every step
     from the hit on reads `hit_node`: the column's distinct other nodes,
     ascending, as int32 candidate positions through `cand_pos`.  Returns the
-    prefix sizes (int32) and the prefixes concatenated in column order.
-    Sorts `steps` in place."""
+    hit steps (`step_dtype`), the prefix sizes (int32) and the prefixes
+    concatenated in column order.  Sorts `steps` in place."""
     steps.sort(axis=0)
     keep = steps != hit_node
+    hit_steps = keep.sum(axis=0, dtype=step_dtype)  # rows 0..s-1 precede it
     keep[1:] &= steps[1:] != steps[:-1]
-    return keep.sum(axis=0, dtype=np.int32), cand_pos[steps.T[keep.T]]
+    return (hit_steps, keep.sum(axis=0, dtype=np.int32),
+            cand_pos[steps.T[keep.T]])
 
 
 def _stable_order(keys):

@@ -27,7 +27,8 @@ from rcic.exact import (
     find_submodularity_violation,
 )
 from rcic.graph import Graph, dump_edge_list
-from rcic.sampling import SampleConfig, build_sample_store, hoeffding_sample_size
+from rcic.sampling import (SampleConfig, build_sample_store, build_sample_stores,
+                           hoeffding_sample_size)
 from rcic.sampling import _csr_take
 from rcic.solvers import SolverLimits, run_solver, solve_greedy, solve_topk
 from rcic.synth import barabasi_albert_graph
@@ -178,13 +179,15 @@ def _prefix_keys(store, walks: np.ndarray) -> np.ndarray:
 
 
 def coupling_violations(small, large) -> tuple[int, int, int]:
-    """Walks that break the coupling of two same-seed stores with R_a ⊂ R_b.
+    """Walks that break the coupling of two same-seed stores, `small` under
+    (R_a, T_a) and `large` under (R_b, T_b) with R_a ⊆ R_b and T_a <= T_b.
 
-    Each start draws its walks from its own seed substream, so walk (u, i)
-    follows the same path under both rumor sets until it first meets R_b.
-    A walk from u outside R_b that hits R_a must therefore hit R_b, with a
-    prefix no larger than under R_a.  Returns (walks checked, hits lost,
-    prefixes grown).
+    Each start draws its walks from its own seed substream, step t of walk i
+    from the same draw whatever T is, so walk (u, i) follows the same path
+    in both stores until it first meets R_b or runs out of steps.  A walk
+    from u outside R_b that hits R_a within T_a steps must therefore hit R_b
+    within T_b steps, with a prefix no larger than under (R_a, T_a).  Returns
+    (walks checked, hits lost, prefixes grown).
     """
     X = small.X
     starts = large.candidates
@@ -237,15 +240,17 @@ def test_acceptance_6_benchmark_trends(verdict):
 
     # The percentage has no promised direction in |R|: a larger rumor set
     # reaches more users and also stops walks earlier.  What the model does
-    # promise is the walk-level coupling of nested rumor sets; the blocked
-    # and influenced masses are reported, not asserted.
+    # promise is the walk-level coupling of nested rumor sets, and of walk
+    # lengths along T; the blocked and influenced masses are reported, not
+    # asserted.  Each sweep's stores come from one walk pass.
     cfg = SampleConfig(T=base["T"], X=base["X"], seed=base["seed"])
+    greedy_r = [r for r in rows_r if r.algorithm == "greedy"]
+    stores_r = build_sample_stores(g, [
+        (generate_rumor_set(g, row.rumor_size, base["rumor_seed"]), cfg)
+        for row in greedy_r], threads=base["threads"])
     trend = []
     prev = None
-    for row in (r for r in rows_r if r.algorithm == "greedy"):
-        store = build_sample_store(
-            g, generate_rumor_set(g, row.rumor_size, base["rumor_seed"]), cfg,
-            threads=base["threads"])
+    for row, store in zip(greedy_r, stores_r):
         trend.append(f"|R|={row.rumor_size}: pct {row.blocking_pct:.6f}, "
                      f"blocked {row.objective:.1f}, "
                      f"reached {store.index.influenced_mass:.1f}")
@@ -258,8 +263,24 @@ def test_acceptance_6_benchmark_trends(verdict):
                     f"one and {grown} grew their prefix")
         prev, prev_size = store, row.rumor_size
 
+    rumor = generate_rumor_set(g, base["rumor_size"], base["rumor_seed"])
+    greedy_t = [r for r in rows_t if r.algorithm == "greedy"]
+    stores_t = build_sample_stores(g, [
+        (rumor, SampleConfig(T=row.T, X=base["X"], seed=base["seed"]))
+        for row in greedy_t], threads=base["threads"])
+    prev = None
+    for row, store in zip(greedy_t, stores_t):
+        if prev is not None:
+            checked, lost, grown = coupling_violations(prev, store)
+            if lost or grown:
+                failures.append(
+                    f"T {prev_T}->{row.T}: of {checked} walks hitting within "
+                    f"{prev_T} steps, {lost} missed within {row.T} and "
+                    f"{grown} grew their prefix")
+        prev, prev_T = store, row.T
+
     detail = ("; ".join(failures) if failures
-              else "T monotone, bab >= greedy, |R| walks coupled")
+              else "T monotone, bab >= greedy, |R| and T walks coupled")
     verdict(6, "benchmark trends", not failures,
              detail + " (greedy " + "; ".join(trend) + ")")
     assert not failures, "\n".join(failures)

@@ -216,11 +216,13 @@ def track_store_builds(monkeypatch):
 
 
 def test_run_on_graph_frees_each_store_before_the_next(monkeypatch):
+    # one walk pass at T=4 serves the T sweep; each point's store is cut
+    # from it when the point runs
     passes, built, alive_at_build = track_store_builds(monkeypatch)
     run_on_graph(small_graph(), base_config(algorithms=("topk",),
                                             sweep_axis="T",
                                             sweep_values=(2.0, 3.0, 4.0)))
-    assert passes == [1, 1, 1]
+    assert passes == [1]
     assert len(built) == 3
     assert alive_at_build == [0, 0, 0]
 
@@ -290,9 +292,14 @@ def test_run_on_graph_resolves_hoeffding_samples():
     # rho fails before any row, topk's included
     dict(algorithms=("topk", "probab"), rho=math.nan),
     dict(algorithms=("topk", "probab"), sweep_axis="rho", sweep_values=(0.1, 0.0)),
+    # int() and float() take a bool, which would run at T=1 and rho=1.0
+    dict(sweep_axis="T", sweep_values=(True, 3)),
+    dict(algorithms=("topk", "probab"), sweep_axis="rho",
+         sweep_values=(0.1, True)),
 ], ids=["alpha", "node_cap", "time_cap", "sweep_alpha", "sweep_beta",
         "sweep_T", "sweep_X", "k0", "k_above_candidates", "sweep_k",
-        "sweep_rumor_size", "rho_nan", "sweep_rho"])
+        "sweep_rumor_size", "rho_nan", "sweep_rho", "sweep_T_bool",
+        "sweep_rho_bool"])
 def test_run_on_graph_checks_every_sweep_point_before_sampling(monkeypatch,
                                                                overrides):
     def no_sampling(*args, **kwargs):

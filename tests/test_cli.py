@@ -4,6 +4,7 @@ import json
 import pytest
 
 import rcic.bench
+import rcic.sampling
 from rcic.bench import read_rows
 from rcic.cli import main
 from rcic.graph import dump_edge_list
@@ -224,7 +225,9 @@ def test_config_keys_are_the_commands_own_flags(graph_file, tmp_path,
         raise AssertionError("sampled before the config file was checked")
 
     with monkeypatch.context() as m:
-        m.setattr(rcic.bench, "build_sample_store", no_sampling)
+        # main reports the AssertionError as its error line, which the
+        # assertion on stderr below would then not find
+        m.setattr(rcic.sampling, "_sample_hit_rows", no_sampling)
         assert main(["run", "--config", str(cfg)]) == 1
     captured = capsys.readouterr()
     assert f"{cfg}:2: unknown key 'fractions'" in captured.err

@@ -16,7 +16,9 @@ from rcic.sampling import (
     hoeffding_sample_size,
     sample_walk,
 )
-from rcic.sampling import _CHUNK_NODES, _pcg64_states, _seed_words, _stable_order
+from rcic.sampling import (_CHUNK_NODES, _csr_take, _pcg64_states, _seed_words,
+                           _stable_order)
+from rcic.blocking import LogisticParams, estimate_objective
 from rcic.exact import ExactStore, exact_hit_probabilities
 from rcic.synth import barabasi_albert_graph, gnp_graph
 
@@ -181,9 +183,10 @@ def assert_store_replays_scalar_walks(g, rumor, cfg, store) -> int:
     dead_ends_mid_walk = 0
     for u in store.candidates:
         u = int(u)
-        uniforms = _node_rng(cfg.seed, u).random((cfg.X, cfg.T))
+        # step-major: walk i's step t is draw t * X + i of u's substream
+        uniforms = _node_rng(cfg.seed, u).random((cfg.T, cfg.X))
         for i in range(cfg.X):
-            script = _Script(uniforms[i])
+            script = _Script(uniforms[:, i])
             expected = sample_walk(g, u, rumor, cfg.T, script)
             got = store.profile(u, i)
             assert got.hit == expected.hit
@@ -461,7 +464,7 @@ def store_digest(store) -> str:
     return h.hexdigest()
 
 
-PINNED_DIGEST = "06c12ff38589584c9334c738ea555cce8bb315ac38c88b9011dadfac3468dd7d"
+PINNED_DIGEST = "c765a3953b6726dec666fc0b6656aec99b5fef9344f71eb15186c7ce9cdf7e2a"
 
 
 def pinned_store(threads):
@@ -501,11 +504,19 @@ def test_multi_block_placement_keeps_the_pinned_bytes(monkeypatch, threads):
         sys.setswitchinterval(interval)
 
 
+def nested_rumor_sets(graph):
+    """A graph, its walks per start and seed, and three nested rumor sets."""
+    if graph == "sink":
+        return sink_graph(), 5, 4, [{5, 17}, {5, 17, 42, 123, 250},
+                                    {5, 17, 42, 123, 250, 7, 90, 201}]
+    small, mid = {0, 3, 5, 8}, {0, 3, 5, 8, 13, 40, 77}
+    return (barabasi_albert_graph(400, 3, seed=11), 40, 2,
+            [small, mid, set(range(0, 400, 9)) | mid])
+
+
 def assert_nested_stores_equal_separate_builds(threads):
-    g = barabasi_albert_graph(400, 3, seed=11)
-    cfg = SampleConfig(T=5, X=40, seed=2)
-    rumors = [{0, 3, 5, 8}, {0, 3, 5, 8, 13, 40, 77}, set(range(0, 400, 9)) | {
-        0, 3, 5, 8, 13, 40, 77}]
+    g, X, seed, rumors = nested_rumor_sets("ba")
+    cfg = SampleConfig(T=5, X=X, seed=seed)
     stores = build_sample_stores(g, [(rumor, cfg) for rumor in rumors],
                                  threads=threads)
     for rumor, store in zip(rumors, stores):
@@ -521,9 +532,8 @@ def assert_nested_stores_equal_separate_builds(threads):
 def test_nested_stores_replay_scalar_walks(threads):
     # starts in the larger sets are dropped; walks meet sinks before and after
     # they first step into a larger set
-    g = sink_graph()
-    rumors = [{5, 17}, {5, 17, 42, 123, 250}, {5, 17, 42, 123, 250, 7, 90, 201}]
-    cfg = SampleConfig(T=6, X=5, seed=4)
+    g, X, seed, rumors = nested_rumor_sets("sink")
+    cfg = SampleConfig(T=6, X=X, seed=seed)
     stores = build_sample_stores(g, [(rumor, cfg) for rumor in rumors],
                                  threads=threads)
     for rumor, store in zip(rumors, stores):
@@ -533,10 +543,11 @@ def test_nested_stores_replay_scalar_walks(threads):
 
 def test_nested_stores_cut_at_the_first_step_and_at_dead_ends():
     # 1 -> 2 -> {0, 3}, 2 -> 0 hits R_1 at step 1, 1 -> 2 hits R_2 at step 1,
-    # and node 3 is a dead end
+    # and node 3 is a dead end; 32 walks from node 2 all take the same first
+    # step with probability 2**-31
     g = Graph([[1], [2], [0, 3], []], directed=True)
     rumors = [{0}, {0, 2}]
-    cfg = SampleConfig(T=4, X=8, seed=21)
+    cfg = SampleConfig(T=4, X=32, seed=21)
     small, large = build_sample_stores(g, [(rumor, cfg) for rumor in rumors])
     for rumor, store in zip(rumors, (small, large)):
         assert_store_replays_scalar_walks(g, rumor, cfg, store)
@@ -549,24 +560,25 @@ def test_nested_stores_cut_at_the_first_step_and_at_dead_ends():
 
 
 def test_build_sample_stores_plans_one_pass_per_nested_run(monkeypatch):
-    # an equal key repeats its store; a shrinking set and a new SampleConfig
-    # each start a pass
+    # an equal key repeats its store; a shrinking set, a new X and a new seed
+    # each start a pass, and a new T joins the pass at the run's largest T
     g = barabasi_albert_graph(60, 2, seed=3)
     cfg, other = SampleConfig(T=3, X=20, seed=1), SampleConfig(T=4, X=20, seed=1)
+    new_x, new_seed = SampleConfig(T=4, X=30, seed=1), SampleConfig(T=4, X=30, seed=2)
     keys = [({0}, cfg), ({0, 1}, cfg), ({0, 1}, cfg), ({1}, cfg),
-            ({1, 2}, cfg), ({1, 2}, other)]
+            ({1, 2}, cfg), ({1, 2}, other), ({1, 2}, new_x), ({1, 2}, new_seed)]
     passes = []
     sample_hit_rows = rcic.sampling._sample_hit_rows
 
     def tracking_pass(g, rumors, cfg, threads):
-        passes.append(len(rumors))
+        passes.append((len(rumors), cfg.T))
         return sample_hit_rows(g, rumors, cfg, threads)
 
     monkeypatch.setattr(rcic.sampling, "_sample_hit_rows", tracking_pass)
     stores = list(build_sample_stores(g, keys))
-    assert passes == [2, 2, 1]
+    assert passes == [(2, 3), (2, 4), (1, 4), (1, 4)]
     assert [a is b for a, b in zip(stores, stores[1:])] == [
-        False, True, False, False, False]
+        False, True, False, False, False, False, False]
     for (rumor, key_cfg), store in zip(keys, stores):
         assert store.rumor_set == rumor and store.config == key_cfg
         assert store_digest(store) == store_digest(
@@ -599,6 +611,72 @@ def test_build_sample_stores_rejects_sets_that_do_not_grow_nested(
     assert [len(run) for run in runs] == passes
     assert all(a < b for run in runs for a, b in zip(run, run[1:]))
     for rumor, store in zip(rumors, stores):
+        assert store_digest(store) == store_digest(
+            build_sample_store(g, rumor, cfg))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("graph", ["sink", "ba"])
+def test_t_and_rumor_runs_share_one_pass(monkeypatch, graph, threads):
+    # T grows, falls and repeats along nested sets: one pass at the largest
+    # T serves every key, and each store is cut from it to its set and T
+    g, X, seed, rumors = nested_rumor_sets(graph)
+    keys = [(rumors[r], SampleConfig(T=T, X=X, seed=seed))
+            for r, T in ((0, 3), (0, 6), (0, 2), (1, 2), (1, 6), (2, 4))]
+    passes = []
+    sample_hit_rows = rcic.sampling._sample_hit_rows
+
+    def tracking_pass(g, rumors, cfg, threads):
+        passes.append((len(rumors), cfg.T))
+        return sample_hit_rows(g, rumors, cfg, threads)
+
+    monkeypatch.setattr(rcic.sampling, "_sample_hit_rows", tracking_pass)
+    stores = list(build_sample_stores(g, keys, threads=threads))
+    assert passes == [(3, 6)]
+    for (rumor, cfg), store in zip(keys, stores):
+        alone = build_sample_store(g, rumor, cfg, threads=threads)
+        assert store.rumor_set == rumor and store.config == cfg
+        assert store_digest(store) == store_digest(alone)
+        assert store.index.hit_mass.tobytes() == alone.index.hit_mass.tobytes()
+        assert_store_replays_scalar_walks(g, rumor, cfg, store)
+
+
+@pytest.mark.parametrize("graph", ["sink", "ba"])
+def test_longer_walks_keep_every_hit_and_its_prefix(graph):
+    # a walk ends at its hit, so a walk that hits within T' steps hits within
+    # every T >= T' with the same prefix: for a fixed P, B_T(P) and the
+    # influenced mass cannot fall as T grows
+    g, X, seed, rumors = nested_rumor_sets(graph)
+    stores = list(build_sample_stores(
+        g, [(rumors[-1], SampleConfig(T=T, X=X, seed=seed)) for T in (1, 2, 4, 7)]))
+    params = LogisticParams(alpha=3.0, beta=1.0)
+    # one P for every T: the ten candidates the longest walks reach most
+    top = np.argsort(stores[-1].index.hit_mass, kind="stable")[-10:]
+    P = set(int(v) for v in stores[-1].candidates[top])
+    blocked = [estimate_objective(store, params, P) for store in stores]
+    mass = [store.index.influenced_mass for store in stores]
+    for short, long in zip(stores, stores[1:]):
+        hits = np.flatnonzero(short.hit_flags)
+        assert long.hit_flags[hits].all()
+        for a, b in zip(_csr_take(short.prefix_indptr, short.prefix_nodes, hits),
+                        _csr_take(long.prefix_indptr, long.prefix_nodes, hits)):
+            assert np.array_equal(a, b)
+    # each is a longer sum of the same non-negative terms, up to its rounding
+    assert all(b >= a * (1 - 1e-12) for a, b in zip(blocked, blocked[1:]))
+    assert all(b >= a * (1 - 1e-12) for a, b in zip(mass, mass[1:]))
+    assert blocked[-1] > blocked[0] and mass[-1] > mass[0]
+
+
+def test_hit_steps_above_255_cut_exactly():
+    # on the directed cycle u -> u + 1 into rumor node 0, the walk from u
+    # hits at step 300 - u, so the hit steps need more than one byte
+    n = 300
+    g = Graph([[(u + 1) % n] for u in range(n)], directed=True)
+    (rows,) = rcic.sampling._sample_hit_rows(g, [{0}], SampleConfig(T=n, X=2), 1)
+    assert rows[3].dtype == np.uint16 and rows[3].max() == n - 1
+    keys = [({0}, SampleConfig(T=T, X=2)) for T in (280, 256, n, 255, 1)]
+    for (rumor, cfg), store in zip(keys, build_sample_stores(g, keys)):
+        assert np.array_equal(store.hit_counts, 2 * (n - store.candidates <= cfg.T))
         assert store_digest(store) == store_digest(
             build_sample_store(g, rumor, cfg))
 
