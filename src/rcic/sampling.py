@@ -28,8 +28,12 @@ full-width gathers for every walk, with no compaction, into the next row of
 an int64 step matrix; a walk hit iff its last row reads HIT.  The step
 matrix, the uniforms and the step temporaries are scratch buffers, allocated
 once per worker thread per build.  Only the hit walks' columns are sorted and
-deduplicated; their rows leave the kernel as candidate positions (int32) and
-become the index's forward CSR as they are, with each hit walk's hit step.
+deduplicated; their rows leave the kernel as candidate positions in
+`WalkIndex.position_dtype` (uint16 from 256 to 65,535 candidates), with
+each hit walk's prefix size and hit step in the smallest unsigned dtypes
+that hold T + 1 and T, one byte each for T < 255.  The rows become the index's forward CSR
+as they are; its offsets are summed from the prefix sizes only when a store
+is built (`WalkIndex.offset_dtype`: int32 below 2**31 entries).
 
 `build_sample_stores` plans the walk passes of a sequence of store keys
 (rumor set, SampleConfig), such as a sweep's points: equal consecutive keys
@@ -157,9 +161,12 @@ class WalkIndex:
     stores (weight = realization probability).
 
     Hit-walk prefixes are given as a CSR over candidate positions, not node
-    ids: `hit_prefix_cands` is kept as `walk_cands` (int32, without a copy
-    when it already is int32), and an entry outside [0, n_candidates) raises
-    `ValueError`.  The inverted CSR is placed a block of about
+    ids: `hit_prefix_cands` is kept as `walk_cands` in `position_dtype`, and
+    `hit_prefix_indptr` as `walk_indptr` in `offset_dtype`, each without a
+    copy when it already has that dtype; an entry outside [0, n_candidates)
+    raises `ValueError`.  The dtypes follow from the sizes alone, so every
+    store of one candidate and entry count, sampled or exact, holds the same
+    index dtypes.  The inverted CSR is placed a block of about
     `_BLOCK_ENTRIES` entries of whole walks at a time, on `threads` worker
     threads, so the build needs no scratch array that spans every entry.
 
@@ -185,13 +192,14 @@ class WalkIndex:
         self.cand_pos = cand_pos.astype(np.int64)
 
         self.walk_weights = np.asarray(walk_weights, dtype=np.float64)
-        self.walk_indptr = np.asarray(hit_prefix_indptr, dtype=np.int64)
         n_cand = self.candidates.size
         cands = np.asarray(hit_prefix_cands)
         if cands.size and (cands.min() < 0 or cands.max() >= n_cand):
             raise ValueError("hit-walk prefix holds a position outside the "
                              f"{n_cand} candidates (a rumor node)")
-        self.walk_cands = cands.astype(np.int32, copy=False)
+        self.walk_cands = cands.astype(self.position_dtype(n_cand), copy=False)
+        self.walk_indptr = np.asarray(hit_prefix_indptr).astype(
+            self.offset_dtype(cands.size), copy=False)
 
         # Counting-sort placement, one block of whole walks at a time, in two
         # passes: the blocks' key counts give `indptr`; then each entry goes
@@ -238,12 +246,26 @@ class WalkIndex:
         self.max_count = max(_thread_map(place, jobs(), threads), default=0)
         self.influenced_mass = float(self.walk_weights.sum())
 
+    @staticmethod
+    def position_dtype(n_candidates: int) -> np.dtype:
+        """The smallest unsigned dtype that holds every candidate position
+        and `n_candidates` itself, so a rumor node's position, -1, wraps to
+        an out-of-range position instead of a candidate's."""
+        return np.min_scalar_type(n_candidates)
+
+    @staticmethod
+    def offset_dtype(n_entries: int) -> np.dtype:
+        """The dtype of a forward CSR's offsets: int32 below 2**31 entries,
+        int64 from there."""
+        return np.dtype(np.int32 if n_entries < 1 << 31 else np.int64)
+
     def _walk_blocks(self):
         """(w0, w1) ranges of whole hit walks of about `_BLOCK_ENTRIES`
         entries each, in walk order."""
+        # targets in the offsets' dtype, or searchsorted copies the offsets
         bounds = [0, *np.searchsorted(self.walk_indptr, np.arange(
-            _BLOCK_ENTRIES, self.walk_cands.size, _BLOCK_ENTRIES)),
-                  self.walk_weights.size]
+            _BLOCK_ENTRIES, self.walk_cands.size, _BLOCK_ENTRIES,
+            dtype=self.walk_indptr.dtype)), self.walk_weights.size]
         return [(w0, w1) for w0, w1 in zip(bounds, bounds[1:]) if w0 < w1]
 
     @property
@@ -431,8 +453,11 @@ def _yield_stores(g: Graph, keys, threads: int):
 
 
 def _sample_hit_rows(g: Graph, rumors, cfg: SampleConfig, threads: int):
-    """One walk pass under rumors[0]; per set, its hit flags, hit CSR and
-    each hit walk's hit step, the first step into that set.
+    """One walk pass under rumors[0]; per set, its rows: its hit flags, each
+    hit walk's prefix size, the prefixes concatenated as candidate positions
+    (`WalkIndex.position_dtype` of the set's candidate count), and each hit
+    walk's hit step, the first step into that set.  Sizes and steps are in
+    the smallest unsigned dtype that holds T + 1 and T.
 
     The walks step on the graph's own CSR with two absorbing sinks added,
     HIT = n and DEAD = n + 1, each its own only neighbour: an arc into
@@ -454,6 +479,12 @@ def _sample_hit_rows(g: Graph, rumors, cfg: SampleConfig, threads: int):
     np.cumsum(walk_degs, out=adj_indptr[1:])
     degf = walk_degs.astype(np.float64)
 
+    def position_lookup(rumor, cand_pos):
+        # each set's positions in its own index's dtype; a rumor node's -1
+        # wraps out of range
+        return cand_pos.astype(WalkIndex.position_dtype(n - len(rumor)))
+
+    first_lookup = position_lookup(rumors[0], first_pos)
     # per larger set: membership over the walk graph's nodes (HIT included,
     # since it stands for rumors[0]) and each node's candidate position
     cuts = []
@@ -461,9 +492,11 @@ def _sample_hit_rows(g: Graph, rumors, cfg: SampleConfig, threads: int):
         inside = np.zeros(n + 2, dtype=bool)
         inside[list(rumor)] = True
         inside[hit_node] = True
-        cuts.append((inside, _candidate_positions(n, rumor)[1]))
+        cuts.append((inside, position_lookup(
+            rumor, _candidate_positions(n, rumor)[1])))
     states, incs = _pcg64_states(cfg.seed, candidates)
     step_dtype = np.min_scalar_type(T)  # holds every hit step, 1..T
+    size_dtype = np.min_scalar_type(T + 1)  # holds every prefix size
     scratch = threading.local()
 
     def run_chunk(chunk):
@@ -508,7 +541,8 @@ def _sample_hit_rows(g: Graph, rumors, cfg: SampleConfig, threads: int):
 
         hit = seq[T] == hit_node
         steps = seq.take(np.flatnonzero(hit), axis=1)
-        rows = [(hit, *_hit_prefixes(steps, hit_node, first_pos, step_dtype))]
+        rows = [(hit, *_hit_prefixes(steps, hit_node, first_lookup,
+                                     step_dtype, size_dtype))]
         for inside, cand_pos in cuts:
             # a walk under the larger set ends at its first step into it
             reached = scratch.cut[:T * W].reshape(T, W)
@@ -523,7 +557,7 @@ def _sample_hit_rows(g: Graph, rumors, cfg: SampleConfig, threads: int):
             steps = seq.take(cols, axis=1)
             np.copyto(steps[1:], hit_node, where=reached.take(cols, axis=1))
             rows.append((hit[kept], *_hit_prefixes(steps, hit_node, cand_pos,
-                                                   step_dtype)))
+                                                   step_dtype, size_dtype)))
         return rows
 
     chunks = [slice(i, i + _CHUNK_NODES)
@@ -533,30 +567,30 @@ def _sample_hit_rows(g: Graph, rumors, cfg: SampleConfig, threads: int):
 
     per_set = []
     for s in range(len(rumors)):
-        hit_flags, hit_steps, hit_lengths, hit_cands = (
-            np.concatenate([r[s][a] for r in results]) for a in range(4))
+        per_set.append(tuple(np.concatenate([r[s][a] for r in results])
+                             for a in range(4)))
         for r in results:  # each chunk's rows live on only in the concatenation
             r[s] = None
-        hit_indptr = np.zeros(hit_lengths.size + 1, dtype=np.int64)
-        np.cumsum(hit_lengths, out=hit_indptr[1:])
-        per_set.append((hit_flags, hit_indptr, hit_cands, hit_steps))
     return per_set
 
 
 def _hit_rows_within(rows, T: int):
     """One rumor set's rows from a walk pass, cut to the walks that hit
     within T steps: (hit flags, hit CSR).  A walk ends at its hit, so under
-    T it hits iff its hit step is at most T, with the same prefix."""
-    hit_flags, hit_indptr, hit_cands, hit_steps = rows
-    if hit_steps.max(initial=0) <= T:
-        return hit_flags, hit_indptr, hit_cands
-    kept = hit_steps <= T
-    lengths = np.diff(hit_indptr)
-    flags = hit_flags.copy()
-    flags[hit_flags] = kept
-    indptr = np.zeros(np.count_nonzero(kept) + 1, dtype=np.int64)
-    np.cumsum(lengths[kept], out=indptr[1:])
-    return flags, indptr, hit_cands[np.repeat(kept, lengths)]
+    T it hits iff its hit step is at most T, with the same prefix.  The CSR's
+    offsets are summed here, in `WalkIndex.offset_dtype`."""
+    hit_flags, hit_lengths, hit_cands, hit_steps = rows
+    if hit_steps.max(initial=0) > T:
+        kept = hit_steps <= T
+        flags = hit_flags.copy()
+        flags[hit_flags] = kept
+        hit_flags, hit_lengths, hit_cands = (
+            flags, hit_lengths[kept], hit_cands[np.repeat(kept, hit_lengths)])
+    indptr = np.zeros(hit_lengths.size + 1,
+                      dtype=WalkIndex.offset_dtype(hit_cands.size))
+    # summed in the offsets' dtype, not in the sizes' one byte
+    np.cumsum(hit_lengths, dtype=indptr.dtype, out=indptr[1:])
+    return hit_flags, indptr, hit_cands
 
 
 def _thread_map(fn, items, threads: int) -> list:
@@ -658,18 +692,19 @@ def _candidate_positions(n_nodes: int, rumor_set):
     return candidates, cand_pos
 
 
-def _hit_prefixes(steps, hit_node, cand_pos, step_dtype):
+def _hit_prefixes(steps, hit_node, cand_pos, step_dtype, size_dtype):
     """Each hit walk's prefix from its column of `steps`, in which every step
     from the hit on reads `hit_node`: the column's distinct other nodes,
-    ascending, as int32 candidate positions through `cand_pos`.  Returns the
-    hit steps (`step_dtype`), the prefix sizes (int32) and the prefixes
-    concatenated in column order.  Sorts `steps` in place."""
+    ascending, as candidate positions through `cand_pos`, in its dtype.
+    Returns the prefix sizes (`size_dtype`), the prefixes concatenated in
+    column order and the hit steps (`step_dtype`), the order of a pass's
+    rows.  Sorts `steps` in place."""
     steps.sort(axis=0)
     keep = steps != hit_node
     hit_steps = keep.sum(axis=0, dtype=step_dtype)  # rows 0..s-1 precede it
     keep[1:] &= steps[1:] != steps[:-1]
-    return (hit_steps, keep.sum(axis=0, dtype=np.int32),
-            cand_pos[steps.T[keep.T]])
+    return (keep.sum(axis=0, dtype=size_dtype), cand_pos[steps.T[keep.T]],
+            hit_steps)
 
 
 def _stable_order(keys):
@@ -679,7 +714,7 @@ def _stable_order(keys):
     stable argsort of one uint16 digit, which numpy runs as a radix sort, so
     keys below 2**16 (one graph's candidate positions) take a single pass.
     """
-    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    order = np.argsort(keys.astype(np.uint16, copy=False), kind="stable")
     top = int(keys.max()) if keys.size else 0
     for shift in range(16, top.bit_length(), 16):
         digit = (keys[order] >> shift).astype(np.uint16)

@@ -160,8 +160,16 @@ def test_acceptance_5_progressive_fidelity(verdict):
     store = build_sample_store(g, rumor, SampleConfig(T=6, X=500, seed=0),
                                threads=4)
     limits = SolverLimits(node_expansion_cap=5)
-    bab = run_solver("bab", store, P73, 50, limits=limits)
-    probab = run_solver("probab", store, P73, 50, rho=0.1, limits=limits)
+    # one greedy seeds both searches, and each search's time is its fastest
+    # of 3 runs, alternated with the other's, so a slow moment on a shared
+    # machine does not decide the comparison
+    greedy = solve_greedy(store, P73, 50)
+    runs = {"bab": [], "probab": []}
+    for _ in range(3):
+        for algo in runs:
+            runs[algo].append(run_solver(algo, store, P73, 50, rho=0.1,
+                                         limits=limits, incumbent=greedy))
+    bab, probab = (min(runs[algo], key=lambda r: r.wall_time) for algo in runs)
     ratio = probab.objective / bab.objective
     ok = ratio >= 0.9 and probab.wall_time < bab.wall_time
     verdict(5, "progressive fidelity", ok,

@@ -464,7 +464,30 @@ def store_digest(store) -> str:
     return h.hexdigest()
 
 
-PINNED_DIGEST = "c765a3953b6726dec666fc0b6656aec99b5fef9344f71eb15186c7ce9cdf7e2a"
+PINNED_DIGEST = "c29b50f21c76ebc472220249b8b63800df215a06809100fa73303dc12dd58e0c"
+
+
+# every array a store and its index keep
+STORE_ARRAYS = ("hit_flags", "candidates", "cand_pos", "walk_weights",
+                "walk_indptr", "walk_cands", "indptr", "walk_ids")
+
+
+def store_value_digest(store) -> str:
+    """A digest of every store and index array's values alone: each array is
+    cast to int64 (`walk_weights` to float64) before it is hashed, so it
+    holds across a change of the arrays' dtypes, where `store_digest` does
+    not."""
+    h = hashlib.sha256()
+    for name in STORE_ARRAYS:
+        a = store.hit_flags if name == "hit_flags" else getattr(store.index, name)
+        cast = np.float64 if name == "walk_weights" else np.int64
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(a, dtype=cast).tobytes())
+    return h.hexdigest()
+
+
+PINNED_VALUE_DIGEST = (
+    "bdb297821b36bee3501193eaa889f45c399707d9d9d5d1af7bb44036b1144af2")
 
 
 def pinned_store(threads):
@@ -480,6 +503,15 @@ def test_store_bytes_are_pinned(threads):
     # every byte of the store and index arrays, as the one-stable-sort index
     # build and the node-id kernel output made them
     assert store_digest(pinned_store(threads)) == PINNED_DIGEST
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_store_values_are_pinned(threads):
+    # the same arrays' values, whatever dtypes hold them
+    store = pinned_store(threads)
+    assert {name for obj in (store, store.index) for name, a in vars(obj).items()
+            if isinstance(a, np.ndarray)} == set(STORE_ARRAYS)
+    assert store_value_digest(store) == PINNED_VALUE_DIGEST
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -674,11 +706,71 @@ def test_hit_steps_above_255_cut_exactly():
     g = Graph([[(u + 1) % n] for u in range(n)], directed=True)
     (rows,) = rcic.sampling._sample_hit_rows(g, [{0}], SampleConfig(T=n, X=2), 1)
     assert rows[3].dtype == np.uint16 and rows[3].max() == n - 1
+    # the walk from u holds u..n-1 before its hit: prefix sizes up to n - 1
+    assert rows[1].dtype == np.uint16 and rows[1].max() == n - 1
     keys = [({0}, SampleConfig(T=T, X=2)) for T in (280, 256, n, 255, 1)]
     for (rumor, cfg), store in zip(keys, build_sample_stores(g, keys)):
         assert np.array_equal(store.hit_counts, 2 * (n - store.candidates <= cfg.T))
         assert store_digest(store) == store_digest(
             build_sample_store(g, rumor, cfg))
+
+
+def test_index_dtypes_follow_from_sizes():
+    # positions: the smallest unsigned dtype that also holds n_candidates, so
+    # a rumor node's -1 wraps to a position the range check rejects
+    for n_cand, dtype in ((1, np.uint8), (255, np.uint8), (256, np.uint16),
+                          (65_535, np.uint16), (65_536, np.uint32),
+                          (2**32 - 1, np.uint32), (2**32, np.uint64)):
+        assert WalkIndex.position_dtype(n_cand) == dtype
+        assert np.array([-1]).astype(dtype)[0] >= n_cand
+    # offsets: int32 while every offset, up to the entry count, fits in it;
+    # the rule is read at its edge, with no array of that size
+    assert WalkIndex.offset_dtype(0) == np.int32
+    assert WalkIndex.offset_dtype(2**31 - 1) == np.int32
+    assert WalkIndex.offset_dtype(2**31) == np.int64
+    assert WalkIndex.offset_dtype(2**40) == np.int64
+
+
+def test_more_than_65535_candidates_hold_uint32_positions():
+    # on the directed cycle u -> u + 1 into rumor node 0, the walks from
+    # n - 2 and n - 1 hit within 2 steps, at positions above 2**16
+    n = 70_000
+    g = Graph([[(u + 1) % n] for u in range(n)], directed=True)
+    rumor, cfg = {0}, SampleConfig(T=2, X=1)
+    store = build_sample_store(g, rumor, cfg)
+    index = store.index
+    assert index.walk_cands.dtype == np.uint32
+    assert index.walk_indptr.dtype == np.int32
+    assert index.walk_cands.tolist() == [n - 3, n - 2, n - 2]
+    assert assert_store_replays_scalar_walks(g, rumor, cfg, store) == 0
+
+
+def test_exact_and_sampled_stores_hold_one_index_dtype():
+    g, rumor = gnp_graph(8, 0.5, seed=2), {3}
+    exact = ExactStore(g, rumor, T=3).index
+    sampled = build_sample_store(g, rumor, SampleConfig(T=3, X=20, seed=1)).index
+    assert exact.n_candidates == sampled.n_candidates
+    for name in STORE_ARRAYS[1:]:
+        assert getattr(exact, name).dtype == getattr(sampled, name).dtype, name
+    assert sampled.walk_cands.dtype == np.uint8
+    assert sampled.walk_indptr.dtype == np.int32
+
+
+def test_pass_rows_take_one_byte_per_walk_and_hit_and_two_per_entry():
+    # what a pass holds per set until its stores are built: a flag per walk,
+    # a prefix size and a hit step per hit walk, a uint16 position per entry
+    g, X, seed, rumors = nested_rumor_sets("ba")
+    cfg = SampleConfig(T=5, X=X, seed=seed)
+    per_set = rcic.sampling._sample_hit_rows(g, rumors, cfg, 1)
+    assert len(per_set) == len(rumors)
+    for rumor, (flags, lengths, cands, steps) in zip(rumors, per_set):
+        walks = (g.n - len(rumor)) * X
+        hits = int(np.count_nonzero(flags))
+        assert flags.size == walks and lengths.size == steps.size == hits > 0
+        assert cands.size == int(lengths.sum())
+        assert cands.dtype == np.uint16
+        assert (flags.nbytes + lengths.nbytes + cands.nbytes + steps.nbytes
+                == walks + hits + 2 * cands.size + hits)
 
 
 @pytest.mark.parametrize("case", ["sampled", "exact"])
