@@ -35,11 +35,9 @@ from .graph import Graph, bfs_subgraph, dump_edge_list, load_edge_list, top_deci
 from .sampling import (
     SampleConfig,
     SampleStore,
-    WalkProfile,
     build_sample_store,
     build_sample_stores,
     hoeffding_sample_size,
-    sample_walk,
 )
 from .solvers import (
     BoundResult,

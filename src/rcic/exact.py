@@ -183,9 +183,6 @@ class ExactStore:
     def candidates(self) -> np.ndarray:
         return self.index.candidates
 
-    def realizations_for(self, u: int) -> list[Realization]:
-        return [r for r in self.realizations if r.start == u]
-
 
 @dataclass(frozen=True)
 class SubmodularityWitness:

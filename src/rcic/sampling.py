@@ -20,19 +20,22 @@ generator.  The draws are step-major: start u fills a (T, X) block, and
 walk i's step t reads draw t * X + i, so a build at T' < T reads the first
 T' * X draws of a build at T and its walks are the same walks cut at T'.
 
-Walks are simulated a chunk of start nodes at a time, every walk of the
-chunk in lockstep, on a copy of the graph's CSR with two sinks added: HIT
-(node n), which every arc into the rumor set leads to instead, and DEAD
-(node n + 1), a dead end's only neighbour.  Each step is then the same few
+Walks are simulated a chunk of starts at a time (at most `_CHUNK_NODES`
+starts, and at most `_CHUNK_WALKS` walks unless the chunk is one start),
+every walk of the chunk in lockstep, on a copy of the graph's CSR with one
+sink added: HIT (node n), which every arc into the rumor set leads to
+instead.  A dead end's empty row gets one arc, to itself, so a walk that
+reaches it stays there and never hits.  Each step is then the same few
 full-width gathers for every walk, with no compaction, into the next row of
 an int64 step matrix; a walk hit iff its last row reads HIT.  The step
 matrix, the uniforms and the step temporaries are scratch buffers, allocated
-once per worker thread per build.  Only the hit walks' columns are sorted and
-deduplicated; their rows leave the kernel as candidate positions in
+once per worker thread per build and sized by a chunk's walks, so they do
+not grow with X.  Only the hit walks' columns are sorted and deduplicated;
+their rows leave the kernel as candidate positions in
 `WalkIndex.position_dtype` (uint16 from 256 to 65,535 candidates), with
 each hit walk's prefix size and hit step in the smallest unsigned dtypes
-that hold T + 1 and T, one byte each for T < 255.  The rows become the index's forward CSR
-as they are; its offsets are summed from the prefix sizes only when a store
+that hold T + 1 and T, one byte each for T < 255.  The rows become the
+index's forward CSR as they are; its offsets are summed from the prefix sizes only when a store
 is built (`WalkIndex.offset_dtype`: int32 below 2**31 entries).
 
 `build_sample_stores` plans the walk passes of a sequence of store keys
@@ -48,12 +51,12 @@ the same prefix: a key's store is its set's rows masked to those walks
 Each store, and so its index, is built only when the caller asks for it.
 
 The inverted index is placed one block of whole hit walks at a time: each
-block's entries are ordered by a stable radix order over 16-bit digits
-(`_stable_order`) and written behind the entries of earlier blocks, which
-gives the permutation of one stable sort over every entry while no scratch
-array spans more than a block.  Blocks fill disjoint slots, so they are
-placed on the build's worker threads.  `hit_mass` is summed over the same
-blocks.
+block's entries are ordered by a stable argsort, which numpy runs as a radix
+sort on uint8 and uint16 positions, and written behind the entries of
+earlier blocks, which gives the permutation of one stable sort over every
+entry while no scratch array spans more than a block.  Blocks fill disjoint
+slots, so they are placed on the build's worker threads.  `hit_mass` is
+summed over the same blocks.
 """
 
 from __future__ import annotations
@@ -70,7 +73,10 @@ import numpy as np
 
 from .graph import Graph
 
+# starts per chunk of the walk pass, and the walks a chunk of more than one
+# start may hold: the pass's scratch buffers grow with these, not with X
 _CHUNK_NODES = 128
+_CHUNK_WALKS = 128_000
 # entries per block of the inverted-index placement (whole walks, so a block
 # runs over by at most one walk's prefix)
 _BLOCK_ENTRIES = 1 << 18
@@ -100,21 +106,6 @@ class SampleConfig:
         check_count(self.seed, "seed", 0)
 
 
-@dataclass(frozen=True)
-class WalkProfile:
-    """One sampled walk: its start, whether it reached the rumor set, and its
-    prefix.
-
-    `sample_walk` gives every walk's prefix: the distinct non-rumor nodes seen
-    before the first rumor node.  A store keeps that prefix for hit walks only;
-    a miss's prefix there is its start node alone.
-    """
-
-    start: int
-    hit: bool
-    prefix: frozenset[int]
-
-
 def hoeffding_sample_size(epsilon: float, delta: float, candidates: int) -> int:
     """Smallest X with (n - |R|) * exp(-2 eps^2 X) <= delta, natural log.
 
@@ -127,30 +118,6 @@ def hoeffding_sample_size(epsilon: float, delta: float, candidates: int) -> int:
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     check_count(candidates, "candidates", 1)
     return math.ceil(math.log(candidates / delta) / (2.0 * epsilon * epsilon))
-
-
-def sample_walk(g: Graph, u: int, rumor_set, T: int, rng) -> WalkProfile:
-    """Simulate one walk of at most T steps; reference scalar implementation.
-
-    rng needs a .random() method returning uniforms in [0, 1).  Consumes one
-    uniform per executed step, none after early termination.
-    """
-    if u in rumor_set:
-        raise ValueError(f"start node {u} is in the rumor set")
-    prefix = {u}
-    cur = u
-    hit = False
-    for _ in range(T):
-        nbrs = g.neighbors(cur)
-        if not nbrs:
-            break
-        nxt = nbrs[int(rng.random() * len(nbrs))]
-        if nxt in rumor_set:
-            hit = True
-            break
-        prefix.add(nxt)
-        cur = nxt
-    return WalkProfile(start=u, hit=hit, prefix=frozenset(prefix))
 
 
 class WalkIndex:
@@ -227,7 +194,7 @@ class WalkIndex:
             w0, w1, base = job
             lengths = np.diff(self.walk_indptr[w0:w1 + 1])
             keys = keys_of(w0, w1)
-            order = _stable_order(keys)
+            order = np.argsort(keys, kind="stable")
             slots = base[keys[order]] + np.arange(order.size)
             self.walk_ids[slots] = np.repeat(
                 np.arange(w0, w1, dtype=np.int32), lengths)[order]
@@ -320,8 +287,10 @@ class SampleStore:
     Nothing else is kept: `hit_counts[p]`, how many of the walks from
     candidates[p] hit, and `prefix_indptr` and `prefix_nodes`, a CSR over
     every walk whose row is a hit's prefix or a miss's start node, are built
-    on each read.  `store_bytes` is the size of the store's and the index's
-    arrays as built.
+    on each read: walk w's row is `prefix_nodes[prefix_indptr[w]:
+    prefix_indptr[w + 1]]`, so a reader of many walks reads the two views
+    once.  `store_bytes` is the size of the store's and the index's arrays
+    as built.
     """
 
     def __init__(self, config: SampleConfig, n_nodes: int, rumor_set,
@@ -370,19 +339,6 @@ class SampleStore:
         nodes[in_hit_row] = index.candidates[index.walk_cands]
         nodes[~in_hit_row] = np.repeat(index.candidates, self.X)[~self.hit_flags]
         return nodes
-
-    def profile(self, u: int, i: int) -> WalkProfile:
-        """The i-th sampled walk starting at node u; a miss's prefix is {u}."""
-        if not 0 <= i < self.X:
-            raise ValueError(f"walk index {i} out of range [0, {self.X})")
-        w = self.index.position(u) * self.X + i
-        if not self.hit_flags[w]:
-            return WalkProfile(start=u, hit=False, prefix=frozenset((u,)))
-        index = self.index
-        h = np.count_nonzero(self.hit_flags[:w])
-        row = index.walk_cands[index.walk_indptr[h]:index.walk_indptr[h + 1]]
-        return WalkProfile(start=u, hit=True,
-                           prefix=frozenset(int(x) for x in index.candidates[row]))
 
 
 def build_sample_store(g: Graph, rumor_set, cfg: SampleConfig,
@@ -459,23 +415,23 @@ def _sample_hit_rows(g: Graph, rumors, cfg: SampleConfig, threads: int):
     walk's hit step, the first step into that set.  Sizes and steps are in
     the smallest unsigned dtype that holds T + 1 and T.
 
-    The walks step on the graph's own CSR with two absorbing sinks added,
-    HIT = n and DEAD = n + 1, each its own only neighbour: an arc into
-    rumors[0] leads to HIT instead, and a dead end gets one arc, to DEAD.
-    So every step of every walk is the same few full-width gathers, and row
-    t of the (T + 1, W) step matrix holds each walk's node after t steps.
+    The walks step on the graph's own CSR with one absorbing sink added,
+    HIT = n, its own only neighbour: an arc into rumors[0] leads to HIT
+    instead, and a dead end gets one arc, to itself, so a walk that reaches
+    it never hits.  So every step of every walk is the same few full-width
+    gathers, and row t of the (T + 1, W) step matrix holds each walk's node
+    after t steps.
     """
     n, T, X = g.n, cfg.T, cfg.X
-    hit_node, dead_node = n, n + 1
+    hit_node = n
     degs = g.degrees()
     candidates, first_pos = _candidate_positions(n, rumors[0])
     adj_flat = np.where(first_pos[g.indices] < 0, hit_node, g.indices)
-    dead_ends = np.flatnonzero(degs == 0)  # each one's empty row gets DEAD
+    dead_ends = np.flatnonzero(degs == 0)
     adj_flat = np.concatenate([
-        np.insert(adj_flat, g.indptr[dead_ends], dead_node),
-        [hit_node, dead_node]])
-    walk_degs = np.concatenate([np.maximum(degs, 1), [1, 1]])
-    adj_indptr = np.zeros(n + 3, dtype=np.int64)
+        np.insert(adj_flat, g.indptr[dead_ends], dead_ends), [hit_node]])
+    walk_degs = np.concatenate([np.maximum(degs, 1), [1]])
+    adj_indptr = np.zeros(n + 2, dtype=np.int64)
     np.cumsum(walk_degs, out=adj_indptr[1:])
     degf = walk_degs.astype(np.float64)
 
@@ -489,7 +445,7 @@ def _sample_hit_rows(g: Graph, rumors, cfg: SampleConfig, threads: int):
     # since it stands for rumors[0]) and each node's candidate position
     cuts = []
     for rumor in rumors[1:]:
-        inside = np.zeros(n + 2, dtype=bool)
+        inside = np.zeros(n + 1, dtype=bool)
         inside[list(rumor)] = True
         inside[hit_node] = True
         cuts.append((inside, position_lookup(
@@ -497,6 +453,7 @@ def _sample_hit_rows(g: Graph, rumors, cfg: SampleConfig, threads: int):
     states, incs = _pcg64_states(cfg.seed, candidates)
     step_dtype = np.min_scalar_type(T)  # holds every hit step, 1..T
     size_dtype = np.min_scalar_type(T + 1)  # holds every prefix size
+    chunk_nodes = max(1, min(_CHUNK_NODES, _CHUNK_WALKS // X))
     scratch = threading.local()
 
     def run_chunk(chunk):
@@ -505,7 +462,7 @@ def _sample_hit_rows(g: Graph, rumors, cfg: SampleConfig, threads: int):
         if not hasattr(scratch, "seq"):  # this worker's first chunk
             scratch.bits = np.random.PCG64(0)
             scratch.rng = np.random.Generator(scratch.bits)
-            width = _CHUNK_NODES * X
+            width = chunk_nodes * X
             scratch.seq = np.empty((T + 1) * width, dtype=np.int64)
             scratch.uniforms = np.empty(T * width, dtype=np.float64)
             scratch.block = np.empty((T, X), dtype=np.float64)
@@ -560,8 +517,8 @@ def _sample_hit_rows(g: Graph, rumors, cfg: SampleConfig, threads: int):
                                                    step_dtype, size_dtype)))
         return rows
 
-    chunks = [slice(i, i + _CHUNK_NODES)
-              for i in range(0, candidates.size, _CHUNK_NODES)]
+    chunks = [slice(i, i + chunk_nodes)
+              for i in range(0, candidates.size, chunk_nodes)]
     results = _thread_map(run_chunk, chunks, threads)
     del scratch  # frees this thread's buffers before the rows are joined
 
@@ -705,21 +662,6 @@ def _hit_prefixes(steps, hit_node, cand_pos, step_dtype, size_dtype):
     keep[1:] &= steps[1:] != steps[:-1]
     return (keep.sum(axis=0, dtype=size_dtype), cand_pos[steps.T[keep.T]],
             hit_steps)
-
-
-def _stable_order(keys):
-    """`np.argsort(keys, kind="stable")` for non-negative integer keys.
-
-    A least-significant-digit radix order over 16-bit digits: each pass is a
-    stable argsort of one uint16 digit, which numpy runs as a radix sort, so
-    keys below 2**16 (one graph's candidate positions) take a single pass.
-    """
-    order = np.argsort(keys.astype(np.uint16, copy=False), kind="stable")
-    top = int(keys.max()) if keys.size else 0
-    for shift in range(16, top.bit_length(), 16):
-        digit = (keys[order] >> shift).astype(np.uint16)
-        order = order[np.argsort(digit, kind="stable")]
-    return order
 
 
 def _csr_take(indptr, values, rows):

@@ -14,13 +14,12 @@ from rcic.sampling import (
     build_sample_store,
     build_sample_stores,
     hoeffding_sample_size,
-    sample_walk,
 )
-from rcic.sampling import (_CHUNK_NODES, _csr_take, _pcg64_states, _seed_words,
-                           _stable_order)
+from rcic.sampling import _CHUNK_NODES, _csr_take, _pcg64_states, _seed_words
 from rcic.blocking import LogisticParams, estimate_objective
 from rcic.exact import ExactStore, exact_hit_probabilities
 from rcic.synth import barabasi_albert_graph, gnp_graph
+from walk_oracle import sample_walk
 
 
 def _node_rng(seed: int, u: int) -> np.random.Generator:
@@ -176,22 +175,23 @@ def test_store_hit_frequencies_converge():
 def assert_store_replays_scalar_walks(g, rumor, cfg, store) -> int:
     """Check every walk of the store against sample_walk fed the same uniforms.
 
-    Every walk's start and hit flag must match, and every hit walk's prefix; a
-    miss keeps only its start.  Returns how many misses stopped at a dead end
+    Every walk's hit flag must match, and its row: a hit's prefix, ascending,
+    or a miss's start alone.  Returns how many misses stopped at a dead end
     after at least one step.
     """
+    hit_flags, indptr, nodes = (store.hit_flags, store.prefix_indptr,
+                                store.prefix_nodes)
     dead_ends_mid_walk = 0
-    for u in store.candidates:
-        u = int(u)
+    for p, u in enumerate(store.candidates.tolist()):
         # step-major: walk i's step t is draw t * X + i of u's substream
         uniforms = _node_rng(cfg.seed, u).random((cfg.T, cfg.X))
         for i in range(cfg.X):
             script = _Script(uniforms[:, i])
             expected = sample_walk(g, u, rumor, cfg.T, script)
-            got = store.profile(u, i)
-            assert got.hit == expected.hit
-            assert got.prefix == (expected.prefix if expected.hit else {u})
-            assert got.start == u
+            w = p * cfg.X + i
+            assert hit_flags[w] == expected.hit
+            assert nodes[indptr[w]:indptr[w + 1]].tolist() == (
+                sorted(expected.prefix) if expected.hit else [u])
             if not expected.hit and 0 < cfg.T - script.unused < cfg.T:
                 dead_ends_mid_walk += 1
     return dead_ends_mid_walk
@@ -453,6 +453,25 @@ def test_index_build_scratch_is_bounded(monkeypatch):
     assert_one_stable_sort(index)
 
 
+def test_walk_pass_scratch_is_bounded_by_walks():
+    # at X = 5000 a chunk of _CHUNK_NODES starts would hold 640,000 walks;
+    # the pass's scratch must stay that of a chunk of _CHUNK_WALKS walks
+    g = barabasi_albert_graph(300, 3, seed=1)
+    cfg = SampleConfig(T=2, X=5000)
+    tracemalloc.start()
+    try:
+        (rows,) = rcic.sampling._sample_hit_rows(g, [{0, 1, 2}], cfg, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = sum(a.nbytes for a in rows)
+    # a chunk's buffers, 8 bytes per walk each: T + 1 rows of the step
+    # matrix, T rows of uniforms and three step temporaries
+    buffers = rcic.sampling._CHUNK_WALKS * (2 * cfg.T + 4) * 8
+    assert peak - kept < 2 * buffers
+    assert np.count_nonzero(rows[0]) == rows[1].size > 0
+
+
 def store_digest(store) -> str:
     h = hashlib.sha256()
     for name in ("hit_flags", "walk_ids", "indptr", "walk_cands", "walk_indptr",
@@ -514,6 +533,14 @@ def test_store_values_are_pinned(threads):
     assert store_value_digest(store) == PINNED_VALUE_DIGEST
 
 
+@pytest.mark.parametrize("chunk_walks", [1, 121])
+def test_chunks_of_fewer_starts_keep_the_pinned_bytes(monkeypatch, chunk_walks):
+    # X = 40: chunks of one start and of three; each start's walks read only
+    # its own substream, so the rows do not depend on the chunking
+    monkeypatch.setattr(rcic.sampling, "_CHUNK_WALKS", chunk_walks)
+    assert store_digest(pinned_store(2)) == PINNED_DIGEST
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_nested_stores_equal_separate_builds(threads):
     assert_nested_stores_equal_separate_builds(threads)
@@ -537,10 +564,12 @@ def test_multi_block_placement_keeps_the_pinned_bytes(monkeypatch, threads):
 
 
 def nested_rumor_sets(graph):
-    """A graph, its walks per start and seed, and three nested rumor sets."""
-    if graph == "sink":
-        return sink_graph(), 5, 4, [{5, 17}, {5, 17, 42, 123, 250},
-                                    {5, 17, 42, 123, 250, 7, 90, 201}]
+    """A graph, its walks per start and seed, and three nested rumor sets.
+    "sink_rumor" is "sink" with the dead end 10 in every set."""
+    if graph in ("sink", "sink_rumor"):
+        first = {5, 17} if graph == "sink" else {5, 10, 17}
+        mid = first | {42, 123, 250}
+        return sink_graph(), 5, 4, [first, mid, mid | {7, 90, 201}]
     small, mid = {0, 3, 5, 8}, {0, 3, 5, 8, 13, 40, 77}
     return (barabasi_albert_graph(400, 3, seed=11), 40, 2,
             [small, mid, set(range(0, 400, 9)) | mid])
@@ -583,12 +612,17 @@ def test_nested_stores_cut_at_the_first_step_and_at_dead_ends():
     small, large = build_sample_stores(g, [(rumor, cfg) for rumor in rumors])
     for rumor, store in zip(rumors, (small, large)):
         assert_store_replays_scalar_walks(g, rumor, cfg, store)
-    from_2 = [small.profile(2, i) for i in range(cfg.X)]
-    assert any(w.hit and w.prefix == {2} for w in from_2)  # 2 -> 0
-    assert not all(w.hit for w in from_2)  # 2 -> 3, a dead end
+    # small's candidates are 1, 2, 3, so its walks X..2X-1 are node 2's
+    hit_flags, indptr, nodes = (small.hit_flags, small.prefix_indptr,
+                                small.prefix_nodes)
+    from_2 = range(cfg.X, 2 * cfg.X)
+    assert any(hit_flags[w] and nodes[indptr[w]:indptr[w + 1]].tolist() == [2]
+               for w in from_2)  # 2 -> 0
+    assert not hit_flags[from_2].all()  # 2 -> 3, a dead end
     assert large.hit_flags.reshape(2, cfg.X)[0].all()  # every walk from 1
     assert not large.hit_flags.reshape(2, cfg.X)[1].any()  # from dead end 3
-    assert large.profile(1, 0).prefix == {1}
+    assert large.prefix_nodes[large.prefix_indptr[0]:large.prefix_indptr[1]
+                              ].tolist() == [1]
 
 
 def test_build_sample_stores_plans_one_pass_per_nested_run(monkeypatch):
@@ -648,10 +682,11 @@ def test_build_sample_stores_rejects_sets_that_do_not_grow_nested(
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("graph", ["sink", "ba"])
+@pytest.mark.parametrize("graph", ["sink", "ba", "sink_rumor"])
 def test_t_and_rumor_runs_share_one_pass(monkeypatch, graph, threads):
     # T grows, falls and repeats along nested sets: one pass at the largest
-    # T serves every key, and each store is cut from it to its set and T
+    # T serves every key, and each store is cut from it to its set and T.
+    # Under "sink_rumor" the pass's own rumor set holds a dead end.
     g, X, seed, rumors = nested_rumor_sets(graph)
     keys = [(rumors[r], SampleConfig(T=T, X=X, seed=seed))
             for r, T in ((0, 3), (0, 6), (0, 2), (1, 2), (1, 6), (2, 4))]
@@ -793,30 +828,9 @@ def test_hit_mass_is_one_bincount(monkeypatch, case):
 def test_profile_accessors():
     g = path3()
     store = build_sample_store(g, {2}, SampleConfig(T=2, X=50, seed=3))
-    prof = store.profile(1, 0)
-    assert prof.start == 1
-    assert 1 in prof.prefix
-    with pytest.raises(ValueError):
-        store.profile(1, 50)
+    w = store.index.position(1) * store.X  # walk (1, 0)
+    assert 1 in store.prefix_nodes[store.prefix_indptr[w]:store.prefix_indptr[w + 1]]
     with pytest.raises(ValueError):
         store.index.position(2)  # rumor node
     with pytest.raises(ValueError):
         store.index.position(99)
-
-
-@pytest.mark.parametrize("key_range", [1, 65_536, 65_537, 200_000, 5_000_000_000])
-def test_stable_order_matches_stable_argsort(key_range):
-    # ranges above 2**16 take the multi-digit path; the largest key is always
-    # present, so an order over the low digit alone differs from the true one
-    rng = np.random.default_rng(key_range % 1000)
-    pool = rng.integers(0, key_range, size=500)
-    keys = np.concatenate([rng.choice(pool, size=20_000), [key_range - 1]])
-    rng.shuffle(keys)
-    for dtype in (np.int64, np.int32):
-        if key_range > np.iinfo(dtype).max:
-            continue
-        typed = keys.astype(dtype)
-        assert np.array_equal(_stable_order(typed),
-                              np.argsort(typed, kind="stable"))
-    assert _stable_order(np.zeros(0, dtype=np.int64)).size == 0
-
