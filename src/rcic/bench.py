@@ -321,33 +321,3 @@ def write_rows(rows: list[ReportRow], sink, fmt: str = "csv") -> None:
     else:
         raise ValueError(f"unknown output format {fmt!r}")
 
-
-def _parse_cell(text: str, ftype: str):
-    if ftype == "bool":
-        return text == "true"
-    if ftype == "float | None":
-        return None if text == "" else float(text)
-    if ftype == "int":
-        return int(text)
-    if ftype == "float":
-        return float(text)
-    return text
-
-
-def read_rows(source) -> list[ReportRow]:
-    """Parse a CSV report back into rows (comments skipped)."""
-    specs = [(f.name, f.type) for f in dataclasses.fields(ReportRow)]
-    lines = [ln for ln in source if not ln.startswith("#")]
-    records = list(csv.reader(lines))
-    if not records:
-        return []
-    if records[0] != [name for name, _ in specs]:
-        raise ValueError("unexpected report header")
-    rows = []
-    for cells in records[1:]:
-        if not cells:
-            continue
-        kwargs = {name: _parse_cell(cell, ftype)
-                  for (name, ftype), cell in zip(specs, cells)}
-        rows.append(ReportRow(**kwargs))
-    return rows

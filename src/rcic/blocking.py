@@ -40,10 +40,6 @@ class LogisticParams:
             if isinstance(value, bool) or not value > 0:
                 raise ValueError(f"{name} must be > 0, got {value}")
 
-    @property
-    def inflection(self) -> float:
-        return self.alpha / self.beta
-
 
 def _logistic(params: LogisticParams, t: float) -> float:
     try:
@@ -81,13 +77,14 @@ def _upper_hull(y: np.ndarray) -> np.ndarray:
 class EnvelopeTable:
     """Block and envelope lookups over integer counts 0..max_count.
 
-    f_table[c] is the block value (0 at c=0) and gain_table[c] is f(c+1)-f(c).
-    env[c0, c] is the envelope anchored at count c0: the least concave
-    majorant of the points (c', f_table[c']) for c0 <= c' <= max_count, at
-    count c >= c0 (NaN below the anchor).  env_gain[c0, c] is its unit gain
-    env[c0, c+1] - env[c0, c], and 0 at c = max_count.  Counts never exceed
-    the longest hit-walk prefix, so max_count <= T + 1 and both matrices are
-    tiny; they are built once, for every anchor, and exist for every alpha.
+    f_table[c] is the block value (0 at c=0) and gain_table[c] its unit gain
+    f(c+1)-f(c).  env[c0, c] is the envelope anchored at count c0: the least
+    concave majorant of the points (c', f_table[c']) for c0 <= c' <= max_count,
+    at count c >= c0 (NaN below the anchor).  env_gain[c0, c] is its unit gain
+    env[c0, c+1] - env[c0, c].  Both gains read 0 at c = max_count, a count no
+    add can raise.  Counts never exceed the longest hit-walk prefix, so
+    max_count <= T + 1 and both matrices are tiny; they are built once, for
+    every anchor, and exist for every alpha.
     """
 
     def __init__(self, params: LogisticParams, max_count: int):
@@ -97,7 +94,7 @@ class EnvelopeTable:
         self.f_table = np.zeros(max_count + 1, dtype=np.float64)
         for c in range(1, max_count + 1):
             self.f_table[c] = _logistic(params, c)
-        self.gain_table = np.diff(self.f_table)
+        self.gain_table = np.append(np.diff(self.f_table), 0.0)
         self.env = np.full((max_count + 1, max_count + 1), np.nan)
         for c0 in range(max_count + 1):
             self.env[c0, c0:] = _upper_hull(self.f_table[c0:])

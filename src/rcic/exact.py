@@ -51,9 +51,9 @@ def enumerate_realizations(g: Graph, rumor_set, T: int,
     """
     check_count(T, "T", 1)
     check_count(limit, "limit", 0)
-    rumor = frozenset(int(r) for r in rumor_set)
+    rumor = frozenset(check_count(r, "node", 0) for r in rumor_set)
     for r in rumor:
-        if not 0 <= r < g.n:
+        if r >= g.n:
             raise ValueError(f"rumor node {r} out of range")
     starts = sorted(set(range(g.n)) - rumor)
     if not starts:
@@ -91,12 +91,12 @@ def exact_objective(g: Graph, params: LogisticParams, rumor_set, P, T: int,
 
     Pass `realizations` to amortize enumeration across many evaluations.
     """
-    rumor = frozenset(int(r) for r in rumor_set)
-    prot = frozenset(int(v) for v in P)
+    rumor = frozenset(check_count(r, "node", 0) for r in rumor_set)
+    prot = frozenset(check_count(v, "node", 0) for v in P)
     if prot & rumor:
         raise ValueError("protector set overlaps the rumor set")
     for v in prot:
-        if not 0 <= v < g.n:
+        if v >= g.n:
             raise ValueError(f"protector node {v} out of range")
     if realizations is None:
         realizations = enumerate_realizations(g, rumor, T)
@@ -131,7 +131,7 @@ def exhaustive_optimum(g: Graph, params: LogisticParams, rumor_set, k: int,
                        T: int) -> tuple[frozenset[int], float]:
     """Best k-subset by exact objective; ties go to the lexicographically
     smallest set.  Guarded: C(candidates, k) must stay within 10^6."""
-    rumor = frozenset(int(r) for r in rumor_set)
+    rumor = frozenset(check_count(r, "node", 0) for r in rumor_set)
     candidates = sorted(set(range(g.n)) - rumor)
     _check_k(k, len(candidates))
     n_subsets = math.comb(len(candidates), k)
@@ -158,7 +158,7 @@ class ExactStore:
 
     def __init__(self, g: Graph, rumor_set, T: int):
         self.n_nodes = g.n
-        self.rumor_set = frozenset(int(r) for r in rumor_set)
+        self.rumor_set = frozenset(check_count(r, "node", 0) for r in rumor_set)
         self.T = T
         self.realizations = enumerate_realizations(g, self.rumor_set, T)
 
@@ -178,10 +178,6 @@ class ExactStore:
         weights = np.array([r.probability for r in hits], dtype=np.float64)
         _, cand_pos = _candidate_positions(g.n, self.rumor_set)
         self.index = WalkIndex(g.n, self.rumor_set, indptr, cand_pos[nodes], weights)
-
-    @property
-    def candidates(self) -> np.ndarray:
-        return self.index.candidates
 
 
 @dataclass(frozen=True)

@@ -34,9 +34,12 @@ not grow with X.  Only the hit walks' columns are sorted and deduplicated;
 their rows leave the kernel as candidate positions in
 `WalkIndex.position_dtype` (uint16 from 256 to 65,535 candidates), with
 each hit walk's prefix size and hit step in the smallest unsigned dtypes
-that hold T + 1 and T, one byte each for T < 255.  The rows become the
-index's forward CSR as they are; its offsets are summed from the prefix sizes only when a store
-is built (`WalkIndex.offset_dtype`: int32 below 2**31 entries).
+that hold T + 1 and T, one byte each for T < 255.  A chunk's rows are
+copied into its set's arrays as soon as the chunk is done, in chunk order,
+so a pass holds its rows once, never beside a join of them.  The rows
+become the index's forward CSR as they are; its offsets are summed from the
+prefix sizes only when a store is built (`WalkIndex.offset_dtype`: int32
+below 2**31 entries).
 
 `build_sample_stores` plans the walk passes of a sequence of store keys
 (rumor set, SampleConfig), such as a sweep's points: equal consecutive keys
@@ -244,7 +247,7 @@ class WalkIndex:
         return int(self.walk_weights.size)
 
     def position(self, v: int) -> int:
-        if not 0 <= v < self.n_nodes:
+        if check_count(v, "node", 0) >= self.n_nodes:
             raise ValueError(f"node {v} out of range")
         p = int(self.cand_pos[v])
         if p < 0:
@@ -284,8 +287,7 @@ class SampleStore:
     whether it reached the rumor set.  The h-th hit walk's prefix is row h of
     the index's forward CSR, `index.walk_cands[index.walk_indptr[h]:
     index.walk_indptr[h + 1]]`, as candidate positions in ascending order.
-    Nothing else is kept: `hit_counts[p]`, how many of the walks from
-    candidates[p] hit, and `prefix_indptr` and `prefix_nodes`, a CSR over
+    Nothing else is kept: `prefix_indptr` and `prefix_nodes`, a CSR over
     every walk whose row is a hit's prefix or a miss's start node, are built
     on each read: walk w's row is `prefix_nodes[prefix_indptr[w]:
     prefix_indptr[w + 1]]`, so a reader of many walks reads the two views
@@ -298,7 +300,7 @@ class SampleStore:
                  hit_cands: np.ndarray, threads: int = 1):
         self.config = config
         self.n_nodes = int(n_nodes)
-        self.rumor_set = frozenset(int(r) for r in rumor_set)
+        self.rumor_set = frozenset(check_count(r, "node", 0) for r in rumor_set)
         self.hit_flags = hit_flags
 
         weights = np.full(hit_indptr.size - 1, 1.0 / config.X, dtype=np.float64)
@@ -309,32 +311,26 @@ class SampleStore:
             if isinstance(a, np.ndarray))
 
     @property
-    def candidates(self) -> np.ndarray:
-        return self.index.candidates
-
-    @property
     def X(self) -> int:
         return self.config.X
 
-    @property
-    def hit_counts(self) -> np.ndarray:
-        """Per candidate position, how many of its X walks hit (int64)."""
-        return self.hit_flags.reshape(self.index.n_candidates, self.X).sum(
-            axis=1, dtype=np.int64)
+    def _row_lengths(self) -> np.ndarray:
+        """Every walk's row length: a hit's prefix size, a miss's 1."""
+        lengths = np.ones(self.hit_flags.size, dtype=self.index.walk_indptr.dtype)
+        lengths[self.hit_flags] = np.diff(self.index.walk_indptr)
+        return lengths
 
     @property
     def prefix_indptr(self) -> np.ndarray:
-        """Row offsets over every walk (int64): a hit's prefix size, a miss's 1."""
-        lengths = np.ones(self.hit_flags.size, dtype=np.int64)
-        lengths[self.hit_flags] = np.diff(self.index.walk_indptr)
-        return np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(lengths, dtype=np.int64)])
+        """Row offsets over every walk (int64)."""
+        return np.concatenate([np.zeros(1, dtype=np.int64),
+                               np.cumsum(self._row_lengths(), dtype=np.int64)])
 
     @property
     def prefix_nodes(self) -> np.ndarray:
         """Every walk's row as node ids (int32): a hit's prefix, a miss's start."""
         index = self.index
-        in_hit_row = np.repeat(self.hit_flags, np.diff(self.prefix_indptr))
+        in_hit_row = np.repeat(self.hit_flags, self._row_lengths())
         nodes = np.empty(in_hit_row.size, dtype=np.int32)
         nodes[in_hit_row] = index.candidates[index.walk_cands]
         nodes[~in_hit_row] = np.repeat(index.candidates, self.X)[~self.hit_flags]
@@ -367,13 +363,14 @@ def build_sample_stores(g: Graph, keys, threads: int = 1):
     `threads` are checked at the call.
     """
     check_count(threads, "threads", 1)
-    keys = [(frozenset(int(r) for r in rumor), cfg) for rumor, cfg in keys]
+    keys = [(frozenset(check_count(r, "node", 0) for r in rumor), cfg)
+            for rumor, cfg in keys]
     if not keys:
         raise ValueError("no store keys given")
     for rumor, _ in keys:
         if not rumor:
             raise ValueError("rumor set is empty")
-        if min(rumor) < 0 or max(rumor) >= g.n:
+        if max(rumor) >= g.n:
             raise ValueError(f"rumor set holds a node outside [0, {g.n})")
         if len(rumor) == g.n:
             raise ValueError("rumor set covers every node; nothing to sample")
@@ -519,16 +516,24 @@ def _sample_hit_rows(g: Graph, rumors, cfg: SampleConfig, threads: int):
 
     chunks = [slice(i, i + chunk_nodes)
               for i in range(0, candidates.size, chunk_nodes)]
-    results = _thread_map(run_chunk, chunks, threads)
-    del scratch  # frees this thread's buffers before the rows are joined
-
-    per_set = []
-    for s in range(len(rumors)):
-        per_set.append(tuple(np.concatenate([r[s][a] for r in results])
-                             for a in range(4)))
-        for r in results:  # each chunk's rows live on only in the concatenation
-            r[s] = None
-    return per_set
+    # Each set's four arrays are filled a chunk at a time, in chunk order, so
+    # a chunk's rows live only until they are copied in.  An array is sized
+    # for every chunk at the rows per chunk so far, grows in place (a
+    # realloc; no view of it exists then) and is cut to its rows at the end.
+    out, ends = [None] * (4 * len(rumors)), [0] * (4 * len(rumors))
+    for k, rows in enumerate(_thread_map(run_chunk, chunks, threads)):
+        for i, piece in enumerate([a for set_rows in rows for a in set_rows]):
+            stop = ends[i] + piece.size
+            if not k:
+                out[i] = np.empty(stop * len(chunks), dtype=piece.dtype)
+            elif stop > out[i].size:
+                out[i].resize(max(stop * len(chunks) // (k + 1),
+                                  out[i].size * 5 // 4), refcheck=False)
+            out[i][ends[i]:stop] = piece
+            ends[i] = stop
+    for array, stop in zip(out, ends):
+        array.resize(stop, refcheck=False)
+    return [tuple(out[i:i + 4]) for i in range(0, len(out), 4)]
 
 
 def _hit_rows_within(rows, T: int):
@@ -550,20 +555,22 @@ def _hit_rows_within(rows, T: int):
     return hit_flags, indptr, hit_cands
 
 
-def _thread_map(fn, items, threads: int) -> list:
-    """`[fn(x) for x in items]`, on `threads` worker threads when there are
-    more than one.  Items are drawn from `items` at most `threads` ahead of
-    the results, so a generator of large items has a bounded number live."""
+def _thread_map(fn, items, threads: int):
+    """`fn(x) for x in items`, yielded in order, on `threads` worker threads
+    when there are more than one.  Items are drawn from `items` at most
+    `threads` ahead of the results taken, so a generator of large items, or
+    large results taken one at a time, has a bounded number live."""
     if threads == 1:
-        return [fn(x) for x in items]
-    results, running = [], deque()
+        yield from map(fn, items)
+        return
+    running = deque()
     with ThreadPoolExecutor(max_workers=threads) as pool:
         for x in items:
             running.append(pool.submit(fn, x))
             if len(running) > threads:
-                results.append(running.popleft().result())
-        results.extend(f.result() for f in running)
-    return results
+                yield running.popleft().result()
+        while running:
+            yield running.popleft().result()
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
@@ -579,44 +586,27 @@ def _seed_words(seed: int, starts) -> np.ndarray:
     """Per start u, `SeedSequence(entropy=seed, spawn_key=(u,))
     .generate_state(4, np.uint64)`: a (len(starts), 4) uint64 array.
 
-    numpy's algorithm on uint32 words: the seed's little-endian words, padded
-    with zeros to at least the 4-word pool, then u.  u is mixed in last, so
-    every round before it runs once, on one-element arrays, and only u's
-    round and the output hash run over all starts.  `seed` must be
+    numpy mixes the seed's uint32 words into a 4-word pool, then u, the last
+    entropy word, so the pool before u is `SeedSequence(seed).pool`.  By then
+    numpy has run 16 hashes, plus 4 per seed word beyond the pool's 4, each
+    stepping the hash constant once; u's round continues from there, and it
+    and the output hash are all that run over the starts.  `seed` must be
     non-negative and `starts` in [0, 2**32).
     """
-    entropy = []
-    while True:
-        entropy.append(np.array([seed & _MASK32], dtype=np.uint32))
-        seed >>= 32
-        if not seed:
-            break
-    entropy += [np.zeros(1, dtype=np.uint32)] * (4 - len(entropy))
-    entropy.append(np.asarray(starts).astype(np.uint32))
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ const
+    seed = int(seed)  # a NumPy integer has no bit_length
+    words = max(1, -(-seed.bit_length() // 32))
+    const = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, words - 4), 1 << 32) & _MASK32
+    starts = np.asarray(starts).astype(np.uint32)
+    pool = []
+    for word in np.random.SeedSequence(seed).pool[:, None]:
+        value = starts ^ const  # hashmix(u)
         const = const * _MULT_A & _MASK32
         value = value * const
-        return value ^ value >> 16
-
-    def mix(x, y):
-        value = x * _MIX_MULT_L - y * _MIX_MULT_R
-        return value ^ value >> 16
-
-    pool = [hashmix(word) for word in entropy[:4]]
-    for i_src in range(4):
-        for i_dst in range(4):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
-    for word in entropy[4:]:
-        for i_dst in range(4):
-            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+        value = word * _MIX_MULT_L - (value ^ value >> 16) * _MIX_MULT_R  # mix
+        pool.append(value ^ value >> 16)
 
     const = _INIT_B
-    out = np.empty((entropy[-1].size, 8), dtype=np.uint32)
+    out = np.empty((starts.size, 8), dtype=np.uint32)
     for i in range(8):
         value = pool[i % 4] ^ const
         const = const * _MULT_B & _MASK32

@@ -127,9 +127,8 @@ def solve_greedy(store, params: LogisticParams, k: int) -> SolveReport:
     index = store.index
     _check_k(k, index.n_candidates)
     table = EnvelopeTable(params, index.max_count)
-    # padded so fully-covered walks read a zero gain instead of overflowing
-    state = _GainState(index, np.append(table.gain_table, 0.0)[None, :],
-                       frozenset(), k, frozenset())
+    state = _GainState(index, table.gain_table[None, :], frozenset(), k,
+                       frozenset())
     state.greedy_steps(k)
     chosen = frozenset(int(v) for v in index.candidates[state.in_set])
     gain_evals = state.gain_evals
@@ -152,7 +151,7 @@ class _GainState:
         # one flat `take` of anchor * width + count reads gain_mat[anchor, count]
         self._flat_gains = gain_mat.ravel()
         self._width = gain_mat.shape[1]
-        self.anchor = frozenset(int(v) for v in anchor_set)
+        self.anchor = frozenset(check_count(v, "node", 0) for v in anchor_set)
         if len(self.anchor) > k:
             raise ValueError(f"anchor of size {len(self.anchor)} exceeds k={k}")
         self.counts = np.zeros(index.n_hit_walks, dtype=np.int32)

@@ -48,14 +48,15 @@ def tangent_point(params: LogisticParams, c0: float, y0: float) -> EnvelopeAncho
     """
     if c0 < 0:
         raise ValueError(f"anchor count must be >= 0, got {c0}")
-    if c0 >= params.inflection:
+    inflection = params.alpha / params.beta
+    if c0 >= inflection:
         return EnvelopeAnchor(c0, y0, c0, logistic_slope(params, c0))
 
     def slope_gap(t: float) -> float:
         return (_logistic(params, t) - y0) / (t - c0) - logistic_slope(params, t)
 
-    lo = params.inflection
-    hi = params.inflection + 60.0 / params.beta
+    lo = inflection
+    hi = inflection + 60.0 / params.beta
     if not (slope_gap(lo) < 0.0 < slope_gap(hi)):
         raise ArithmeticError(
             f"no tangent bracket for anchor ({c0}, {y0}) with alpha={params.alpha}, "

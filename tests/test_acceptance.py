@@ -198,7 +198,7 @@ def coupling_violations(small, large) -> tuple[int, int, int]:
     (walks checked, hits lost, prefixes grown).
     """
     X = small.X
-    starts = large.candidates
+    starts = large.index.candidates
     offsets = np.arange(X, dtype=np.int64)
     w_small = (small.index.cand_pos[starts][:, None] * X + offsets).ravel()
     w_large = (large.index.cand_pos[starts][:, None] * X + offsets).ravel()

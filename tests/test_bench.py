@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import gc
 import io
@@ -13,8 +14,8 @@ import rcic.sampling
 from rcic.bench import (
     ExperimentConfig,
     ReportRow,
+    _format_cell,
     generate_rumor_set,
-    read_rows,
     run_experiment,
     run_on_graph,
     run_scalability,
@@ -395,6 +396,16 @@ def test_run_scalability_keeps_earlier_slices_after_a_solver_error(
     assert [r.chosen_size for r in rows] == [2, 2, 0]
 
 
+FIELDS = [f.name for f in dataclasses.fields(ReportRow)]
+
+
+def csv_cells(text):
+    """A CSV report's header and its rows of cells, comment lines skipped."""
+    header, *cells = csv.reader(
+        line for line in io.StringIO(text) if not line.startswith("#"))
+    return header, cells
+
+
 def test_csv_round_trip(tmp_path):
     g = small_graph()
     rows = run_on_graph(g, base_config(algorithms=("topk", "greedy", "bab")))
@@ -402,22 +413,16 @@ def test_csv_round_trip(tmp_path):
     write_rows(rows, buf, "csv")
     text = buf.getvalue()
     assert text.startswith("# experiment report")
-    parsed = read_rows(io.StringIO(text))
-    assert len(parsed) == len(rows)
-    for orig, back in zip(rows, parsed):
-        assert back.algorithm == orig.algorithm
-        assert back.chosen_set == orig.chosen_set
-        assert back.objective == pytest.approx(orig.objective, rel=1e-5)
-        assert back.wall_time_ms == orig.wall_time_ms
-        assert back.gain_evals == orig.gain_evals
-        assert back.influenced_mass == pytest.approx(orig.influenced_mass,
-                                                     rel=1e-5)
-        assert back.store_bytes == orig.store_bytes > 0
-        assert back.bound_gap == (None if orig.bound_gap is None
-                                  else pytest.approx(orig.bound_gap, rel=1e-5))
-        assert back.truncated == orig.truncated
-    assert [r.bound_gap for r in parsed] == [None, None, 1.0]
-    assert parsed[1].gain_evals > 0
+    header, cells = csv_cells(text)
+    assert header == FIELDS
+    assert len(cells) == len(rows)
+    for orig, back in zip(rows, cells):
+        assert back == [_format_cell(getattr(orig, name)) for name in FIELDS]
+        back = dict(zip(header, back))
+        assert float(back["objective"]) == pytest.approx(orig.objective, rel=1e-5)
+        assert int(back["store_bytes"]) == orig.store_bytes > 0
+    assert [dict(zip(header, c))["bound_gap"] for c in cells] == ["", "", "1"]
+    assert rows[1].gain_evals > 0
 
 
 def test_csv_quotes_awkward_status_text():
@@ -432,9 +437,12 @@ def test_csv_quotes_awkward_status_text():
                     status='error: ValueError: bad, "quoted" value')
     buf = io.StringIO()
     write_rows([row], buf, "csv")
-    parsed = read_rows(io.StringIO(buf.getvalue()))
-    assert parsed[0].status == row.status
-    assert parsed[0].peak_mem_mb is None
+    header, (cells,) = csv_cells(buf.getvalue())
+    assert header == FIELDS
+    assert cells == [_format_cell(getattr(row, name)) for name in FIELDS]
+    back = dict(zip(header, cells))
+    assert back["status"] == row.status
+    assert back["peak_mem_mb"] == ""
 
 
 def test_json_output():
@@ -461,12 +469,6 @@ def test_json_output_is_strict_for_an_infinite_bound_gap():
     payload = json.loads(buf.getvalue(), parse_constant=reject)
     assert payload["rows"][0]["bound_gap"] == "inf"
     assert payload["rows"][0]["objective"] == row.objective
-
-
-def test_read_rows_rejects_foreign_header():
-    with pytest.raises(ValueError):
-        read_rows(io.StringIO("a,b,c\n1,2,3\n"))
-    assert read_rows(io.StringIO("")) == []
 
 
 def test_run_experiment_writes_report(tmp_path):

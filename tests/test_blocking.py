@@ -39,8 +39,6 @@ def test_params_validation():
                         (3.0, True), (True, True)):
         with pytest.raises(ValueError):
             LogisticParams(alpha, beta)
-    assert P31.inflection == 3.0
-    assert LogisticParams(7.0, 3.0).inflection == pytest.approx(7.0 / 3.0)
 
 
 def test_logistic_block_values():
@@ -123,7 +121,10 @@ def test_envelope_table_matches_pointwise_functions():
         table = EnvelopeTable(params, max_count=7)
         for c in range(8):
             assert table.f_table[c] == logistic_block(params, c)
-        assert np.allclose(table.gain_table, np.diff(table.f_table))
+        # a unit gain per count, 0 at max_count as in env_gain
+        assert np.array_equal(table.gain_table,
+                              np.append(np.diff(table.f_table), 0.0))
+        assert table.env_gain[:, -1].tolist() == [0.0] * 8
         for c0 in range(8):
             for c in range(c0, 8):
                 assert table.env[c0, c] == pytest.approx(

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 
@@ -5,7 +6,6 @@ import pytest
 
 import rcic.bench
 import rcic.sampling
-from rcic.bench import read_rows
 from rcic.cli import main
 from rcic.graph import dump_edge_list
 from rcic.solvers import run_solver
@@ -20,9 +20,14 @@ def graph_file(tmp_path):
     return str(path)
 
 
+def csv_rows(lines):
+    """A CSV report's rows as dicts of their cells' text, comments skipped."""
+    return list(csv.DictReader(line for line in lines if not line.startswith("#")))
+
+
 def read_report(path):
     with path.open() as fh:
-        return read_rows(fh)
+        return csv_rows(fh)
 
 
 def run_flags(graph_file, out):
@@ -36,8 +41,8 @@ def test_run_writes_report(graph_file, tmp_path):
     out = tmp_path / "report.csv"
     assert main(run_flags(graph_file, str(out))) == 0
     rows = read_report(out)
-    assert [r.algorithm for r in rows] == ["topk", "greedy"]
-    assert all(r.status == "ok" for r in rows)
+    assert [r["algorithm"] for r in rows] == ["topk", "greedy"]
+    assert all(r["status"] == "ok" for r in rows)
 
 
 def test_run_defaults_to_stdout(graph_file, capsys):
@@ -66,8 +71,8 @@ def test_bound_solvers_run_at_alpha_two(graph_file, tmp_path):
                  "--k", "3", "--rumor-size", "4", "-T", "4", "--alpha", "2",
                  "--beta", "1", "--samples", "50", "--out", str(out)]) == 0
     rows = read_report(out)
-    assert [r.algorithm for r in rows] == ["bab", "probab"]
-    assert all(r.status == "ok" for r in rows)
+    assert [r["algorithm"] for r in rows] == ["bab", "probab"]
+    assert all(r["status"] == "ok" for r in rows)
 
 
 def test_run_repeats_identically(graph_file, tmp_path):
@@ -75,8 +80,8 @@ def test_run_repeats_identically(graph_file, tmp_path):
     assert main(run_flags(graph_file, str(out_a))) == 0
     assert main(run_flags(graph_file, str(out_b))) == 0
     rows_a, rows_b = read_report(out_a), read_report(out_b)
-    assert [(r.chosen_set, r.objective) for r in rows_a] == \
-        [(r.chosen_set, r.objective) for r in rows_b]
+    assert [(r["chosen_set"], r["objective"]) for r in rows_a] == \
+        [(r["chosen_set"], r["objective"]) for r in rows_b]
 
 
 def test_run_reports_rows_computed_before_a_solver_error(graph_file, tmp_path,
@@ -96,10 +101,10 @@ def test_run_reports_rows_computed_before_a_solver_error(graph_file, tmp_path,
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
     assert main(flags + ["--out", str(out)]) == 1
-    for rows in (read_rows(io.StringIO(captured.out)), read_report(out)):
-        assert [r.k for r in rows] == [2, 3]
-        assert rows[0].status == "ok"
-        assert rows[1].status == "error: ValueError: solver failed"
+    for rows in (csv_rows(io.StringIO(captured.out)), read_report(out)):
+        assert [r["k"] for r in rows] == ["2", "3"]
+        assert rows[0]["status"] == "ok"
+        assert rows[1]["status"] == "error: ValueError: solver failed"
 
 
 def test_infeasible_rumor_size_at_a_later_sweep_point_writes_no_report(
@@ -144,8 +149,8 @@ def test_run_thread_count_does_not_change_results(graph_file, tmp_path):
     assert main(run_flags(graph_file, str(out_a)) + ["--threads", "1"]) == 0
     assert main(run_flags(graph_file, str(out_b)) + ["--threads", "4"]) == 0
     rows_a, rows_b = read_report(out_a), read_report(out_b)
-    assert [(r.chosen_set, r.objective) for r in rows_a] == \
-        [(r.chosen_set, r.objective) for r in rows_b]
+    assert [(r["chosen_set"], r["objective"]) for r in rows_a] == \
+        [(r["chosen_set"], r["objective"]) for r in rows_b]
 
 
 def test_config_file_supplies_flags(graph_file, tmp_path):
@@ -166,8 +171,8 @@ def test_config_file_supplies_flags(graph_file, tmp_path):
     assert main(["run", "--config", str(cfg), "--out", str(out_cfg)]) == 0
     assert main(run_flags(graph_file, str(out_flag))) == 0
     rows_cfg, rows_flag = read_report(out_cfg), read_report(out_flag)
-    assert [(r.algorithm, r.chosen_set, r.objective) for r in rows_cfg] == \
-        [(r.algorithm, r.chosen_set, r.objective) for r in rows_flag]
+    assert [(r["algorithm"], r["chosen_set"], r["objective"]) for r in rows_cfg] == \
+        [(r["algorithm"], r["chosen_set"], r["objective"]) for r in rows_flag]
 
 
 def test_command_line_beats_config_file(graph_file, tmp_path):
@@ -178,8 +183,8 @@ def test_command_line_beats_config_file(graph_file, tmp_path):
     assert main(["run", "--config", str(cfg), "--k", "3",
                  "--out", str(out)]) == 0
     rows = read_report(out)
-    assert rows[0].k == 3
-    assert rows[0].chosen_size == 3
+    assert rows[0]["k"] == "3"
+    assert rows[0]["chosen_size"] == "3"
 
 
 def test_command_line_zero_beats_config_file(graph_file, tmp_path):
@@ -189,7 +194,7 @@ def test_command_line_zero_beats_config_file(graph_file, tmp_path):
     out = tmp_path / "out.csv"
     assert main(["run", "--config", str(cfg), "--rumor-seed", "0",
                  "--out", str(out)]) == 0
-    assert [r.rumor_seed for r in read_report(out)] == [0]
+    assert [r["rumor_seed"] for r in read_report(out)] == ["0"]
 
 
 def test_config_file_value_outside_flag_choices_is_an_error(graph_file,
@@ -234,7 +239,7 @@ def test_config_keys_are_the_commands_own_flags(graph_file, tmp_path,
     assert captured.out == ""
     out = tmp_path / "scal.csv"
     assert main(["scalability", "--config", str(cfg), "--out", str(out)]) == 0
-    assert [r.fraction for r in read_report(out)] == [0.5]
+    assert [r["fraction"] for r in read_report(out)] == ["0.5"]
 
 
 def test_undirected_is_not_an_option(graph_file, tmp_path, capsys):
@@ -254,7 +259,7 @@ def test_config_file_sets_directed(graph_file, tmp_path):
                 + ["--config", str(cfg)]) == 0
     assert main(run_flags(graph_file, str(outs["flag"])) + ["--directed"]) == 0
     assert main(run_flags(graph_file, str(outs["plain"]))) == 0
-    rows = {name: [(r.chosen_set, r.objective, r.influenced_mass)
+    rows = {name: [(r["chosen_set"], r["objective"], r["influenced_mass"])
                    for r in read_report(out)]
             for name, out in outs.items()}
     assert rows["cfg"] == rows["flag"]
@@ -286,7 +291,7 @@ def test_sweep_flag(graph_file, tmp_path):
                  "--beta", "1", "--samples", "30", "--sweep", "T=2,3",
                  "--out", str(out)]) == 0
     rows = read_report(out)
-    assert [(r.sweep_axis, r.sweep_value) for r in rows] == \
+    assert [(r["sweep_axis"], r["sweep_value"]) for r in rows] == \
         [("T", "2"), ("T", "3")]
 
 
@@ -314,7 +319,7 @@ def test_scalability_command(graph_file, tmp_path):
                  "--beta", "1", "--samples", "20",
                  "--fractions", "0.5,1.0", "--out", str(out)]) == 0
     rows = read_report(out)
-    assert [r.fraction for r in rows] == [0.5, 1.0]
+    assert [r["fraction"] for r in rows] == ["0.5", "1"]
 
 
 def test_scalability_keeps_earlier_slices_after_a_solver_error(
@@ -335,8 +340,8 @@ def test_scalability_keeps_earlier_slices_after_a_solver_error(
                  "--fractions", "0.5,0.75,1.0", "--out", str(out)]) == 1
     assert "solver failed" in capsys.readouterr().err
     rows = read_report(out)
-    assert [r.fraction for r in rows] == [0.5, 0.75, 1.0]
-    assert [r.status for r in rows] == [
+    assert [r["fraction"] for r in rows] == ["0.5", "0.75", "1"]
+    assert [r["status"] for r in rows] == [
         "ok", "ok", "error: ValueError: solver failed"]
 
 
@@ -351,7 +356,7 @@ def test_run_reports_any_solver_exception(graph_file, tmp_path, monkeypatch,
     out = tmp_path / "report.csv"
     assert main(run_flags(graph_file, str(out))) == 1
     assert "error: RuntimeError: solver broke" in capsys.readouterr().err
-    assert [r.status for r in read_report(out)] == [
+    assert [r["status"] for r in read_report(out)] == [
         "ok", "error: RuntimeError: solver broke"]
 
 

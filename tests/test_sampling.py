@@ -64,10 +64,11 @@ def test_sample_config_validation():
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**64 + 3,
-                                  2**130 + 7])
+                                  2**128 - 1, 2**128, 2**130 + 7, 2**200 + 9])
 def test_substream_states_match_seed_sequence(seed):
-    # seeds of 2**32 and above are several entropy words, 2**130 + 7 more
-    # than the 4-word pool holds
+    # seeds of 2**32 and above are several entropy words; 2**128 - 1 is the
+    # last that fits the 4-word pool, and 2**128, 2**130 + 7 and 2**200 + 9
+    # (7 words) each add hash rounds before the start's
     n = 8846
     starts = np.arange(n, dtype=np.int64)
     words = _seed_words(seed, starts)
@@ -148,15 +149,20 @@ def test_sample_walk_rejects_rumor_start():
         sample_walk(path3(), 2, {2}, 3, _Script([0.5]))
 
 
+def hit_counts(store) -> np.ndarray:
+    """Per candidate position, how many of its X walks hit."""
+    return store.hit_flags.reshape(store.index.n_candidates, store.X).sum(axis=1)
+
+
 def test_store_matches_exact_hit_probability():
     g = path3()
     store = build_sample_store(g, {2}, SampleConfig(T=2, X=10000, seed=7))
     # both starts hit with probability exactly 1/2
     for u in (0, 1):
-        frac = store.hit_counts[store.index.position(u)] / store.X
+        frac = hit_counts(store)[store.index.position(u)] / store.X
         assert 0.47 <= frac <= 0.53
     assert abs(store.index.influenced_mass
-               - store.hit_counts.sum() / store.X) < 1e-9
+               - hit_counts(store).sum() / store.X) < 1e-9
 
 
 def test_store_hit_frequencies_converge():
@@ -165,9 +171,9 @@ def test_store_hit_frequencies_converge():
     T, X = 3, 2000
     store = build_sample_store(g, rumor, SampleConfig(T=T, X=X, seed=11))
     exact = exact_hit_probabilities(g, rumor, T)
-    for u in store.candidates:
+    for u in store.index.candidates:
         p = exact[int(u)]
-        emp = store.hit_counts[store.index.position(int(u))] / X
+        emp = hit_counts(store)[store.index.position(int(u))] / X
         sigma = (p * (1.0 - p) / X) ** 0.5
         assert abs(emp - p) <= 4.0 * sigma + 1e-12
 
@@ -182,7 +188,7 @@ def assert_store_replays_scalar_walks(g, rumor, cfg, store) -> int:
     hit_flags, indptr, nodes = (store.hit_flags, store.prefix_indptr,
                                 store.prefix_nodes)
     dead_ends_mid_walk = 0
-    for p, u in enumerate(store.candidates.tolist()):
+    for p, u in enumerate(store.index.candidates.tolist()):
         # step-major: walk i's step t is draw t * X + i of u's substream
         uniforms = _node_rng(cfg.seed, u).random((cfg.T, cfg.X))
         for i in range(cfg.X):
@@ -224,7 +230,7 @@ def test_store_profiles_match_scalar_walks_across_chunks(threads):
     rumor = {5, 17, 42, 123, 250}
     cfg = SampleConfig(T=6, X=5, seed=4)
     store = build_sample_store(g, rumor, cfg, threads=threads)
-    assert store.candidates.size > 2 * _CHUNK_NODES
+    assert store.index.candidates.size > 2 * _CHUNK_NODES
     assert 0 < store.hit_flags.sum() < store.hit_flags.size
     assert assert_store_replays_scalar_walks(g, rumor, cfg, store) > 0
 
@@ -239,7 +245,7 @@ def test_store_keeps_only_the_start_of_a_miss():
     row_start = store.prefix_indptr[:-1][miss]
     assert np.all(np.diff(store.prefix_indptr)[miss] == 1)
     assert np.array_equal(store.prefix_nodes[row_start],
-                          np.repeat(store.candidates, cfg.X)[miss])
+                          np.repeat(store.index.candidates, cfg.X)[miss])
 
 
 def test_store_bytes_counts_the_built_arrays():
@@ -250,11 +256,10 @@ def test_store_bytes_counts_the_built_arrays():
              index.walk_weights, index.walk_indptr, index.walk_cands,
              index.indptr, index.walk_ids)
     # hit_mass is built on first use, after the store; it does not count, and
-    # hit_counts and the prefix arrays are derived on each read
+    # the prefix arrays are derived on each read
     assert index.hit_mass.size == index.n_candidates
-    assert store.hit_counts.size == index.n_candidates
     assert store.store_bytes == sum(a.nbytes for a in built)
-    for name in ("hit_counts", "prefix_indptr", "prefix_nodes"):
+    for name in ("prefix_indptr", "prefix_nodes"):
         assert name not in vars(store)
 
 
@@ -272,7 +277,7 @@ def test_derived_prefix_arrays_are_read_not_kept(threads):
     assert miss.any()
     assert np.all(np.diff(indptr)[miss] == 1)
     assert np.array_equal(nodes[indptr[:-1][miss]],
-                          np.repeat(store.candidates, cfg.X)[miss])
+                          np.repeat(store.index.candidates, cfg.X)[miss])
     assert store.store_bytes == size
     assert vars(store).keys() == kept.keys()
     assert all(vars(store)[k] is v for k, v in kept.items())
@@ -288,6 +293,14 @@ def test_store_build_is_deterministic():
     assert np.array_equal(a.prefix_nodes, b.prefix_nodes)
     c = build_sample_store(g, {0, 1, 2}, SampleConfig(T=4, X=25, seed=7))
     assert not np.array_equal(a.hit_flags, c.hit_flags)
+
+
+def test_numpy_integer_seed_builds_the_same_store():
+    g = barabasi_albert_graph(120, 3, seed=4)
+    stores = [build_sample_store(g, {0, 1, 2}, SampleConfig(T=4, X=25, seed=s))
+              for s in (3, np.uint64(3), np.int64(3))]
+    assert store_digest(stores[1]) == store_digest(stores[2]) == store_digest(
+        stores[0])
 
 
 def test_store_build_thread_count_invariant():
@@ -308,7 +321,7 @@ def test_sink_graph_store_is_thread_count_invariant():
     rumor = {5, 17, 42, 123, 250}
     serial = build_sample_store(g, rumor, cfg, threads=1)
     threaded = build_sample_store(g, rumor, cfg, threads=2)
-    for name in ("hit_flags", "prefix_indptr", "prefix_nodes", "hit_counts"):
+    for name in ("hit_flags", "prefix_indptr", "prefix_nodes"):
         a, b = getattr(serial, name), getattr(threaded, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
@@ -472,6 +485,27 @@ def test_walk_pass_scratch_is_bounded_by_walks():
     assert np.count_nonzero(rows[0]) == rows[1].size > 0
 
 
+def test_walk_pass_holds_its_rows_once(monkeypatch):
+    # chunks of two starts keep the kernel's scratch well below the rows, so
+    # what the pass holds beyond its rows shows: a chunk's rows are copied
+    # into each set's arrays as the chunk is done, so no array is ever held
+    # twice, as a join of every chunk's rows would hold it
+    monkeypatch.setattr(rcic.sampling, "_CHUNK_WALKS", 4000)
+    g = barabasi_albert_graph(1000, 3, seed=1)
+    cfg = SampleConfig(T=4, X=2000)
+    tracemalloc.start()
+    try:
+        (rows,) = rcic.sampling._sample_hit_rows(g, [set(range(10))], cfg, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = sum(a.nbytes for a in rows)
+    largest = max(a.nbytes for a in rows)
+    buffers = rcic.sampling._CHUNK_WALKS * (2 * cfg.T + 4) * 8
+    assert kept - largest > 4 * buffers
+    assert peak - kept < largest
+
+
 def store_digest(store) -> str:
     h = hashlib.sha256()
     for name in ("hit_flags", "walk_ids", "indptr", "walk_cands", "walk_indptr",
@@ -513,7 +547,7 @@ def pinned_store(threads):
     store = build_sample_store(barabasi_albert_graph(400, 3, seed=11),
                                {0, 3, 5, 8}, SampleConfig(T=5, X=40, seed=2),
                                threads=threads)
-    assert store.candidates.size > 2 * _CHUNK_NODES
+    assert store.index.candidates.size > 2 * _CHUNK_NODES
     return store
 
 
@@ -582,7 +616,7 @@ def assert_nested_stores_equal_separate_builds(threads):
                                  threads=threads)
     for rumor, store in zip(rumors, stores):
         alone = build_sample_store(g, rumor, cfg, threads=threads)
-        assert alone.candidates.size > 2 * _CHUNK_NODES
+        assert alone.index.candidates.size > 2 * _CHUNK_NODES
         assert store.rumor_set == rumor
         assert store_digest(store) == store_digest(alone)
         assert store.index.hit_mass.tobytes() == alone.index.hit_mass.tobytes()
@@ -598,7 +632,7 @@ def test_nested_stores_replay_scalar_walks(threads):
     stores = build_sample_stores(g, [(rumor, cfg) for rumor in rumors],
                                  threads=threads)
     for rumor, store in zip(rumors, stores):
-        assert store.candidates.size == g.n - len(rumor)
+        assert store.index.candidates.size == g.n - len(rumor)
         assert assert_store_replays_scalar_walks(g, rumor, cfg, store) > 0
 
 
@@ -719,7 +753,7 @@ def test_longer_walks_keep_every_hit_and_its_prefix(graph):
     params = LogisticParams(alpha=3.0, beta=1.0)
     # one P for every T: the ten candidates the longest walks reach most
     top = np.argsort(stores[-1].index.hit_mass, kind="stable")[-10:]
-    P = set(int(v) for v in stores[-1].candidates[top])
+    P = set(int(v) for v in stores[-1].index.candidates[top])
     blocked = [estimate_objective(store, params, P) for store in stores]
     mass = [store.index.influenced_mass for store in stores]
     for short, long in zip(stores, stores[1:]):
@@ -745,7 +779,8 @@ def test_hit_steps_above_255_cut_exactly():
     assert rows[1].dtype == np.uint16 and rows[1].max() == n - 1
     keys = [({0}, SampleConfig(T=T, X=2)) for T in (280, 256, n, 255, 1)]
     for (rumor, cfg), store in zip(keys, build_sample_stores(g, keys)):
-        assert np.array_equal(store.hit_counts, 2 * (n - store.candidates <= cfg.T))
+        assert np.array_equal(hit_counts(store),
+                              2 * (n - store.index.candidates <= cfg.T))
         assert store_digest(store) == store_digest(
             build_sample_store(g, rumor, cfg))
 

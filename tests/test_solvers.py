@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from rcic.exact import (
     exact_objective,
     exhaustive_optimum,
 )
-from rcic.sampling import SampleConfig, build_sample_store
+from rcic.sampling import (SampleConfig, SampleStore, build_sample_store,
+                           build_sample_stores)
 from rcic.solvers import (
     SolverLimits,
     _GainState,
@@ -90,7 +92,7 @@ def rescan_greedy(index, gain_mat, anchor_set, k, excluded=frozenset()):
 
 def gain_matrices(index, params):
     table = EnvelopeTable(params, index.max_count)
-    return {"greedy": np.append(table.gain_table, 0.0)[None, :],
+    return {"greedy": table.gain_table[None, :],
             "envelope": table.env_gain}
 
 
@@ -771,3 +773,41 @@ def test_run_solver_dispatch():
         assert (report.bound_gap is None) == (algo in ("topk", "greedy"))
     with pytest.raises(ValueError):
         run_solver("simulated-annealing", store, P31, k=1)
+
+
+@pytest.mark.parametrize("bad", [1.9, 5.7, True])
+def test_node_ids_follow_the_count_rule(bad):
+    # a node id is an integer >= 0 wherever it enters, as a count setting
+    # is: int() would read 1.9 and 5.7 as nodes 1 and 5, and True as node 1
+    g = barabasi_albert_graph(30, 2, seed=1)
+    cfg = SampleConfig(T=3, X=20, seed=1)
+    store = build_sample_store(g, {0, 2}, cfg)
+    small = gnp_graph(6, 0.6, seed=2)
+    entries = {
+        "build_sample_store": lambda v: build_sample_store(g, {0, v}, cfg),
+        "build_sample_stores": lambda v: build_sample_stores(
+            g, [({0}, cfg), ({0, v}, cfg)]),
+        "SampleStore": lambda v: SampleStore(
+            cfg, g.n, {0, v}, np.zeros(0, dtype=bool),
+            np.zeros(1, dtype=np.int32), np.zeros(0, dtype=np.uint8)),
+        "position": lambda v: store.index.position(v),
+        "estimate_objective": lambda v: estimate_objective(store, P31, {v}),
+        "sam_compute_bound": lambda v: sam_compute_bound(store, P31, {v}, 3),
+        "pro_sam_compute_bound": lambda v: pro_sam_compute_bound(
+            store, P31, {v}, 3, rho=0.1),
+        "ExactStore": lambda v: ExactStore(small, {0, v}, T=2),
+        "enumerate_realizations": lambda v: enumerate_realizations(small, {v}, 2),
+        "exact_objective_rumor": lambda v: exact_objective(
+            small, P31, {v}, {3}, 2),
+        "exact_objective_P": lambda v: exact_objective(small, P31, {0}, {v}, 2),
+        "exhaustive_optimum": lambda v: exhaustive_optimum(small, P31, {v}, 1, 2),
+    }
+    message = re.escape(f"node takes integers >= 0, got {bad!r}")
+    for name, entry in entries.items():
+        with pytest.raises(ValueError, match=message):
+            entry(bad)
+        entry(np.int64(5))  # NumPy integers still count
+    assert estimate_objective(store, P31, {np.int64(5)}) == estimate_objective(
+        store, P31, {5})
+    assert sam_compute_bound(store, P31, {np.int64(5)}, 3) == sam_compute_bound(
+        store, P31, {5}, 3)
