@@ -103,11 +103,15 @@ class EnvelopeTable:
 
 
 def estimate_objective(store, params: LogisticParams, P) -> float:
-    """Sampled objective B(P|R): weighted block value over all hit walks."""
+    """Sampled objective B(P|R): weighted block value over all hit walks.
+
+    Holds one `count_dtype` count per hit walk (one byte below 256) and
+    sums block by block through `WalkIndex.weighted_sum`, never BLAS, so
+    the value has the same bits at any BLAS thread count."""
     index = store.index
     counts = index.counts_for(P)
     table = EnvelopeTable(params, index.max_count)
-    return float(np.dot(index.walk_weights, table.f_table[counts]))
+    return index.weighted_sum(lambda w: table.f_table[counts[w]])
 
 
 def estimate_envelope_objective(store, params: LogisticParams, anchor_set, P) -> float:
@@ -120,7 +124,7 @@ def estimate_envelope_objective(store, params: LogisticParams, anchor_set, P) ->
     anchors = index.counts_for(anchor_set)
     counts = anchors + index.counts_for(P - anchor_set)
     table = EnvelopeTable(params, index.max_count)
-    return float(np.dot(index.walk_weights, table.env[anchors, counts]))
+    return index.weighted_sum(lambda w: table.env[anchors[w], counts[w]])
 
 
 def blocking_percentage(store, params: LogisticParams, P) -> float:

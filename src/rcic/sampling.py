@@ -140,6 +140,12 @@ class WalkIndex:
     `_BLOCK_ENTRIES` entries of whole walks at a time, on `threads` worker
     threads, so the build needs no scratch array that spans every entry.
 
+    Impression counts are held in `count_dtype`, the smallest unsigned dtype
+    that holds `max_count` (uint8 below 256).  Every objective and gain is a
+    `weighted_sum`: weight * value summed one block of `_BLOCK_ENTRIES` walks
+    at a time by numpy's own loop, not BLAS, so a sum has the same bits at
+    any BLAS thread count and its scratch is one block's values.
+
     Attributes:
         candidates: sorted array of non-rumor node ids.
         cand_pos: len-n array mapping node id -> candidate position (-1 for rumor).
@@ -272,12 +278,37 @@ class WalkIndex:
                 self.walk_weights[w0:w1], np.diff(self.walk_indptr[w0:w1 + 1])))
         return mass
 
+    @property
+    def count_dtype(self) -> np.dtype:
+        """The smallest unsigned dtype that holds every impression count,
+        0..max_count: uint8 below 256."""
+        return np.min_scalar_type(self.max_count)
+
     def counts_for(self, nodes) -> np.ndarray:
-        """Per-hit-walk impression count |prefix ∩ nodes|; repeats count once."""
-        counts = np.zeros(self.n_hit_walks, dtype=np.int32)
+        """Per-hit-walk impression count |prefix ∩ nodes| in `count_dtype`;
+        repeats count once."""
+        counts = np.zeros(self.n_hit_walks, dtype=self.count_dtype)
         for v in frozenset(nodes):
             counts[self.walks_of(self.position(v))] += 1
         return counts
+
+    def weighted_sum(self, values, walks=None) -> float:
+        """Sum of weight * value over every hit walk, or over the hit walks
+        listed in `walks`.
+
+        `values(sel)` returns the values of the walks that `sel` indexes: a
+        slice of the walk range, or a block of `walks`.  The sum runs one
+        block of `_BLOCK_ENTRIES` walks at a time, so its scratch is a
+        block's values, and each block's products are summed by numpy's own
+        `einsum` loop, never BLAS, so the result has the same bits at any
+        BLAS thread count."""
+        n = self.n_hit_walks if walks is None else len(walks)
+        total = 0.0
+        for b0 in range(0, n, _BLOCK_ENTRIES):
+            sel = (slice(b0, b0 + _BLOCK_ENTRIES) if walks is None
+                   else walks[b0:b0 + _BLOCK_ENTRIES])
+            total += np.einsum("i,i->", self.walk_weights[sel], values(sel))
+        return float(total)
 
 
 class SampleStore:

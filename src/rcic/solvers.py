@@ -10,7 +10,11 @@ up to its tangent point), which leaves every gain bit-identical.  It is not
 lazy: the true objective is not submodular, so cached gains can go stale upward.
 A bound call reads only the set's walks: the state keeps the list of walks its
 set touches, and L, B's anchor value and the gain refresh sum over that list,
-since a walk of count 0 adds f(0) = 0 and the shared unit gain.
+since a walk of count 0 adds f(0) = 0 and the shared unit gain.  The two
+per-walk count arrays are in the index's `count_dtype` (one byte below 256),
+and every objective, L and single-candidate gain is a block-wise
+`WalkIndex.weighted_sum`, never a BLAS dot product, so reports have the same
+bits at any BLAS thread count.
 Greedy uses true logistic gains.  The bound estimators greedily maximize the
 anchored envelope, the least concave majorant of the logistic at integer
 counts above each walk's anchor count (`EnvelopeTable.env`), which is
@@ -154,14 +158,14 @@ class _GainState:
         self.anchor = frozenset(check_count(v, "node", 0) for v in anchor_set)
         if len(self.anchor) > k:
             raise ValueError(f"anchor of size {len(self.anchor)} exceeds k={k}")
-        self.counts = np.zeros(index.n_hit_walks, dtype=np.int32)
+        self.counts = np.zeros(index.n_hit_walks, dtype=index.count_dtype)
         self._touched: list[np.ndarray] = []
         self.in_set = np.zeros(index.n_candidates, dtype=bool)
         self.addable = np.ones(index.n_candidates, dtype=bool)
         for v in self.anchor:
             self.add(index.position(v))
         walks = self.touched_walks()
-        self.anchor_counts = np.zeros(index.n_hit_walks, dtype=np.int32)
+        self.anchor_counts = np.zeros(index.n_hit_walks, dtype=index.count_dtype)
         self.anchor_counts[walks] = self.counts[walks]
         for v in excluded:
             self.addable[index.position(v)] = False
@@ -170,9 +174,13 @@ class _GainState:
         self.gain_evals = 0
         self.refresh_gains()
 
+    def _cells(self, walks, counts) -> np.ndarray:
+        """Flat gain_mat positions anchor * width + count of `walks` at
+        `counts`, in intp: a one-byte count would wrap."""
+        return self.anchor_counts[walks].astype(np.intp) * self._width + counts
+
     def _unit_gains(self, walks) -> np.ndarray:
-        return self._flat_gains.take(self.anchor_counts[walks] * self._width
-                                     + self.counts[walks])
+        return self._flat_gains.take(self._cells(walks, self.counts[walks]))
 
     def _scatter(self, walks, walk_vals) -> np.ndarray:
         """Sum per-walk values onto each walk's prefix candidates, in walk order."""
@@ -198,8 +206,7 @@ class _GainState:
         self.gains = base * self.index.hit_mass + self._scatter(walks, correction)
 
     def gain_of(self, pos: int) -> float:
-        walks = self.index.walks_of(pos)
-        return float(np.dot(self.index.walk_weights[walks], self._unit_gains(walks)))
+        return self.index.weighted_sum(self._unit_gains, self.index.walks_of(pos))
 
     def add(self, pos: int) -> tuple[np.ndarray, np.ndarray]:
         """Add candidate pos without updating `gains`; return its walks and
@@ -223,7 +230,7 @@ class _GainState:
             self.gain_evals += int(self.addable.sum())
             pos = int(np.argmax(np.where(self.addable, self.gains, -np.inf)))
             walks, prior = self.add(pos)
-            at = self.anchor_counts[walks] * self._width + prior
+            at = self._cells(walks, prior)
             delta = self._flat_gains.take(at + 1) - self._flat_gains.take(at)
             moved = np.flatnonzero(delta)
             walks = walks[moved]
@@ -253,9 +260,8 @@ class _SearchNode:
 
     def true_value(self, counts) -> float:
         # over the set's walks only: every other walk adds f(0) = 0
-        walks = self.state.touched_walks()
-        return float(np.dot(self.state.index.walk_weights[walks],
-                            self.f_table[counts[walks]]))
+        return self.state.index.weighted_sum(lambda w: self.f_table[counts[w]],
+                                             self.state.touched_walks())
 
     def complete(self, fill) -> BoundResult:
         """The branch node (the first addable candidate of largest initial

@@ -8,6 +8,10 @@ trends at network scale, determinism, and a handful of pinned unit values.
 
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -324,6 +328,43 @@ def test_acceptance_7_determinism(tmp_path, verdict):
              f"{len(first[0])} rows, thread counts 1/1/4")
     assert first == repeat, "same-seed rerun changed results"
     assert first == threaded, "thread count changed results"
+
+
+# topk and greedy objectives and a capped probab's bound gap, printed as
+# one repr: every objective, L and gain sum runs on these paths
+_BLAS_SCRIPT = """
+from rcic.blocking import LogisticParams
+from rcic.sampling import SampleConfig, build_sample_store
+from rcic.solvers import SolverLimits, run_solver, solve_greedy, solve_topk
+from rcic.synth import barabasi_albert_graph
+
+params = LogisticParams(alpha=7.0, beta=3.0)
+store = build_sample_store(barabasi_albert_graph(3000, 5, seed=1), range(30),
+                           SampleConfig(T=6, X=100, seed=0))
+greedy = solve_greedy(store, params, 20)
+probab = run_solver("probab", store, params, 20, incumbent=greedy,
+                    limits=SolverLimits(node_expansion_cap=2))
+print(repr((solve_topk(store, params, 20).objective, greedy.objective,
+            probab.bound_gap)))
+"""
+
+
+def test_objectives_do_not_depend_on_blas_threads():
+    # a BLAS dot product splits its sum by thread count, so the values would
+    # change in their last digits between these two processes
+    src = str(Path(__file__).resolve().parents[1] / "src")
+
+    def run(threads: int) -> str:
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                   PYTHONPATH=os.pathsep.join(
+                       [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        return subprocess.run([sys.executable, "-c", _BLAS_SCRIPT], env=env,
+                              capture_output=True, text=True, check=True,
+                              timeout=120).stdout
+
+    one = run(1)
+    assert one.startswith("(")
+    assert one == run(2)
 
 
 def test_acceptance_8_unit_values(verdict):

@@ -446,6 +446,27 @@ def test_block_placement_is_one_stable_sort(monkeypatch, case):
         assert np.array_equal(getattr(one_block, name), getattr(index, name)), name
 
 
+@pytest.mark.parametrize("case", ["sampled", "exact"])
+def test_weighted_sum_matches_fsum(monkeypatch, case):
+    # block-wise sums of weight * value, over every walk and over a walk
+    # list, agree with the exactly rounded sum of the same terms
+    monkeypatch.setattr(rcic.sampling, "_BLOCK_ENTRIES", 1 << 5)
+    if case == "sampled":
+        store = build_sample_store(barabasi_albert_graph(300, 3, seed=2),
+                                   set(range(5)), SampleConfig(T=5, X=40, seed=1))
+    else:  # realization probabilities, not one shared 1/X
+        store = ExactStore(gnp_graph(8, 0.5, seed=1), {3}, T=5)
+    index = store.index
+    assert index.n_hit_walks > 4 * (1 << 5)
+    assert case == "sampled" or np.unique(index.walk_weights).size > 1
+    values = np.random.default_rng(0).random(index.n_hit_walks)
+    for walks in (None, np.arange(1, index.n_hit_walks, 3, dtype=np.int32)):
+        picked = slice(None) if walks is None else walks
+        exact = math.fsum((index.walk_weights[picked] * values[picked]).tolist())
+        total = index.weighted_sum(lambda w: values[w], walks)
+        assert abs(total - exact) <= 1e-12 * exact
+
+
 def test_index_build_scratch_is_bounded(monkeypatch):
     # many blocks: the build's scratch memory must not grow with the entries
     g = barabasi_albert_graph(2000, 3, seed=7)

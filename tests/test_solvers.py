@@ -2,6 +2,8 @@ import dataclasses
 import itertools
 import math
 import re
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,8 +22,9 @@ from rcic.exact import (
     exact_objective,
     exhaustive_optimum,
 )
-from rcic.sampling import (SampleConfig, SampleStore, build_sample_store,
-                           build_sample_stores)
+import rcic.sampling
+from rcic.sampling import (SampleConfig, SampleStore, WalkIndex,
+                           build_sample_store, build_sample_stores)
 from rcic.solvers import (
     SolverLimits,
     _GainState,
@@ -811,3 +814,54 @@ def test_node_ids_follow_the_count_rule(bad):
         store, P31, {5})
     assert sam_compute_bound(store, P31, {np.int64(5)}, 3) == sam_compute_bound(
         store, P31, {5}, 3)
+
+
+def test_counts_above_255_hold_in_two_bytes():
+    # one hit walk whose prefix holds all 300 candidates: a one-byte count
+    # would wrap at 256, and read 260 nodes of the set as 4
+    index = WalkIndex(301, {300}, [0, 300], np.arange(300), [0.25])
+    store = SimpleNamespace(index=index)
+    assert index.max_count == 300
+    counts = index.counts_for(range(260))
+    assert counts.dtype == np.uint16 and counts.tolist() == [260]
+    assert index.counts_for(range(300)).tolist() == [300]
+    params = LogisticParams(alpha=100.0, beta=0.5)  # f(4) ~ 1e-43, f(260) ~ 1
+    value = 0.25 / (1.0 + math.exp(100.0 - 0.5 * 260))
+    assert estimate_objective(store, params, range(260)) == pytest.approx(
+        value, rel=1e-12)
+    greedy = solve_greedy(store, params, 260)
+    assert greedy.chosen_set == frozenset(range(260))
+    assert greedy.objective == pytest.approx(value, rel=1e-12)
+    # L, the completed set's true value, reads the gain state's counts
+    assert sam_compute_bound(store, params, set(), 260).lower == pytest.approx(
+        value, rel=1e-12)
+
+
+def test_objective_and_gain_state_hold_about_two_bytes_per_hit_walk(
+        monkeypatch):
+    block = 1 << 10
+    monkeypatch.setattr(rcic.sampling, "_BLOCK_ENTRIES", block)
+    store = build_sample_store(barabasi_albert_graph(2000, 3, seed=7),
+                               set(range(5)), SampleConfig(T=6, X=100, seed=3))
+    index = store.index
+    assert index.n_hit_walks > 4 * block and index.count_dtype == np.uint8
+    index.hit_mass  # cached on the index on first use, not a run's scratch
+    table = EnvelopeTable(P31, index.max_count)
+    top = index.candidates[np.argsort(-np.diff(index.indptr))[:20]]
+
+    def peak_of(run) -> int:
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # a block's values, a block of weights gathered for a walk list, and a
+    # few arrays over the candidates; at 4-byte counts and one float64 value
+    # per hit walk the objective would take 12 bytes per hit walk
+    allowance = 4 * 8 * block + 4 * 8 * index.n_candidates
+    bound = 2 * index.n_hit_walks + allowance
+    assert peak_of(lambda: estimate_objective(store, P31, top)) < bound
+    assert peak_of(lambda: _GainState(index, table.env_gain, frozenset(), 20,
+                                      frozenset())) < bound
