@@ -27,14 +27,18 @@ sink added: HIT (node n), which every arc into the rumor set leads to
 instead.  A dead end's empty row gets one arc, to itself, so a walk that
 reaches it stays there and never hits.  Each step is then the same few
 full-width gathers for every walk, with no compaction, into the next row of
-an int64 step matrix; a walk hit iff its last row reads HIT.  The step
+a step matrix of node ids; a walk hit iff its last row reads HIT.  The step
 matrix, the uniforms and the step temporaries are scratch buffers, allocated
 once per worker thread per build and sized by a chunk's walks, so they do
-not grow with X.  Only the hit walks' columns are sorted and deduplicated;
-their rows leave the kernel as candidate positions in
-`WalkIndex.position_dtype` (uint16 from 256 to 65,535 candidates), with
-each hit walk's prefix size and hit step in the smallest unsigned dtypes
-that hold T + 1 and T, one byte each for T < 255.  A chunk's rows are
+not grow with X.  Only the hit walks' columns go on, mapped through the
+set's position lookup into `WalkIndex.position_dtype` (uint16 from 256 to
+65,535 candidates), where HIT and the set's rumor nodes read the dtype's
+top value.  The (T + 1, H) position matrix is sorted down its columns by
+Batcher's odd-even merge network, each comparator an `np.minimum` and an
+`np.maximum` of two contiguous rows, and deduplicated; its entries below
+the top value are the prefixes.  They leave the kernel with each hit walk's
+prefix size and hit step in the smallest unsigned dtypes that hold T + 1
+and T, one byte each for T < 255.  A chunk's rows are
 copied into its set's arrays as soon as the chunk is done, in chunk order,
 so a pass holds its rows once, never beside a join of them.  The rows
 become the index's forward CSR as they are; its offsets are summed from the
@@ -70,7 +74,7 @@ import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -464,20 +468,19 @@ def _sample_hit_rows(g: Graph, rumors, cfg: SampleConfig, threads: int):
     degf = walk_degs.astype(np.float64)
 
     def position_lookup(rumor, cand_pos):
-        # each set's positions in its own index's dtype; a rumor node's -1
-        # wraps out of range
-        return cand_pos.astype(WalkIndex.position_dtype(n - len(rumor)))
+        # each node's position in the set's own index dtype, over the walk
+        # graph's nodes: a rumor node's -1, and HIT's, wrap to the dtype's
+        # top value, above every candidate's position
+        return np.append(cand_pos, -1).astype(
+            WalkIndex.position_dtype(n - len(rumor)))
 
     first_lookup = position_lookup(rumors[0], first_pos)
-    # per larger set: membership over the walk graph's nodes (HIT included,
-    # since it stands for rumors[0]) and each node's candidate position
+    # per larger set: its lookup, and membership over the walk graph's nodes
+    # (HIT included, since it stands for rumors[0])
     cuts = []
     for rumor in rumors[1:]:
-        inside = np.zeros(n + 1, dtype=bool)
-        inside[list(rumor)] = True
-        inside[hit_node] = True
-        cuts.append((inside, position_lookup(
-            rumor, _candidate_positions(n, rumor)[1])))
+        lookup = position_lookup(rumor, _candidate_positions(n, rumor)[1])
+        cuts.append((lookup == np.iinfo(lookup.dtype).max, lookup))
     states, incs = _pcg64_states(cfg.seed, candidates)
     step_dtype = np.min_scalar_type(T)  # holds every hit step, 1..T
     size_dtype = np.min_scalar_type(T + 1)  # holds every prefix size
@@ -525,24 +528,26 @@ def _sample_hit_rows(g: Graph, rumors, cfg: SampleConfig, threads: int):
             np.take(adj_flat, offset, out=seq[t + 1], mode="clip")
 
         hit = seq[T] == hit_node
-        steps = seq.take(np.flatnonzero(hit), axis=1)
-        rows = [(hit, *_hit_prefixes(steps, hit_node, first_lookup,
-                                     step_dtype, size_dtype))]
-        for inside, cand_pos in cuts:
-            # a walk under the larger set ends at its first step into it
+        rows = [(hit, *_hit_prefixes(
+            first_lookup[seq.take(np.flatnonzero(hit), axis=1)],
+            step_dtype, size_dtype))]
+        for inside, lookup in cuts:
             reached = scratch.cut[:T * W].reshape(T, W)
             np.take(inside, seq[1:], out=reached, mode="clip")
-            # row by row: `logical_or.accumulate` along axis 0 walks the
-            # (T, W) matrix a column at a time, ~100x slower
-            for t in range(1, T):
-                np.logical_or(reached[t - 1], reached[t], out=reached[t])
             kept = np.repeat(~inside[starts], X)
-            hit = reached[-1] & kept
-            cols = np.flatnonzero(hit)
-            steps = seq.take(cols, axis=1)
-            np.copyto(steps[1:], hit_node, where=reached.take(cols, axis=1))
-            rows.append((hit[kept], *_hit_prefixes(steps, hit_node, cand_pos,
-                                                   step_dtype, size_dtype)))
+            hit = np.logical_or.reduce(reached, axis=0) & kept
+            pos = lookup[seq.take(np.flatnonzero(hit), axis=1)]
+            # a walk under the larger set ends at its first step into it, so
+            # its positions read the top value from there on: each row ORs
+            # in the row above's top flag, 0 or 1 negated to 0 or top.  Row
+            # 0 is a start outside the set.
+            top = np.iinfo(pos.dtype).max
+            above_top = np.empty_like(pos[0])
+            for t in range(2, T + 1):
+                np.equal(pos[t - 1], top, out=above_top, casting="unsafe")
+                pos[t] |= np.negative(above_top, out=above_top)
+            rows.append((hit[kept], *_hit_prefixes(pos, step_dtype,
+                                                   size_dtype)))
         return rows
 
     chunks = [slice(i, i + chunk_nodes)
@@ -670,19 +675,50 @@ def _candidate_positions(n_nodes: int, rumor_set):
     return candidates, cand_pos
 
 
-def _hit_prefixes(steps, hit_node, cand_pos, step_dtype, size_dtype):
-    """Each hit walk's prefix from its column of `steps`, in which every step
-    from the hit on reads `hit_node`: the column's distinct other nodes,
-    ascending, as candidate positions through `cand_pos`, in its dtype.
+def _hit_prefixes(pos, step_dtype, size_dtype):
+    """Each hit walk's prefix from its column of `pos`, a (T + 1, H) matrix
+    of candidate positions in which every step from the hit on reads the
+    dtype's top value: the column's distinct other positions, ascending.
     Returns the prefix sizes (`size_dtype`), the prefixes concatenated in
     column order and the hit steps (`step_dtype`), the order of a pass's
-    rows.  Sorts `steps` in place."""
-    steps.sort(axis=0)
-    keep = steps != hit_node
+    rows.
+
+    Sorts `pos` in place with `_sorting_network`, two contiguous rows per
+    comparator, where `ndarray.sort(axis=0)` would run H strided sorts of
+    T + 1 entries.  The prefixes are then one `np.compress` of the
+    column-major entries by a 1-D mask; its int64 index spans one chunk's
+    prefixes."""
+    for i, j in _sorting_network(pos.shape[0]):
+        low = np.minimum(pos[i], pos[j])
+        np.maximum(pos[i], pos[j], out=pos[j])
+        pos[i] = low
+    keep = pos != np.iinfo(pos.dtype).max
     hit_steps = keep.sum(axis=0, dtype=step_dtype)  # rows 0..s-1 precede it
-    keep[1:] &= steps[1:] != steps[:-1]
-    return (keep.sum(axis=0, dtype=size_dtype), cand_pos[steps.T[keep.T]],
-            hit_steps)
+    keep[1:] &= pos[1:] != pos[:-1]
+    return (keep.sum(axis=0, dtype=size_dtype),
+            np.compress(keep.T.ravel(), pos.T.ravel()), hit_steps)
+
+
+@lru_cache
+def _sorting_network(m: int):
+    """Batcher's odd-even merge sort on m rows: comparators (i, j), i < j, in
+    the order they apply, each leaving the smaller value at i.  The network
+    for the next power of two, less every comparator that reaches row m or
+    beyond (rows there would hold the top value, which no comparator
+    moves): O(m log^2 m) comparators, 16 for m = 7 and 32 for m = 10."""
+    network = []
+    p = 1
+    while p < m:
+        k = p
+        while k:
+            for j in range(k % p, m - k, 2 * k):
+                for i in range(j, j + min(k, m - j - k)):
+                    # within one merge of two sorted runs of p
+                    if i // (2 * p) == (i + k) // (2 * p):
+                        network.append((i, i + k))
+            k //= 2
+        p *= 2
+    return tuple(network)
 
 
 def _csr_take(indptr, values, rows):

@@ -15,7 +15,8 @@ from rcic.sampling import (
     build_sample_stores,
     hoeffding_sample_size,
 )
-from rcic.sampling import _CHUNK_NODES, _csr_take, _pcg64_states, _seed_words
+from rcic.sampling import (_CHUNK_NODES, _csr_take, _hit_prefixes, _pcg64_states,
+                           _seed_words, _sorting_network)
 from rcic.blocking import LogisticParams, estimate_objective
 from rcic.exact import ExactStore, exact_hit_probabilities
 from rcic.synth import barabasi_albert_graph, gnp_graph
@@ -862,6 +863,111 @@ def test_pass_rows_take_one_byte_per_walk_and_hit_and_two_per_entry():
         assert cands.dtype == np.uint16
         assert (flags.nbytes + lengths.nbytes + cands.nbytes + steps.nbytes
                 == walks + hits + 2 * cands.size + hits)
+
+
+def rows_digest(per_set) -> str:
+    h = hashlib.sha256()
+    for rows in per_set:
+        for name, a in zip(("hit_flags", "hit_lengths", "hit_cands", "hit_steps"),
+                           rows):
+            h.update(name.encode())
+            h.update(str(a.dtype).encode())
+            h.update(a.tobytes())
+    return h.hexdigest()
+
+
+PINNED_ROWS_DIGEST = (
+    "e347113a31250879c23f36af6a01eb075c85d14c49402f7d8f2340628a31bd5c")
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_pass_rows_are_pinned(threads):
+    # every byte of a nested pass's rows, hit steps included, which no store
+    # digest reads: a store keeps only the walks within its T
+    g, X, seed, rumors = nested_rumor_sets("ba")
+    per_set = rcic.sampling._sample_hit_rows(
+        g, rumors, SampleConfig(T=5, X=X, seed=seed), threads)
+    assert rows_digest(per_set) == PINNED_ROWS_DIGEST
+
+
+def apply_network(network, rows):
+    """`rows` sorted down its columns, one comparator at a time."""
+    rows = rows.copy()
+    for i, j in network:
+        low = np.minimum(rows[i], rows[j])
+        np.maximum(rows[i], rows[j], out=rows[j])
+        rows[i] = low
+    return rows
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_sorting_network_sorts_every_zero_one_input(m):
+    # a comparator network that sorts every 0-1 input sorts every input
+    network = _sorting_network(m)
+    assert all(0 <= i < j < m for i, j in network)
+    bits = (np.arange(2**m) >> np.arange(m)[:, None]) & 1
+    assert np.array_equal(apply_network(network, bits), np.sort(bits, axis=0))
+
+
+@pytest.mark.parametrize("m", [13, 17, 64, 100, 301])
+def test_sorting_network_sorts_random_columns(m):
+    # up to T + 1 = 301 rows, the longest walks a test samples
+    rows = np.random.default_rng(m).integers(0, 50, size=(m, 200))
+    assert np.array_equal(apply_network(_sorting_network(m), rows),
+                          np.sort(rows, axis=0))
+
+
+def test_sorting_network_size():
+    # Batcher's count for m = 2**p is (p^2 - p + 4) 2^(p-2) - 1, in
+    # O(m log^2 m); the walk lengths the benchmarks run take 16 and 32
+    assert [len(_sorting_network(m)) for m in (1, 2, 4, 7, 8, 10, 16)] == [
+        0, 1, 5, 16, 19, 32, 63]
+    for m in range(2, 1025, 7):
+        assert len(_sorting_network(m)) <= m * math.ceil(math.log2(m)) ** 2
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32])
+@pytest.mark.parametrize("T", [1, 2, 5, 9])
+def test_hit_prefixes_match_unique_per_column(dtype, T):
+    # each column: s positions (repeats likely), then the dtype's top value
+    # from the hit step s on; s = 1 holds the start alone
+    rng = np.random.default_rng(T)
+    top = np.iinfo(dtype).max
+    H = 500
+    hit_steps = rng.integers(1, T + 1, size=H)
+    hit_steps[:20] = 1
+    pos = rng.integers(0, 12, size=(T + 1, H)).astype(dtype)
+    pos[np.arange(T + 1)[:, None] >= hit_steps] = top
+    oracle = [np.unique(pos[:s, h]) for h, s in enumerate(hit_steps)]
+    step_dtype, size_dtype = np.min_scalar_type(T), np.min_scalar_type(T + 1)
+    sizes, flat, steps = _hit_prefixes(pos.copy(), step_dtype, size_dtype)
+    assert sizes.dtype == size_dtype and steps.dtype == step_dtype
+    assert flat.dtype == dtype
+    assert sizes.tolist() == [u.size for u in oracle]
+    assert np.array_equal(flat, np.concatenate(oracle))
+    assert steps.tolist() == hit_steps.tolist()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_nested_sets_across_the_position_dtype_boundary(threads):
+    # the pass's own set leaves 290 candidates (uint16 positions) and the
+    # larger set 250 (uint8): each set's rows, and so its top value, are in
+    # its own dtype, and each store equals a build on its key alone
+    g = barabasi_albert_graph(300, 3, seed=5)
+    rumors = [set(range(10)), set(range(50))]
+    cfg = SampleConfig(T=6, X=20, seed=4)
+    per_set = rcic.sampling._sample_hit_rows(g, rumors, cfg, threads)
+    assert [rows[2].dtype for rows in per_set] == [np.uint16, np.uint8]
+    for rumor, rows in zip(rumors, per_set):
+        assert rows[1].size > 0 and rows[2].max() < g.n - len(rumor)
+    stores = build_sample_stores(g, [(rumor, cfg) for rumor in rumors],
+                                 threads=threads)
+    for rumor, store in zip(rumors, stores):
+        assert store.index.walk_cands.dtype == WalkIndex.position_dtype(
+            g.n - len(rumor))
+        assert store_digest(store) == store_digest(
+            build_sample_store(g, rumor, cfg, threads=threads))
+        assert_store_replays_scalar_walks(g, rumor, cfg, store)
 
 
 @pytest.mark.parametrize("case", ["sampled", "exact"])
