@@ -6,13 +6,15 @@ random neighbor of its current node, and stops at the first rumor node (a
 distinct non-rumor nodes it visited strictly before the hit, start included.
 
 A SampleStore samples X walks per non-rumor start node and keeps what the
-objective reads: every walk's hit flag and the inverted index (node -> hit
-walks whose prefix contains it), which is what makes marginal-gain
-evaluation cheap.  Only hit walks feed the objective and the blocking
-percentage, so only their prefixes are kept, and only once, as the index's
-forward CSR.  A miss's prefix is taken to be its start node, which follows
-from the walk number.  Stores built from the same graph, rumor set and seed
-are bit-identical regardless of thread count: each start node draws from its
+objective reads: every walk's hit step (0 for a miss) and the inverted index
+(node -> hit walks whose prefix contains it), which is what makes
+marginal-gain evaluation cheap.  Only hit walks feed the objective and the
+blocking percentage, so only their prefixes are kept, and only once, as the
+index's forward CSR.  The hit walks are ordered by (start, hit step, walk
+number), so each start's are consecutive and those within any T' <= T lead
+them.  A miss's prefix is taken to be its start node, which follows from
+the walk number.  Stores built from the same graph, rumor set and seed are
+bit-identical regardless of thread count: each start node draws from its
 own seed substream, `SeedSequence(entropy=seed, spawn_key=(u,))`'s PCG64.
 Every start's PCG64 state is computed up front in one vectorized pass
 (`_pcg64_states`); each worker thread then sets it on its one reused
@@ -27,34 +29,42 @@ sink added: HIT (node n), which every arc into the rumor set leads to
 instead.  A dead end's empty row gets one arc, to itself, so a walk that
 reaches it stays there and never hits.  Each step is then the same few
 full-width gathers for every walk, with no compaction, into the next row of
-a step matrix of node ids; a walk hit iff its last row reads HIT.  The step
-matrix, the uniforms and the step temporaries are scratch buffers, allocated
-once per worker thread per build and sized by a chunk's walks, so they do
-not grow with X.  Only the hit walks' columns go on, mapped through the
-set's position lookup into `WalkIndex.position_dtype` (uint16 from 256 to
-65,535 candidates), where HIT and the set's rumor nodes read the dtype's
+a step matrix of node ids; a walk hit iff its last row reads HIT.  Each
+start's (T, X) block of uniforms is drawn straight into a (starts, T, X)
+chunk buffer, and step t multiplies through its (starts, X) view.  The step
+matrix, the uniforms and the step temporaries are scratch buffers,
+allocated once per worker thread per build and sized by a chunk's walks, so
+they do not grow with X.  Only the hit walks' columns go on, mapped through
+the set's position lookup into `WalkIndex.position_dtype` (uint16 from 256
+to 65,535 candidates), where HIT and the set's rumor nodes read the dtype's
 top value.  The (T + 1, H) position matrix is sorted down its columns by
 Batcher's odd-even merge network, each comparator an `np.minimum` and an
 `np.maximum` of two contiguous rows, and deduplicated; its entries below
-the top value are the prefixes.  They leave the kernel with each hit walk's
-prefix size and hit step in the smallest unsigned dtypes that hold T + 1
-and T, one byte each for T < 255.  A chunk's rows are
-copied into its set's arrays as soon as the chunk is done, in chunk order,
-so a pass holds its rows once, never beside a join of them.  The rows
-become the index's forward CSR as they are; its offsets are summed from the
-prefix sizes only when a store is built (`WalkIndex.offset_dtype`: int32
-below 2**31 entries).
+the top value are the prefixes.  One stable radix argsort of a (start,
+step) key puts the hit walks in row order, applied by the transposed copy
+that flattens the prefixes.  They leave the kernel with every walk's hit
+step and each hit walk's prefix size, in the smallest unsigned dtypes that
+hold T and T + 1 (one byte each for T < 255), and with the number of hit
+walks and of prefix entries per (start, step).  A chunk's rows are copied
+into its set's arrays as soon as the chunk is done, in chunk order, so a
+pass holds its rows once, never beside a join of them.  The rows become the
+index's forward CSR as they are; its offsets are summed from the prefix
+sizes only when a store is built (`WalkIndex.offset_dtype`: int32 below
+2**31 entries).
 
 `build_sample_stores` plans the walk passes of a sequence of store keys
 (rumor set, SampleConfig), such as a sweep's points: equal consecutive keys
 share a store, and consecutive keys with one X and seed whose rumor sets
 grow nested, R_1 ⊆ R_2 ⊆ ... (equal sets count), share one pass at their
 largest T.  Under R_b walk (u, i) is walk (u, i) under R_1 cut at its first
-node in R_b, so each larger set's hit flags and prefixes follow from the
-same step matrix, and the walks from starts in R_b are dropped.  A walk
+node in R_b, so each larger set's hit steps and prefixes follow from the
+same step matrix, and the walks from starts in R_b are dropped.  One gather
+of each node's first larger set, least along each walk, tells every larger
+set which walks reach it.  A walk
 ends at its hit, so under T' it hits iff its hit step is at most T', with
-the same prefix: a key's store is its set's rows masked to those walks
-(the |R| sweep and the T sweep).  `build_sample_store` is its one-key case.
+the same prefix: a key's store keeps each start's first hit walks of its
+set's rows, one range per start read off the per-(start, step) counts (the
+|R| sweep and the T sweep).  `build_sample_store` is its one-key case.
 Each store, and so its index, is built only when the caller asks for it.
 
 The inverted index is placed one block of whole hit walks at a time: each
@@ -133,6 +143,10 @@ class WalkIndex:
     This is the structure every objective/gain computation runs on.  It is
     shared by Monte Carlo stores (weight 1/X per walk) and exact enumeration
     stores (weight = realization probability).
+
+    Hit walks are numbered in the order their prefixes are given, and sums
+    run in that order.  A `SampleStore` gives them by (start, hit step, walk
+    number), so a start's hit walks are a range of walk ids.
 
     Hit-walk prefixes are given as a CSR over candidate positions, not node
     ids: `hit_prefix_cands` is kept as `walk_cands` in `position_dtype`, and
@@ -318,25 +332,29 @@ class WalkIndex:
 class SampleStore:
     """X walks per non-rumor start node, plus the inverted index.
 
-    Walk w = position(u) * X + i is start u's i-th walk.  `hit_flags[w]` says
-    whether it reached the rumor set.  The h-th hit walk's prefix is row h of
+    Walk w = position(u) * X + i is start u's i-th walk.  `hit_steps[w]` is
+    the step at which it reached the rumor set, or 0 if it did not, in the
+    smallest unsigned dtype that holds T (one byte for T < 256);
+    `hit_flags` is `hit_steps != 0`.  The hit walks are ordered by (start,
+    hit step, walk), so each start's hit walks are consecutive and those
+    within any T' <= T come first.  The h-th hit walk's prefix is row h of
     the index's forward CSR, `index.walk_cands[index.walk_indptr[h]:
     index.walk_indptr[h + 1]]`, as candidate positions in ascending order.
     Nothing else is kept: `prefix_indptr` and `prefix_nodes`, a CSR over
-    every walk whose row is a hit's prefix or a miss's start node, are built
-    on each read: walk w's row is `prefix_nodes[prefix_indptr[w]:
-    prefix_indptr[w + 1]]`, so a reader of many walks reads the two views
-    once.  `store_bytes` is the size of the store's and the index's arrays
-    as built.
+    every walk by walk number whose row is a hit's prefix or a miss's start
+    node, are built on each read: walk w's row is `prefix_nodes[
+    prefix_indptr[w]:prefix_indptr[w + 1]]`, so a reader of many walks reads
+    the two views once.  `store_bytes` is the size of the store's and the
+    index's arrays as built.
     """
 
     def __init__(self, config: SampleConfig, n_nodes: int, rumor_set,
-                 hit_flags: np.ndarray, hit_indptr: np.ndarray,
+                 hit_steps: np.ndarray, hit_indptr: np.ndarray,
                  hit_cands: np.ndarray, threads: int = 1):
         self.config = config
         self.n_nodes = int(n_nodes)
         self.rumor_set = frozenset(check_count(r, "node", 0) for r in rumor_set)
-        self.hit_flags = hit_flags
+        self.hit_steps = hit_steps
 
         weights = np.full(hit_indptr.size - 1, 1.0 / config.X, dtype=np.float64)
         self.index = WalkIndex(n_nodes, self.rumor_set, hit_indptr, hit_cands,
@@ -349,26 +367,50 @@ class SampleStore:
     def X(self) -> int:
         return self.config.X
 
-    def _row_lengths(self) -> np.ndarray:
-        """Every walk's row length: a hit's prefix size, a miss's 1."""
-        lengths = np.ones(self.hit_flags.size, dtype=self.index.walk_indptr.dtype)
-        lengths[self.hit_flags] = np.diff(self.index.walk_indptr)
+    @property
+    def hit_flags(self) -> np.ndarray:
+        """Whether each walk reached the rumor set, by walk number."""
+        return self.hit_steps != 0
+
+    def _index_rows(self) -> np.ndarray:
+        """Each hit walk's row in the index, by walk number."""
+        walks = np.flatnonzero(self.hit_steps)
+        # the index's row h is walks[order[h]]
+        order = np.lexsort((self.hit_steps[walks], walks // self.X))
+        rows = np.empty_like(order)
+        rows[order] = np.arange(order.size)
+        return rows
+
+    def _row_lengths(self, rows) -> np.ndarray:
+        """Every walk's row length, a hit's prefix size and a miss's 1, from
+        the hit walks' index `rows`."""
+        lengths = np.ones(self.hit_steps.size, dtype=np.int64)
+        lengths[self.hit_flags] = np.diff(self.index.walk_indptr)[rows]
         return lengths
 
     @property
     def prefix_indptr(self) -> np.ndarray:
         """Row offsets over every walk (int64)."""
-        return np.concatenate([np.zeros(1, dtype=np.int64),
-                               np.cumsum(self._row_lengths(), dtype=np.int64)])
+        lengths = self._row_lengths(self._index_rows())
+        return np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(lengths)])
 
     @property
     def prefix_nodes(self) -> np.ndarray:
         """Every walk's row as node ids (int32): a hit's prefix, a miss's start."""
-        index = self.index
-        in_hit_row = np.repeat(self.hit_flags, self._row_lengths())
+        index, hit, rows = self.index, self.hit_flags, self._index_rows()
+        in_hit_row = np.repeat(hit, self._row_lengths(rows))
+        # the hit walks' prefixes by walk number, gathered a block of walks
+        # at a time, so the gather's int64 index spans one block's entries
+        cands = np.empty_like(index.walk_cands)
+        end = 0
+        for b0 in range(0, rows.size, _BLOCK_ENTRIES):
+            block = _csr_take(index.walk_indptr, index.walk_cands,
+                              rows[b0:b0 + _BLOCK_ENTRIES])[1]
+            cands[end:end + block.size] = block
+            end += block.size
         nodes = np.empty(in_hit_row.size, dtype=np.int32)
-        nodes[in_hit_row] = index.candidates[index.walk_cands]
-        nodes[~in_hit_row] = np.repeat(index.candidates, self.X)[~self.hit_flags]
+        nodes[in_hit_row] = index.candidates[cands]
+        nodes[~in_hit_row] = np.repeat(index.candidates, self.X)[~hit]
         return nodes
 
 
@@ -432,20 +474,24 @@ def _yield_stores(g: Graph, keys, threads: int):
                 continue
             store = None  # the last store is not kept while the next is built
             # a set's rows leave `pending` at the last key that reads them,
-            # and its hit steps are freed before the store's index is built
+            # and what its store does not keep is freed before the store's
+            # index is built
             last = k + 1 == len(run) or run[k + 1][0] != rumor
             store = SampleStore(cfg, g.n, rumor, *_hit_rows_within(
-                pending.popleft() if last else pending[0], cfg.T),
+                pending.popleft() if last else pending[0], cfg.T, cfg.X),
                 threads=threads)
             yield store
 
 
 def _sample_hit_rows(g: Graph, rumors, cfg: SampleConfig, threads: int):
-    """One walk pass under rumors[0]; per set, its rows: its hit flags, each
-    hit walk's prefix size, the prefixes concatenated as candidate positions
-    (`WalkIndex.position_dtype` of the set's candidate count), and each hit
-    walk's hit step, the first step into that set.  Sizes and steps are in
-    the smallest unsigned dtype that holds T + 1 and T.
+    """One walk pass under rumors[0]; per set, its rows: every walk's hit
+    step, the first step into that set (0 for a miss), by walk number; each
+    hit walk's prefix size and the prefixes concatenated as candidate
+    positions (`WalkIndex.position_dtype` of the set's candidate count),
+    both with the hit walks ordered by (start, hit step, walk); and the
+    number of hit walks and of prefix entries per (start, step), a
+    (starts, T) array raveled.  Steps, sizes and counts are in the smallest
+    unsigned dtype that holds T, T + 1 and X * T.
 
     The walks step on the graph's own CSR with one absorbing sink added,
     HIT = n, its own only neighbour: an arc into rumors[0] leads to HIT
@@ -475,15 +521,22 @@ def _sample_hit_rows(g: Graph, rumors, cfg: SampleConfig, threads: int):
             WalkIndex.position_dtype(n - len(rumor)))
 
     first_lookup = position_lookup(rumors[0], first_pos)
-    # per larger set: its lookup, and membership over the walk graph's nodes
-    # (HIT included, since it stands for rumors[0])
-    cuts = []
-    for rumor in rumors[1:]:
-        lookup = position_lookup(rumor, _candidate_positions(n, rumor)[1])
-        cuts.append((lookup == np.iinfo(lookup.dtype).max, lookup))
+    # per larger set b = 0, 1, ...: its lookup; and over the walk graph's
+    # nodes, the first larger set each is in, len(lookups) for none.  The
+    # sets are nested, so a walk reaches set b iff the least level along it
+    # is at most b; HIT, which stands for rumors[0], is in every set.
+    lookups = [position_lookup(rumor, _candidate_positions(n, rumor)[1])
+               for rumor in rumors[1:]]
+    if lookups:
+        level = np.full(n + 1, len(lookups),
+                        dtype=np.min_scalar_type(len(lookups)))
+        for b in reversed(range(len(lookups))):
+            level[lookups[b] == np.iinfo(lookups[b].dtype).max] = b
     states, incs = _pcg64_states(cfg.seed, candidates)
     step_dtype = np.min_scalar_type(T)  # holds every hit step, 1..T
     size_dtype = np.min_scalar_type(T + 1)  # holds every prefix size
+    # holds the hit walks, and their prefix entries, of one (start, step)
+    count_dtype = np.min_scalar_type(X * T)
     chunk_nodes = max(1, min(_CHUNK_NODES, _CHUNK_WALKS // X))
     scratch = threading.local()
 
@@ -496,47 +549,61 @@ def _sample_hit_rows(g: Graph, rumors, cfg: SampleConfig, threads: int):
             width = chunk_nodes * X
             scratch.seq = np.empty((T + 1) * width, dtype=np.int64)
             scratch.uniforms = np.empty(T * width, dtype=np.float64)
-            scratch.block = np.empty((T, X), dtype=np.float64)
             scratch.scaled = np.empty(width, dtype=np.float64)
             scratch.offset = np.empty(width, dtype=np.int64)
             scratch.choice = np.empty(width, dtype=np.int64)
-            scratch.cut = np.empty(T * width, dtype=bool) if cuts else None
+            scratch.levels = (np.empty(T * width, dtype=level.dtype)
+                              if lookups else None)
         seq = scratch.seq[:(T + 1) * W].reshape(T + 1, W)
-        uniforms = scratch.uniforms[:T * W].reshape(T, W)
+        uniforms = scratch.uniforms[:T * W].reshape(starts.size, T, X)
         scaled, offset, choice = (scratch.scaled[:W], scratch.offset[:W],
                                   scratch.choice[:W])
         # step-major: start u fills a (T, X) block, and walk (u, i) reads
         # column i of it, so its step t is draw t * X + i of u's substream
         # and a pass at T' < T reads the first T' * X draws of a pass at T.
-        # The block is copied in as it is, so each step's row of `uniforms`
-        # stays contiguous for the step loop.
+        # Step t multiplies through the (starts, X) view of every block.
         for j, (state, inc) in enumerate(zip(states[chunk], incs[chunk])):
             scratch.bits.state = {"bit_generator": "PCG64",
                                   "state": {"state": state, "inc": inc},
                                   "has_uint32": 0, "uinteger": 0}
-            scratch.rng.random(out=scratch.block)
-            uniforms[:, j * X:(j + 1) * X] = scratch.block
+            scratch.rng.random(out=uniforms[j])
         seq[0] = np.repeat(starts, X)
+        scaled_by_start = scaled.reshape(starts.size, X)
         # mode="clip" keeps `take` from buffering its output; every index is
         # in range, so it clips nothing
         for t in range(T):
             np.take(degf, seq[t], out=scaled, mode="clip")
-            np.multiply(scaled, uniforms[t], out=scaled)
+            np.multiply(scaled_by_start, uniforms[:, t], out=scaled_by_start)
             choice[...] = scaled  # truncates, as int(u * deg) does
             np.take(adj_indptr, seq[t], out=offset, mode="clip")
             np.add(offset, choice, out=offset)
             np.take(adj_flat, offset, out=seq[t + 1], mode="clip")
 
-        hit = seq[T] == hit_node
-        rows = [(hit, *_hit_prefixes(
-            first_lookup[seq.take(np.flatnonzero(hit), axis=1)],
-            step_dtype, size_dtype))]
-        for inside, lookup in cuts:
-            reached = scratch.cut[:T * W].reshape(T, W)
-            np.take(inside, seq[1:], out=reached, mode="clip")
-            kept = np.repeat(~inside[starts], X)
-            hit = np.logical_or.reduce(reached, axis=0) & kept
-            pos = lookup[seq.take(np.flatnonzero(hit), axis=1)]
+        def set_rows(cols, pos, outside=None):
+            # the set's rows from the positions of its hit columns `cols`;
+            # `outside` keeps the chunk's starts outside the set, when some
+            # are in it
+            start_hits = np.diff(np.searchsorted(cols, np.arange(0, W + 1, X)))
+            steps, sizes, entries, *counts = _hit_prefixes(
+                pos, start_hits, step_dtype, size_dtype)
+            walk_steps = np.zeros(W, dtype=step_dtype)
+            walk_steps[cols] = steps
+            if outside is not None:
+                walk_steps = walk_steps.reshape(-1, X)[outside].ravel()
+                counts = [c.reshape(-1, T)[outside].ravel() for c in counts]
+            return (walk_steps, sizes, entries,
+                    *(c.astype(count_dtype) for c in counts))
+
+        cols = np.flatnonzero(seq[T] == hit_node)
+        rows = [set_rows(cols, first_lookup[seq.take(cols, axis=1)])]
+        if lookups:
+            levels = scratch.levels[:T * W].reshape(T, W)
+            np.take(level, seq[1:], out=levels, mode="clip")
+            least = np.minimum.reduce(levels, axis=0)
+        for b, lookup in enumerate(lookups):
+            outside = level[starts] > b
+            cols = np.flatnonzero((least <= b) & np.repeat(outside, X))
+            pos = lookup[seq.take(cols, axis=1)]
             # a walk under the larger set ends at its first step into it, so
             # its positions read the top value from there on: each row ORs
             # in the row above's top flag, 0 or 1 negated to 0 or top.  Row
@@ -546,17 +613,16 @@ def _sample_hit_rows(g: Graph, rumors, cfg: SampleConfig, threads: int):
             for t in range(2, T + 1):
                 np.equal(pos[t - 1], top, out=above_top, casting="unsafe")
                 pos[t] |= np.negative(above_top, out=above_top)
-            rows.append((hit[kept], *_hit_prefixes(pos, step_dtype,
-                                                   size_dtype)))
+            rows.append(set_rows(cols, pos, outside))
         return rows
 
     chunks = [slice(i, i + chunk_nodes)
               for i in range(0, candidates.size, chunk_nodes)]
-    # Each set's four arrays are filled a chunk at a time, in chunk order, so
+    # Each set's five arrays are filled a chunk at a time, in chunk order, so
     # a chunk's rows live only until they are copied in.  An array is sized
     # for every chunk at the rows per chunk so far, grows in place (a
     # realloc; no view of it exists then) and is cut to its rows at the end.
-    out, ends = [None] * (4 * len(rumors)), [0] * (4 * len(rumors))
+    out, ends = [None] * (5 * len(rumors)), [0] * (5 * len(rumors))
     for k, rows in enumerate(_thread_map(run_chunk, chunks, threads)):
         for i, piece in enumerate([a for set_rows in rows for a in set_rows]):
             stop = ends[i] + piece.size
@@ -569,26 +635,58 @@ def _sample_hit_rows(g: Graph, rumors, cfg: SampleConfig, threads: int):
             ends[i] = stop
     for array, stop in zip(out, ends):
         array.resize(stop, refcheck=False)
-    return [tuple(out[i:i + 4]) for i in range(0, len(out), 4)]
+    return [tuple(out[i:i + 5]) for i in range(0, len(out), 5)]
 
 
-def _hit_rows_within(rows, T: int):
-    """One rumor set's rows from a walk pass, cut to the walks that hit
-    within T steps: (hit flags, hit CSR).  A walk ends at its hit, so under
-    T it hits iff its hit step is at most T, with the same prefix.  The CSR's
-    offsets are summed here, in `WalkIndex.offset_dtype`."""
-    hit_flags, hit_lengths, hit_cands, hit_steps = rows
-    if hit_steps.max(initial=0) > T:
-        kept = hit_steps <= T
-        flags = hit_flags.copy()
-        flags[hit_flags] = kept
-        hit_flags, hit_lengths, hit_cands = (
-            flags, hit_lengths[kept], hit_cands[np.repeat(kept, hit_lengths)])
-    indptr = np.zeros(hit_lengths.size + 1,
-                      dtype=WalkIndex.offset_dtype(hit_cands.size))
-    # summed in the offsets' dtype, not in the sizes' one byte
-    np.cumsum(hit_lengths, dtype=indptr.dtype, out=indptr[1:])
-    return hit_flags, indptr, hit_cands
+def _hit_rows_within(rows, T: int, X: int):
+    """One rumor set's rows from a walk pass of X walks per start, cut to
+    the walks that hit within T steps: (hit steps, hit CSR).  A walk ends at
+    its hit, so under T it hits iff its hit step is at most T, with the
+    same prefix.  The pass lists each start's hit walks by hit step, so
+    those are each start's first ones: the cut copies one range of prefix
+    sizes and one of entries per start, read off the pass's counts, and
+    zeroes the steps above T a block of walks at a time, so it holds no
+    scratch the size of the walks or entries.  The CSR's offsets are summed
+    here, in place, in `WalkIndex.offset_dtype`."""
+    steps, sizes, cands, walk_counts, entry_counts = rows
+    walk_counts = walk_counts.reshape(steps.size // X, -1)
+    entry_counts = entry_counts.reshape(walk_counts.shape)
+    cut = bool(walk_counts[:, T:].any())
+    indptr = np.zeros(int(walk_counts[:, :T].sum(dtype=np.int64)) + 1,
+                      dtype=WalkIndex.offset_dtype(
+                          entry_counts[:, :T].sum(dtype=np.int64)))
+    # the sizes are summed in the offsets' dtype, where a cumsum that
+    # casts would copy them first
+    if cut:
+        within = np.empty(steps.size, dtype=np.min_scalar_type(T))
+        for b0 in range(0, steps.size, _BLOCK_ENTRIES):
+            block = steps[b0:b0 + _BLOCK_ENTRIES]
+            np.multiply(block, block <= T, casting="unsafe",
+                        out=within[b0:b0 + _BLOCK_ENTRIES])
+        steps = within
+        _first_per_start(sizes, walk_counts, T, out=indptr[1:])
+        cands = _first_per_start(cands, entry_counts, T)
+    else:
+        indptr[1:] = sizes
+    np.cumsum(indptr[1:], out=indptr[1:])
+    return steps.astype(np.min_scalar_type(T), copy=False), indptr, cands
+
+
+def _first_per_start(values, counts, T: int, out=None) -> np.ndarray:
+    """`values` listed start by start, `counts[u].sum()` of them for start
+    u, cut to each start's first `counts[u, :T].sum()`, into `out` if
+    given."""
+    totals = counts.sum(axis=1, dtype=np.int64).tolist()
+    firsts = counts[:, :T].sum(axis=1, dtype=np.int64).tolist()
+    if out is None:
+        out = np.empty(sum(firsts), dtype=values.dtype)
+    begin = end = 0
+    for total, first in zip(totals, firsts):
+        if first:
+            out[end:end + first] = values[begin:begin + first]
+            end += first
+        begin += total
+    return out
 
 
 def _thread_map(fn, items, threads: int):
@@ -675,28 +773,47 @@ def _candidate_positions(n_nodes: int, rumor_set):
     return candidates, cand_pos
 
 
-def _hit_prefixes(pos, step_dtype, size_dtype):
+def _hit_prefixes(pos, start_hits, step_dtype, size_dtype):
     """Each hit walk's prefix from its column of `pos`, a (T + 1, H) matrix
     of candidate positions in which every step from the hit on reads the
     dtype's top value: the column's distinct other positions, ascending.
-    Returns the prefix sizes (`size_dtype`), the prefixes concatenated in
-    column order and the hit steps (`step_dtype`), the order of a pass's
-    rows.
+    The columns are listed start by start, `start_hits[u]` of them for
+    start u.  Returns each column's hit step (`step_dtype`), in
+    column order; the prefix sizes (`size_dtype`) and the prefixes
+    concatenated, in the order (start, hit step, column); and the number of
+    hit walks and of prefix entries per (start, hit step), start-major (int64).
+    That is the order of a pass's rows.
 
     Sorts `pos` in place with `_sorting_network`, two contiguous rows per
     comparator, where `ndarray.sort(axis=0)` would run H strided sorts of
-    T + 1 entries.  The prefixes are then one `np.compress` of the
-    column-major entries by a 1-D mask; its int64 index spans one chunk's
-    prefixes."""
+    T + 1 entries.  The hit walks are put in row order by one stable radix
+    argsort of a (start, step) key in the smallest unsigned dtype, applied
+    by the one transposed copy that lays the columns end to end; the
+    prefixes are then one `np.compress` of those entries by a 1-D mask
+    computed on them, whose int64 index spans one chunk's prefixes."""
     for i, j in _sorting_network(pos.shape[0]):
         low = np.minimum(pos[i], pos[j])
         np.maximum(pos[i], pos[j], out=pos[j])
         pos[i] = low
-    keep = pos != np.iinfo(pos.dtype).max
-    hit_steps = keep.sum(axis=0, dtype=step_dtype)  # rows 0..s-1 precede it
+    T, top = pos.shape[0] - 1, np.iinfo(pos.dtype).max
+    keep = pos != top
+    steps = keep.sum(axis=0, dtype=step_dtype)  # rows 0..s-1 precede it
     keep[1:] &= pos[1:] != pos[:-1]
-    return (keep.sum(axis=0, dtype=size_dtype),
-            np.compress(keep.T.ravel(), pos.T.ravel()), hit_steps)
+    sizes = keep.sum(axis=0, dtype=size_dtype)
+    # (start, step) as start * T + step, from 1 to n_starts * T
+    n_keys = len(start_hits) * T
+    key = np.repeat(np.arange(0, n_keys, T, dtype=np.min_scalar_type(n_keys)),
+                    start_hits)
+    key += steps
+    order = np.argsort(key, kind="stable")
+    # every sorted column starts below the top value and ends at it, so on
+    # the columns laid end to end the mask needs no column boundary
+    flat = np.take(pos.T, order, axis=0).ravel()
+    kept = flat != top
+    kept[1:] &= flat[1:] != flat[:-1]
+    return (steps, sizes[order], np.compress(kept, flat),
+            np.bincount(key, minlength=n_keys + 1)[1:],
+            np.bincount(key, sizes, minlength=n_keys + 1)[1:].astype(np.int64))
 
 
 @lru_cache

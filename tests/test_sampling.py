@@ -2,6 +2,7 @@ import hashlib
 import math
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -253,7 +254,7 @@ def test_store_bytes_counts_the_built_arrays():
     g = barabasi_albert_graph(120, 3, seed=4)
     store = build_sample_store(g, {0, 1, 2}, SampleConfig(T=4, X=25, seed=6))
     index = store.index
-    built = (store.hit_flags, index.candidates, index.cand_pos,
+    built = (store.hit_steps, index.candidates, index.cand_pos,
              index.walk_weights, index.walk_indptr, index.walk_cands,
              index.indptr, index.walk_ids)
     # hit_mass is built on first use, after the store; it does not count, and
@@ -367,7 +368,7 @@ def test_index_structure_invariants():
         assert np.all(np.diff(index.walk_ids[lo:hi]) > 0)
 
     # forward CSR: row w is hit walk w's prefix, as candidate positions
-    hit_ids = np.flatnonzero(store.hit_flags)
+    hit_ids = hit_walk_numbers(store.hit_steps, store.X)
     assert index.walk_indptr.size == index.n_hit_walks + 1 == hit_ids.size + 1
     for w, walk in enumerate(hit_ids):
         row = index.walk_cands[index.walk_indptr[w]:index.walk_indptr[w + 1]]
@@ -528,33 +529,87 @@ def test_walk_pass_holds_its_rows_once(monkeypatch):
     assert peak - kept < largest
 
 
-def store_digest(store) -> str:
+def hit_walk_ranks(steps, X) -> np.ndarray:
+    """Per hit walk in a store's or a pass's order, by start, then hit
+    step, then walk number: its rank among the hit walks by walk number."""
+    walks = np.flatnonzero(steps)
+    return np.lexsort((steps[walks], walks // X))
+
+
+def hit_walk_numbers(steps, X) -> np.ndarray:
+    """The walk number of each hit walk, in a store's or a pass's order."""
+    return np.flatnonzero(steps)[hit_walk_ranks(steps, X)]
+
+
+def store_in_walk_order(store):
+    """The store's hit flags and index with its hit walks listed by walk
+    number: the layout `PINNED_DIGEST` and `PINNED_VALUE_DIGEST` digest."""
+    index = store.index
+    rank = hit_walk_ranks(store.hit_steps, store.X)
+    rows = np.argsort(rank)  # the index's row of each hit walk by number
+    indptr, cands = _csr_take(index.walk_indptr, index.walk_cands, rows)
+    # each candidate's hit walks, renumbered, in ascending order again
+    ids = rank[index.walk_ids].astype(index.walk_ids.dtype)
+    owner = np.repeat(np.arange(index.n_candidates), np.diff(index.indptr))
+    return SimpleNamespace(hit_flags=store.hit_flags, index=SimpleNamespace(
+        candidates=index.candidates, cand_pos=index.cand_pos,
+        walk_weights=index.walk_weights[rows],
+        walk_indptr=indptr.astype(index.walk_indptr.dtype), walk_cands=cands,
+        indptr=index.indptr, walk_ids=ids[np.lexsort((ids, owner))]))
+
+
+def rows_in_walk_order(rows, X):
+    """A pass's rows for one set in walk-number order: hit flags, then each
+    hit walk's prefix size, prefix and hit step by walk number; the layout
+    `PINNED_ROWS_DIGEST` digests."""
+    steps, sizes, cands = rows[:3]
+    rows_by_number = np.argsort(hit_walk_ranks(steps, X))
+    indptr = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+    return (steps != 0, sizes[rows_by_number],
+            _csr_take(indptr, cands, rows_by_number)[1], steps[steps != 0])
+
+
+def arrays_digest(store, names) -> str:
     h = hashlib.sha256()
-    for name in ("hit_flags", "walk_ids", "indptr", "walk_cands", "walk_indptr",
-                 "walk_weights"):
-        a = store.hit_flags if name == "hit_flags" else getattr(store.index, name)
+    for name in names:
+        a = getattr(store if name.startswith("hit_") else store.index, name)
         h.update(name.encode())
         h.update(str(a.dtype).encode())
         h.update(a.tobytes())
     return h.hexdigest()
 
 
+def store_digest(store) -> str:
+    """Every byte of the store and index arrays that a store's own order
+    and dtypes give."""
+    return arrays_digest(store, ("hit_steps", "walk_ids", "indptr",
+                                 "walk_cands", "walk_indptr", "walk_weights"))
+
+
+def walk_order_digest(store) -> str:
+    """The digest of the store in walk order that `PINNED_DIGEST` pins."""
+    return arrays_digest(store_in_walk_order(store), (
+        "hit_flags", "walk_ids", "indptr", "walk_cands", "walk_indptr",
+        "walk_weights"))
+
+
 PINNED_DIGEST = "c29b50f21c76ebc472220249b8b63800df215a06809100fa73303dc12dd58e0c"
 
 
 # every array a store and its index keep
-STORE_ARRAYS = ("hit_flags", "candidates", "cand_pos", "walk_weights",
+STORE_ARRAYS = ("hit_steps", "candidates", "cand_pos", "walk_weights",
                 "walk_indptr", "walk_cands", "indptr", "walk_ids")
 
 
 def store_value_digest(store) -> str:
-    """A digest of every store and index array's values alone: each array is
-    cast to int64 (`walk_weights` to float64) before it is hashed, so it
-    holds across a change of the arrays' dtypes, where `store_digest` does
-    not."""
+    """A digest of every store and index array's values alone, of the store
+    in walk order: each array is cast to int64 (`walk_weights` to float64)
+    before it is hashed, so it holds across a change of the arrays' dtypes,
+    where `walk_order_digest` does not."""
     h = hashlib.sha256()
-    for name in STORE_ARRAYS:
-        a = store.hit_flags if name == "hit_flags" else getattr(store.index, name)
+    store = store_in_walk_order(store)
+    for name in ("hit_flags", *STORE_ARRAYS[1:]):
+        a = getattr(store if name == "hit_flags" else store.index, name)
         cast = np.float64 if name == "walk_weights" else np.int64
         h.update(name.encode())
         h.update(np.ascontiguousarray(a, dtype=cast).tobytes())
@@ -576,8 +631,8 @@ def pinned_store(threads):
 @pytest.mark.parametrize("threads", [1, 2])
 def test_store_bytes_are_pinned(threads):
     # every byte of the store and index arrays, as the one-stable-sort index
-    # build and the node-id kernel output made them
-    assert store_digest(pinned_store(threads)) == PINNED_DIGEST
+    # build and the node-id kernel output made them, in walk order
+    assert walk_order_digest(pinned_store(threads)) == PINNED_DIGEST
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -594,7 +649,7 @@ def test_chunks_of_fewer_starts_keep_the_pinned_bytes(monkeypatch, chunk_walks):
     # X = 40: chunks of one start and of three; each start's walks read only
     # its own substream, so the rows do not depend on the chunking
     monkeypatch.setattr(rcic.sampling, "_CHUNK_WALKS", chunk_walks)
-    assert store_digest(pinned_store(2)) == PINNED_DIGEST
+    assert walk_order_digest(pinned_store(2)) == PINNED_DIGEST
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -612,7 +667,7 @@ def test_multi_block_placement_keeps_the_pinned_bytes(monkeypatch, threads):
     try:
         store = pinned_store(threads)
         assert len(store.index._walk_blocks()) > 50
-        assert store_digest(store) == PINNED_DIGEST
+        assert walk_order_digest(store) == PINNED_DIGEST
         assert store.index.max_count == 5
         assert_nested_stores_equal_separate_builds(threads)
     finally:
@@ -796,7 +851,7 @@ def test_hit_steps_above_255_cut_exactly():
     n = 300
     g = Graph([[(u + 1) % n] for u in range(n)], directed=True)
     (rows,) = rcic.sampling._sample_hit_rows(g, [{0}], SampleConfig(T=n, X=2), 1)
-    assert rows[3].dtype == np.uint16 and rows[3].max() == n - 1
+    assert rows[0].dtype == np.uint16 and rows[0].max() == n - 1
     # the walk from u holds u..n-1 before its hit: prefix sizes up to n - 1
     assert rows[1].dtype == np.uint16 and rows[1].max() == n - 1
     keys = [({0}, SampleConfig(T=T, X=2)) for T in (280, 256, n, 255, 1)]
@@ -805,6 +860,104 @@ def test_hit_steps_above_255_cut_exactly():
                               2 * (n - store.index.candidates <= cfg.T))
         assert store_digest(store) == store_digest(
             build_sample_store(g, rumor, cfg))
+
+
+def two_path_graph():
+    """Node 1 steps to node 2 or node 300 with equal odds.  From node 2 a
+    path reaches rumor node 0 at step 250 of a walk from 1; from node 300,
+    at step 301.  Nodes 251..299 have no arcs."""
+    adj = [[] for _ in range(600)]
+    adj[1] = [2, 300]
+    for u in (*range(2, 250), *range(300, 599)):
+        adj[u] = [u + 1]
+    adj[250] = adj[599] = [0]
+    return Graph(adj, directed=True)
+
+
+def test_hit_steps_on_both_sides_of_256_order_and_cut_exactly():
+    # node 1's walks hit at steps 250 and 301, so its hit walks sort by a
+    # two-byte step; every cut, to T below, at and above each, and below
+    # 256, where the steps take one byte, equals a build on its key alone
+    g, X = two_path_graph(), 16
+    keys = [({0}, SampleConfig(T=T, X=X, seed=3))
+            for T in (320, 301, 300, 256, 255, 250, 249, 1)]
+    for (rumor, cfg), store in zip(keys, build_sample_stores(g, keys)):
+        alone = build_sample_store(g, rumor, cfg)
+        assert store.hit_steps.dtype == np.min_scalar_type(cfg.T)
+        assert store_digest(store) == store_digest(alone)
+        steps = store.hit_steps[store.index.position(1) * X:][:X]
+        assert set(steps.tolist()) == (
+            {250, 301} if cfg.T >= 301 else {0, 250} if cfg.T >= 250 else {0})
+        # node 1 is the first start: its hit walks lead the index, the walks
+        # that hit at step 250 (prefix size 250) before those at 301
+        sizes = np.diff(store.index.walk_indptr)[:np.count_nonzero(steps)]
+        assert sizes.tolist() == sorted(steps[steps > 0].tolist())
+
+
+def test_t_cut_holds_no_scratch_the_size_of_the_walks(monkeypatch):
+    # the cut copies ranges read off per-(start, step) counts: beyond its
+    # outputs it holds O(n_candidates * T), and one block of walks' compare
+    monkeypatch.setattr(rcic.sampling, "_BLOCK_ENTRIES", 1024)
+    g = barabasi_albert_graph(300, 3, seed=1)
+    rumor, X, T = {0, 1, 2}, 2000, 6
+    (rows,) = rcic.sampling._sample_hit_rows(g, [rumor], SampleConfig(
+        T=T, X=X), 1)
+    n_cand = g.n - len(rumor)
+    for cut_T in (2, 4):
+        tracemalloc.start()
+        try:
+            cut = rcic.sampling._hit_rows_within(rows, cut_T, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        hits = cut[1].size - 1
+        assert 0 < hits < np.count_nonzero(rows[0])
+        # an int64 per hit walk of the pass would alone pass the bound
+        assert 8 * np.count_nonzero(rows[0]) > 4 * 64 * n_cand * T
+        assert peak - sum(a.nbytes for a in cut) < 64 * n_cand * T + 2048
+
+
+@pytest.mark.parametrize("threads, chunk_walks", [(1, 1), (2, 1), (1, 121),
+                                                  (2, 121)])
+def test_each_store_keeps_the_first_hit_walks_of_each_start(
+        monkeypatch, threads, chunk_walks):
+    # the pass lists each start's hit walks by (hit step, walk), so a store
+    # under any T' and any set of a nested run keeps each start's first
+    # ones, at every thread count and chunking
+    g, X, seed, rumors = nested_rumor_sets("sink")
+    T = 6
+    per_set = rcic.sampling._sample_hit_rows(g, rumors, SampleConfig(
+        T=T, X=X, seed=seed), 1)
+    monkeypatch.setattr(rcic.sampling, "_CHUNK_WALKS", chunk_walks)
+    keys = [(rumors[r], SampleConfig(T=T_, X=X, seed=seed))
+            for r, T_ in ((0, 2), (0, 4), (0, 6), (1, 3), (1, 6), (2, 5))]
+    stores = build_sample_stores(g, keys, threads=threads)
+    for (rumor, cfg), store in zip(keys, stores):
+        steps, sizes, cands, walk_counts, entry_counts = per_set[
+            rumors.index(rumor)]
+        n_starts = steps.size // X
+        walk_counts = walk_counts.reshape(n_starts, T).astype(np.int64)
+        entry_counts = entry_counts.reshape(n_starts, T).astype(np.int64)
+        assert store.index.n_candidates == n_starts
+        assert np.array_equal(store.hit_steps,
+                              np.where(steps <= cfg.T, steps, 0))
+        # each start's rows in the pass and in the store
+        pass_walks = np.concatenate([[0], np.cumsum(walk_counts.sum(1))])
+        pass_entries = np.concatenate([[0], np.cumsum(entry_counts.sum(1))])
+        kept = walk_counts[:, :cfg.T].sum(1)
+        assert np.array_equal(kept, np.count_nonzero(
+            store.hit_steps.reshape(n_starts, X), axis=1))
+        store_walks = np.concatenate([[0], np.cumsum(kept)])
+        assert store.index.n_hit_walks == store_walks[-1]
+        store_sizes = np.diff(store.index.walk_indptr)
+        for u in range(n_starts):
+            w0, s0, k = pass_walks[u], store_walks[u], kept[u]
+            assert np.array_equal(store_sizes[s0:s0 + k], sizes[w0:w0 + k])
+            e0 = pass_entries[u]
+            e1 = e0 + entry_counts[u, :cfg.T].sum()
+            assert np.array_equal(store.index.walk_cands[
+                store.index.walk_indptr[s0]:store.index.walk_indptr[s0 + k]],
+                cands[e0:e1])
 
 
 def test_index_dtypes_follow_from_sizes():
@@ -849,27 +1002,36 @@ def test_exact_and_sampled_stores_hold_one_index_dtype():
 
 
 def test_pass_rows_take_one_byte_per_walk_and_hit_and_two_per_entry():
-    # what a pass holds per set until its stores are built: a flag per walk,
-    # a prefix size and a hit step per hit walk, a uint16 position per entry
+    # what a pass holds per set until its stores are built: a hit step per
+    # walk, a prefix size per hit walk, a uint16 position per entry, and
+    # per (start, step) the hit walks and entries, which X * T bounds
     g, X, seed, rumors = nested_rumor_sets("ba")
     cfg = SampleConfig(T=5, X=X, seed=seed)
     per_set = rcic.sampling._sample_hit_rows(g, rumors, cfg, 1)
     assert len(per_set) == len(rumors)
-    for rumor, (flags, lengths, cands, steps) in zip(rumors, per_set):
-        walks = (g.n - len(rumor)) * X
-        hits = int(np.count_nonzero(flags))
-        assert flags.size == walks and lengths.size == steps.size == hits > 0
+    for rumor, (steps, lengths, cands, walk_counts, entry_counts) in zip(
+            rumors, per_set):
+        starts = g.n - len(rumor)
+        walks = starts * X
+        hits = int(np.count_nonzero(steps))
+        assert steps.size == walks and lengths.size == hits > 0
         assert cands.size == int(lengths.sum())
         assert cands.dtype == np.uint16
-        assert (flags.nbytes + lengths.nbytes + cands.nbytes + steps.nbytes
-                == walks + hits + 2 * cands.size + hits)
+        assert walk_counts.dtype == entry_counts.dtype == np.uint8  # X T = 200
+        assert walk_counts.size == entry_counts.size == starts * cfg.T
+        assert int(walk_counts.sum()) == hits
+        assert int(entry_counts.sum(dtype=np.int64)) == cands.size
+        assert (steps.nbytes + lengths.nbytes + cands.nbytes
+                == walks + hits + 2 * cands.size)
 
 
-def rows_digest(per_set) -> str:
+def rows_digest(per_set, X) -> str:
+    """The digest of each set's rows in walk order that `PINNED_ROWS_DIGEST`
+    pins."""
     h = hashlib.sha256()
     for rows in per_set:
         for name, a in zip(("hit_flags", "hit_lengths", "hit_cands", "hit_steps"),
-                           rows):
+                           rows_in_walk_order(rows, X)):
             h.update(name.encode())
             h.update(str(a.dtype).encode())
             h.update(a.tobytes())
@@ -882,12 +1044,11 @@ PINNED_ROWS_DIGEST = (
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_pass_rows_are_pinned(threads):
-    # every byte of a nested pass's rows, hit steps included, which no store
-    # digest reads: a store keeps only the walks within its T
+    # every byte of a nested pass's rows, hit steps included, in walk order
     g, X, seed, rumors = nested_rumor_sets("ba")
     per_set = rcic.sampling._sample_hit_rows(
         g, rumors, SampleConfig(T=5, X=X, seed=seed), threads)
-    assert rows_digest(per_set) == PINNED_ROWS_DIGEST
+    assert rows_digest(per_set, X) == PINNED_ROWS_DIGEST
 
 
 def apply_network(network, rows):
@@ -930,22 +1091,32 @@ def test_sorting_network_size():
 @pytest.mark.parametrize("T", [1, 2, 5, 9])
 def test_hit_prefixes_match_unique_per_column(dtype, T):
     # each column: s positions (repeats likely), then the dtype's top value
-    # from the hit step s on; s = 1 holds the start alone
+    # from the hit step s on; s = 1 holds the start alone.  Columns belong
+    # to 30 starts in ascending order, some of them with no column.
     rng = np.random.default_rng(T)
     top = np.iinfo(dtype).max
-    H = 500
+    H, n_starts = 500, 30
     hit_steps = rng.integers(1, T + 1, size=H)
     hit_steps[:20] = 1
+    col_starts = np.sort(rng.integers(0, n_starts, size=H))
     pos = rng.integers(0, 12, size=(T + 1, H)).astype(dtype)
     pos[np.arange(T + 1)[:, None] >= hit_steps] = top
     oracle = [np.unique(pos[:s, h]) for h, s in enumerate(hit_steps)]
+    order = np.lexsort((hit_steps, col_starts))  # (start, step, column)
     step_dtype, size_dtype = np.min_scalar_type(T), np.min_scalar_type(T + 1)
-    sizes, flat, steps = _hit_prefixes(pos.copy(), step_dtype, size_dtype)
+    steps, sizes, flat, walk_counts, entry_counts = _hit_prefixes(
+        pos.copy(), np.bincount(col_starts, minlength=n_starts), step_dtype,
+        size_dtype)
     assert sizes.dtype == size_dtype and steps.dtype == step_dtype
     assert flat.dtype == dtype
-    assert sizes.tolist() == [u.size for u in oracle]
-    assert np.array_equal(flat, np.concatenate(oracle))
     assert steps.tolist() == hit_steps.tolist()
+    assert sizes.tolist() == [oracle[h].size for h in order]
+    assert np.array_equal(flat, np.concatenate([oracle[h] for h in order]))
+    key = col_starts * T + hit_steps - 1
+    assert walk_counts.tolist() == np.bincount(key, minlength=n_starts * T
+                                               ).tolist()
+    assert entry_counts.tolist() == np.bincount(
+        key, [u.size for u in oracle], n_starts * T).astype(int).tolist()
 
 
 @pytest.mark.parametrize("threads", [1, 2])
