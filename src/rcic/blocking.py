@@ -91,9 +91,9 @@ class EnvelopeTable:
         if max_count < 0:
             raise ValueError(f"max_count must be >= 0, got {max_count}")
         self.max_count = max_count
-        self.f_table = np.zeros(max_count + 1, dtype=np.float64)
-        for c in range(1, max_count + 1):
-            self.f_table[c] = _logistic(params, c)
+        self.f_table = np.array(
+            [logistic_block(params, c) for c in range(max_count + 1)],
+            dtype=np.float64)
         self.gain_table = np.append(np.diff(self.f_table), 0.0)
         self.env = np.full((max_count + 1, max_count + 1), np.nan)
         for c0 in range(max_count + 1):

@@ -143,7 +143,7 @@ def top_decile_nodes(g: Graph) -> list[int]:
     if g.n < 10:
         raise ValueError(f"graph too small for decile selection: n={g.n} < 10")
     take = math.ceil(g.n / 10)
-    return np.lexsort((np.arange(g.n), -g.degrees()))[:take].tolist()
+    return np.argsort(-g.degrees(), kind="stable")[:take].tolist()
 
 
 def bfs_subgraph(g: Graph, seed: int, fraction: float) -> tuple[Graph, list[int]]:

@@ -6,21 +6,23 @@ random neighbor of its current node, and stops at the first rumor node (a
 distinct non-rumor nodes it visited strictly before the hit, start included.
 
 A SampleStore samples X walks per non-rumor start node and keeps what the
-objective reads: every walk's hit step (0 for a miss) and the inverted index
-(node -> hit walks whose prefix contains it), which is what makes
-marginal-gain evaluation cheap.  Only hit walks feed the objective and the
-blocking percentage, so only their prefixes are kept, and only once, as the
-index's forward CSR.  The hit walks are ordered by (start, hit step, walk
-number), so each start's are consecutive and those within any T' <= T lead
-them.  A miss's prefix is taken to be its start node, which follows from
-the walk number.  Stores built from the same graph, rumor set and seed are
-bit-identical regardless of thread count: each start node draws from its
-own seed substream, `SeedSequence(entropy=seed, spawn_key=(u,))`'s PCG64.
-Every start's PCG64 state is computed up front in one vectorized pass
-(`_pcg64_states`); each worker thread then sets it on its one reused
-generator.  The draws are step-major: start u fills a (T, X) block, and
-walk i's step t reads draw t * X + i, so a build at T' < T reads the first
-T' * X draws of a build at T and its walks are the same walks cut at T'.
+objective reads: the inverted index (node -> hit walks whose prefix
+contains it), which is what makes marginal-gain evaluation cheap.  Only hit
+walks feed the objective and the blocking percentage, so only their
+prefixes are kept, and only once, as the index's forward CSR.  The hit
+walks are ordered by (start, hit step, walk number), so each start's are
+consecutive and those within any T' <= T lead them.  Beside the index a
+store keeps each hit walk's number among its start's X walks and the number
+of hit walks per (start, hit step); nothing is kept per walk, and a miss's
+prefix is taken to be its start node.  Stores built from the same graph,
+rumor set and seed are bit-identical regardless of thread count: each start
+node draws from its own seed substream, `SeedSequence(entropy=seed,
+spawn_key=(u,))`'s PCG64.  Every start's PCG64 state is computed up front in
+one vectorized pass (`_pcg64_states`); each worker thread then sets it on
+its one reused generator.  The draws are step-major: start u fills a (T, X)
+block, and walk i's step t reads draw t * X + i, so a build at T' < T reads
+the first T' * X draws of a build at T and its walks are the same walks cut
+at T'.
 
 Walks are simulated a chunk of starts at a time (at most `_CHUNK_NODES`
 starts, and at most `_CHUNK_WALKS` walks unless the chunk is one start),
@@ -42,15 +44,16 @@ Batcher's odd-even merge network, each comparator an `np.minimum` and an
 `np.maximum` of two contiguous rows, and deduplicated; its entries below
 the top value are the prefixes.  One stable radix argsort of a (start,
 step) key puts the hit walks in row order, applied by the transposed copy
-that flattens the prefixes.  They leave the kernel with every walk's hit
-step and each hit walk's prefix size, in the smallest unsigned dtypes that
-hold T and T + 1 (one byte each for T < 255), and with the number of hit
-walks and of prefix entries per (start, step).  A chunk's rows are copied
-into its set's arrays as soon as the chunk is done, in chunk order, so a
-pass holds its rows once, never beside a join of them.  The rows become the
-index's forward CSR as they are; its offsets are summed from the prefix
-sizes only when a store is built (`WalkIndex.offset_dtype`: int32 below
-2**31 entries).
+that flattens the prefixes; each hit walk's number among its start's walks
+is taken through the same order.  They leave the kernel with each hit
+walk's number and prefix size, in the smallest unsigned dtypes that hold
+X - 1 and T + 1 (one byte each for X <= 256 and T < 255), and with the
+number of hit walks and of prefix entries per (start, step).  A chunk's
+rows are copied into its set's arrays as soon as the chunk is done, in
+chunk order, so a pass holds its rows once, never beside a join of them.
+The rows become the index's forward CSR as they are; its offsets are summed
+from the prefix sizes only when a store is built (`WalkIndex.offset_dtype`:
+int32 below 2**31 entries).
 
 `build_sample_stores` plans the walk passes of a sequence of store keys
 (rumor set, SampleConfig), such as a sweep's points: equal consecutive keys
@@ -60,12 +63,12 @@ largest T.  Under R_b walk (u, i) is walk (u, i) under R_1 cut at its first
 node in R_b, so each larger set's hit steps and prefixes follow from the
 same step matrix, and the walks from starts in R_b are dropped.  One gather
 of each node's first larger set, least along each walk, tells every larger
-set which walks reach it.  A walk
-ends at its hit, so under T' it hits iff its hit step is at most T', with
-the same prefix: a key's store keeps each start's first hit walks of its
-set's rows, one range per start read off the per-(start, step) counts (the
-|R| sweep and the T sweep).  `build_sample_store` is its one-key case.
-Each store, and so its index, is built only when the caller asks for it.
+set which walks reach it.  A walk ends at its hit, so under T' it hits
+iff its hit step is at most T', with the same prefix: a key's store keeps
+each start's first hit walks of its set's rows, one range per start read
+off the per-(start, step) counts, and those counts up to T' (the |R| sweep
+and the T sweep).  `build_sample_store` is its one-key case.  Each store,
+and so its index, is built only when the caller asks for it.
 
 The inverted index is placed one block of whole hit walks at a time: each
 block's entries are ordered by a stable argsort, which numpy runs as a radix
@@ -332,29 +335,34 @@ class WalkIndex:
 class SampleStore:
     """X walks per non-rumor start node, plus the inverted index.
 
-    Walk w = position(u) * X + i is start u's i-th walk.  `hit_steps[w]` is
-    the step at which it reached the rumor set, or 0 if it did not, in the
-    smallest unsigned dtype that holds T (one byte for T < 256);
-    `hit_flags` is `hit_steps != 0`.  The hit walks are ordered by (start,
-    hit step, walk), so each start's hit walks are consecutive and those
-    within any T' <= T come first.  The h-th hit walk's prefix is row h of
-    the index's forward CSR, `index.walk_cands[index.walk_indptr[h]:
-    index.walk_indptr[h + 1]]`, as candidate positions in ascending order.
-    Nothing else is kept: `prefix_indptr` and `prefix_nodes`, a CSR over
+    Walk w = position(u) * X + i is start u's i-th walk.  The hit walks are
+    ordered by (start, hit step, walk), so each start's hit walks are
+    consecutive and those within any T' <= T come first.  The h-th hit
+    walk's prefix is row h of the index's forward CSR,
+    `index.walk_cands[index.walk_indptr[h]:index.walk_indptr[h + 1]]`, as
+    candidate positions in ascending order; `hit_walks[h]` is its i, in the
+    smallest unsigned dtype that holds X - 1.  `hit_counts[p, s - 1]` is the
+    number of start position p's walks that reached the rumor set at step
+    s, a (n_candidates, T) array in the smallest unsigned dtype that holds
+    X, so start p's hit walks are `hit_counts[p].sum()` consecutive rows and
+    their hit steps ascend as the counts give them.  Nothing is kept per
+    walk: `hit_flags`, and `prefix_indptr` and `prefix_nodes`, a CSR over
     every walk by walk number whose row is a hit's prefix or a miss's start
-    node, are built on each read: walk w's row is `prefix_nodes[
-    prefix_indptr[w]:prefix_indptr[w + 1]]`, so a reader of many walks reads
-    the two views once.  `store_bytes` is the size of the store's and the
-    index's arrays as built.
+    node, are scattered from the hit walks' numbers on each read: walk w's
+    row is `prefix_nodes[prefix_indptr[w]:prefix_indptr[w + 1]]`, so a
+    reader of many walks reads the views once.  `store_bytes` is the size
+    of the store's and the index's arrays as built.
     """
 
     def __init__(self, config: SampleConfig, n_nodes: int, rumor_set,
-                 hit_steps: np.ndarray, hit_indptr: np.ndarray,
-                 hit_cands: np.ndarray, threads: int = 1):
+                 hit_walks: np.ndarray, hit_counts: np.ndarray,
+                 hit_indptr: np.ndarray, hit_cands: np.ndarray,
+                 threads: int = 1):
         self.config = config
         self.n_nodes = int(n_nodes)
         self.rumor_set = frozenset(check_count(r, "node", 0) for r in rumor_set)
-        self.hit_steps = hit_steps
+        self.hit_walks = hit_walks
+        self.hit_counts = hit_counts
 
         weights = np.full(hit_indptr.size - 1, 1.0 / config.X, dtype=np.float64)
         self.index = WalkIndex(n_nodes, self.rumor_set, hit_indptr, hit_cands,
@@ -367,50 +375,44 @@ class SampleStore:
     def X(self) -> int:
         return self.config.X
 
+    def _walk_numbers(self) -> np.ndarray:
+        """Each hit walk's number w, in the index's row order (int64)."""
+        per_start = self.hit_counts.sum(axis=1, dtype=np.int64)
+        return np.repeat(np.arange(per_start.size) * self.X,
+                         per_start) + self.hit_walks
+
     @property
     def hit_flags(self) -> np.ndarray:
         """Whether each walk reached the rumor set, by walk number."""
-        return self.hit_steps != 0
-
-    def _index_rows(self) -> np.ndarray:
-        """Each hit walk's row in the index, by walk number."""
-        walks = np.flatnonzero(self.hit_steps)
-        # the index's row h is walks[order[h]]
-        order = np.lexsort((self.hit_steps[walks], walks // self.X))
-        rows = np.empty_like(order)
-        rows[order] = np.arange(order.size)
-        return rows
-
-    def _row_lengths(self, rows) -> np.ndarray:
-        """Every walk's row length, a hit's prefix size and a miss's 1, from
-        the hit walks' index `rows`."""
-        lengths = np.ones(self.hit_steps.size, dtype=np.int64)
-        lengths[self.hit_flags] = np.diff(self.index.walk_indptr)[rows]
-        return lengths
+        flags = np.zeros(self.index.n_candidates * self.X, dtype=bool)
+        flags[self._walk_numbers()] = True
+        return flags
 
     @property
     def prefix_indptr(self) -> np.ndarray:
         """Row offsets over every walk (int64)."""
-        lengths = self._row_lengths(self._index_rows())
+        lengths = np.ones(self.index.n_candidates * self.X, dtype=np.int64)
+        lengths[self._walk_numbers()] = np.diff(self.index.walk_indptr)
         return np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(lengths)])
 
     @property
     def prefix_nodes(self) -> np.ndarray:
         """Every walk's row as node ids (int32): a hit's prefix, a miss's start."""
-        index, hit, rows = self.index, self.hit_flags, self._index_rows()
-        in_hit_row = np.repeat(hit, self._row_lengths(rows))
-        # the hit walks' prefixes by walk number, gathered a block of walks
-        # at a time, so the gather's int64 index spans one block's entries
-        cands = np.empty_like(index.walk_cands)
-        end = 0
-        for b0 in range(0, rows.size, _BLOCK_ENTRIES):
-            block = _csr_take(index.walk_indptr, index.walk_cands,
-                              rows[b0:b0 + _BLOCK_ENTRIES])[1]
-            cands[end:end + block.size] = block
-            end += block.size
-        nodes = np.empty(in_hit_row.size, dtype=np.int32)
-        nodes[in_hit_row] = index.candidates[cands]
-        nodes[~in_hit_row] = np.repeat(index.candidates, self.X)[~hit]
+        index, indptr = self.index, self.prefix_indptr
+        # every row's first slot reads its start, which a hit's prefix
+        # then overwrites
+        nodes = np.empty(indptr[-1], dtype=np.int32)
+        nodes[indptr[:-1]] = np.repeat(index.candidates, self.X)
+        # the hit walks' rows, a block of walks at a time, so the scatter's
+        # int64 index spans one block's entries: entry e of hit walk h goes
+        # to its walk's row at e - walk_indptr[h]
+        row_starts = indptr[self._walk_numbers()]
+        for w0, w1 in index._walk_blocks():
+            e0, e1 = index.walk_indptr[w0], index.walk_indptr[w1]
+            slots = np.repeat(row_starts[w0:w1] - index.walk_indptr[w0:w1],
+                              np.diff(index.walk_indptr[w0:w1 + 1]))
+            slots += np.arange(e0, e1)
+            nodes[slots] = index.candidates[index.walk_cands[e0:e1]]
         return nodes
 
 
@@ -478,20 +480,21 @@ def _yield_stores(g: Graph, keys, threads: int):
             # index is built
             last = k + 1 == len(run) or run[k + 1][0] != rumor
             store = SampleStore(cfg, g.n, rumor, *_hit_rows_within(
-                pending.popleft() if last else pending[0], cfg.T, cfg.X),
+                pending.popleft() if last else pending[0], pass_cfg.T, cfg.T),
                 threads=threads)
             yield store
 
 
 def _sample_hit_rows(g: Graph, rumors, cfg: SampleConfig, threads: int):
-    """One walk pass under rumors[0]; per set, its rows: every walk's hit
-    step, the first step into that set (0 for a miss), by walk number; each
-    hit walk's prefix size and the prefixes concatenated as candidate
-    positions (`WalkIndex.position_dtype` of the set's candidate count),
-    both with the hit walks ordered by (start, hit step, walk); and the
+    """One walk pass under rumors[0]; per set, its rows: each hit walk's
+    number among its start's X walks, its prefix size and the prefixes
+    concatenated as candidate positions (`WalkIndex.position_dtype` of the
+    set's candidate count), with the hit walks ordered by (start, hit step,
+    walk), where a walk's hit step is its first step into that set; and the
     number of hit walks and of prefix entries per (start, step), a
-    (starts, T) array raveled.  Steps, sizes and counts are in the smallest
-    unsigned dtype that holds T, T + 1 and X * T.
+    (starts, T) array raveled.  Walk numbers, sizes and the two counts are
+    in the smallest unsigned dtype that holds X - 1, T + 1, X and X * T.
+    Nothing is held per walk.
 
     The walks step on the graph's own CSR with one absorbing sink added,
     HIT = n, its own only neighbour: an arc into rumors[0] leads to HIT
@@ -533,10 +536,10 @@ def _sample_hit_rows(g: Graph, rumors, cfg: SampleConfig, threads: int):
         for b in reversed(range(len(lookups))):
             level[lookups[b] == np.iinfo(lookups[b].dtype).max] = b
     states, incs = _pcg64_states(cfg.seed, candidates)
-    step_dtype = np.min_scalar_type(T)  # holds every hit step, 1..T
+    walk_dtype = np.min_scalar_type(X - 1)  # a walk's number, 0..X-1
     size_dtype = np.min_scalar_type(T + 1)  # holds every prefix size
-    # holds the hit walks, and their prefix entries, of one (start, step)
-    count_dtype = np.min_scalar_type(X * T)
+    # hold the hit walks, and their prefix entries, of one (start, step)
+    count_dtypes = np.min_scalar_type(X), np.min_scalar_type(X * T)
     chunk_nodes = max(1, min(_CHUNK_NODES, _CHUNK_WALKS // X))
     scratch = threading.local()
 
@@ -584,15 +587,14 @@ def _sample_hit_rows(g: Graph, rumors, cfg: SampleConfig, threads: int):
             # `outside` keeps the chunk's starts outside the set, when some
             # are in it
             start_hits = np.diff(np.searchsorted(cols, np.arange(0, W + 1, X)))
-            steps, sizes, entries, *counts = _hit_prefixes(
-                pos, start_hits, step_dtype, size_dtype)
-            walk_steps = np.zeros(W, dtype=step_dtype)
-            walk_steps[cols] = steps
+            order, sizes, entries, *counts = _hit_prefixes(
+                pos, start_hits, size_dtype)
+            # a column's walk number is its offset from its start's first
+            walks = cols - np.repeat(np.arange(0, W, X), start_hits)
             if outside is not None:
-                walk_steps = walk_steps.reshape(-1, X)[outside].ravel()
                 counts = [c.reshape(-1, T)[outside].ravel() for c in counts]
-            return (walk_steps, sizes, entries,
-                    *(c.astype(count_dtype) for c in counts))
+            return (walks.astype(walk_dtype).take(order), sizes, entries,
+                    *(c.astype(d) for c, d in zip(counts, count_dtypes)))
 
         cols = np.flatnonzero(seq[T] == hit_node)
         rows = [set_rows(cols, first_lookup[seq.take(cols, axis=1)])]
@@ -638,55 +640,43 @@ def _sample_hit_rows(g: Graph, rumors, cfg: SampleConfig, threads: int):
     return [tuple(out[i:i + 5]) for i in range(0, len(out), 5)]
 
 
-def _hit_rows_within(rows, T: int, X: int):
-    """One rumor set's rows from a walk pass of X walks per start, cut to
-    the walks that hit within T steps: (hit steps, hit CSR).  A walk ends at
-    its hit, so under T it hits iff its hit step is at most T, with the
-    same prefix.  The pass lists each start's hit walks by hit step, so
-    those are each start's first ones: the cut copies one range of prefix
-    sizes and one of entries per start, read off the pass's counts, and
-    zeroes the steps above T a block of walks at a time, so it holds no
-    scratch the size of the walks or entries.  The CSR's offsets are summed
-    here, in place, in `WalkIndex.offset_dtype`."""
-    steps, sizes, cands, walk_counts, entry_counts = rows
-    walk_counts = walk_counts.reshape(steps.size // X, -1)
+def _hit_rows_within(rows, pass_T: int, T: int):
+    """One rumor set's rows from a walk pass at `pass_T`, cut to the walks
+    that hit within T <= pass_T steps: (walk numbers, per-(start, step) hit
+    counts, hit CSR).  A walk ends at its hit, so under T it hits iff its
+    hit step is at most T, with the same prefix.  The pass lists each
+    start's hit walks by hit step, so those are each start's first ones:
+    the cut copies one range of walk numbers and prefix sizes and one of
+    entries per start, in one loop over the starts read off the pass's
+    counts, so it holds no scratch the size of the walks or entries, and
+    keeps the counts of steps 1..T.  The CSR's offsets are summed here, in
+    place, in `WalkIndex.offset_dtype`."""
+    walks, sizes, cands, walk_counts, entry_counts = rows
+    walk_counts = walk_counts.reshape(-1, pass_T)
     entry_counts = entry_counts.reshape(walk_counts.shape)
-    cut = bool(walk_counts[:, T:].any())
-    indptr = np.zeros(int(walk_counts[:, :T].sum(dtype=np.int64)) + 1,
-                      dtype=WalkIndex.offset_dtype(
-                          entry_counts[:, :T].sum(dtype=np.int64)))
+    # per start, its hit walks and entries in the pass and within T
+    ranges = [c[:, :t].sum(axis=1, dtype=np.int64).tolist()
+              for t in (pass_T, T) for c in (walk_counts, entry_counts)]
+    indptr = np.zeros(sum(ranges[2]) + 1,
+                      dtype=WalkIndex.offset_dtype(sum(ranges[3])))
     # the sizes are summed in the offsets' dtype, where a cumsum that
     # casts would copy them first
-    if cut:
-        within = np.empty(steps.size, dtype=np.min_scalar_type(T))
-        for b0 in range(0, steps.size, _BLOCK_ENTRIES):
-            block = steps[b0:b0 + _BLOCK_ENTRIES]
-            np.multiply(block, block <= T, casting="unsafe",
-                        out=within[b0:b0 + _BLOCK_ENTRIES])
-        steps = within
-        _first_per_start(sizes, walk_counts, T, out=indptr[1:])
-        cands = _first_per_start(cands, entry_counts, T)
+    if walk_counts[:, T:].any():
+        pass_walks, pass_cands = walks, cands
+        walks = np.empty(indptr.size - 1, dtype=walks.dtype)
+        cands = np.empty(sum(ranges[3]), dtype=cands.dtype)
+        w0 = e0 = w1 = e1 = 0  # the start's rows in the pass and in the cut
+        for walk_total, entry_total, k, e in zip(*ranges):
+            if k:
+                walks[w1:w1 + k] = pass_walks[w0:w0 + k]
+                indptr[1 + w1:1 + w1 + k] = sizes[w0:w0 + k]
+                cands[e1:e1 + e] = pass_cands[e0:e0 + e]
+                w1, e1 = w1 + k, e1 + e
+            w0, e0 = w0 + walk_total, e0 + entry_total
     else:
         indptr[1:] = sizes
     np.cumsum(indptr[1:], out=indptr[1:])
-    return steps.astype(np.min_scalar_type(T), copy=False), indptr, cands
-
-
-def _first_per_start(values, counts, T: int, out=None) -> np.ndarray:
-    """`values` listed start by start, `counts[u].sum()` of them for start
-    u, cut to each start's first `counts[u, :T].sum()`, into `out` if
-    given."""
-    totals = counts.sum(axis=1, dtype=np.int64).tolist()
-    firsts = counts[:, :T].sum(axis=1, dtype=np.int64).tolist()
-    if out is None:
-        out = np.empty(sum(firsts), dtype=values.dtype)
-    begin = end = 0
-    for total, first in zip(totals, firsts):
-        if first:
-            out[end:end + first] = values[begin:begin + first]
-            end += first
-        begin += total
-    return out
+    return walks, np.ascontiguousarray(walk_counts[:, :T]), indptr, cands
 
 
 def _thread_map(fn, items, threads: int):
@@ -773,16 +763,15 @@ def _candidate_positions(n_nodes: int, rumor_set):
     return candidates, cand_pos
 
 
-def _hit_prefixes(pos, start_hits, step_dtype, size_dtype):
+def _hit_prefixes(pos, start_hits, size_dtype):
     """Each hit walk's prefix from its column of `pos`, a (T + 1, H) matrix
     of candidate positions in which every step from the hit on reads the
     dtype's top value: the column's distinct other positions, ascending.
     The columns are listed start by start, `start_hits[u]` of them for
-    start u.  Returns each column's hit step (`step_dtype`), in
-    column order; the prefix sizes (`size_dtype`) and the prefixes
-    concatenated, in the order (start, hit step, column); and the number of
-    hit walks and of prefix entries per (start, hit step), start-major (int64).
-    That is the order of a pass's rows.
+    start u.  Returns the columns in the order (start, hit step, column),
+    which is the order of a pass's rows; the prefix sizes (`size_dtype`)
+    and the prefixes concatenated, in that order; and the number of hit
+    walks and of prefix entries per (start, hit step), start-major (int64).
 
     Sorts `pos` in place with `_sorting_network`, two contiguous rows per
     comparator, where `ndarray.sort(axis=0)` would run H strided sorts of
@@ -797,21 +786,21 @@ def _hit_prefixes(pos, start_hits, step_dtype, size_dtype):
         pos[i] = low
     T, top = pos.shape[0] - 1, np.iinfo(pos.dtype).max
     keep = pos != top
-    steps = keep.sum(axis=0, dtype=step_dtype)  # rows 0..s-1 precede it
-    keep[1:] &= pos[1:] != pos[:-1]
-    sizes = keep.sum(axis=0, dtype=size_dtype)
-    # (start, step) as start * T + step, from 1 to n_starts * T
+    # (start, step) as start * T + step, from 1 to n_starts * T: rows
+    # 0..s-1 precede the hit at step s
     n_keys = len(start_hits) * T
     key = np.repeat(np.arange(0, n_keys, T, dtype=np.min_scalar_type(n_keys)),
                     start_hits)
-    key += steps
+    key += keep.sum(axis=0, dtype=key.dtype)
+    keep[1:] &= pos[1:] != pos[:-1]
+    sizes = keep.sum(axis=0, dtype=size_dtype)
     order = np.argsort(key, kind="stable")
     # every sorted column starts below the top value and ends at it, so on
     # the columns laid end to end the mask needs no column boundary
     flat = np.take(pos.T, order, axis=0).ravel()
     kept = flat != top
     kept[1:] &= flat[1:] != flat[:-1]
-    return (steps, sizes[order], np.compress(kept, flat),
+    return (order, sizes[order], np.compress(kept, flat),
             np.bincount(key, minlength=n_keys + 1)[1:],
             np.bincount(key, sizes, minlength=n_keys + 1)[1:].astype(np.int64))
 

@@ -120,7 +120,7 @@ def solve_topk(store, params: LogisticParams, k: int) -> SolveReport:
     index = store.index
     _check_k(k, index.n_candidates)
     degree = np.diff(index.indptr)
-    order = np.lexsort((index.candidates, -degree))
+    order = np.argsort(-degree, kind="stable")
     chosen = frozenset(int(v) for v in index.candidates[order[:k]])
     return _report("topk", store, params, chosen, t0)
 

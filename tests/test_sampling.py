@@ -254,9 +254,9 @@ def test_store_bytes_counts_the_built_arrays():
     g = barabasi_albert_graph(120, 3, seed=4)
     store = build_sample_store(g, {0, 1, 2}, SampleConfig(T=4, X=25, seed=6))
     index = store.index
-    built = (store.hit_steps, index.candidates, index.cand_pos,
-             index.walk_weights, index.walk_indptr, index.walk_cands,
-             index.indptr, index.walk_ids)
+    built = (store.hit_walks, store.hit_counts, index.candidates,
+             index.cand_pos, index.walk_weights, index.walk_indptr,
+             index.walk_cands, index.indptr, index.walk_ids)
     # hit_mass is built on first use, after the store; it does not count, and
     # the prefix arrays are derived on each read
     assert index.hit_mass.size == index.n_candidates
@@ -368,7 +368,7 @@ def test_index_structure_invariants():
         assert np.all(np.diff(index.walk_ids[lo:hi]) > 0)
 
     # forward CSR: row w is hit walk w's prefix, as candidate positions
-    hit_ids = hit_walk_numbers(store.hit_steps, store.X)
+    hit_ids = hit_walk_numbers(store)
     assert index.walk_indptr.size == index.n_hit_walks + 1 == hit_ids.size + 1
     for w, walk in enumerate(hit_ids):
         row = index.walk_cands[index.walk_indptr[w]:index.walk_indptr[w + 1]]
@@ -505,7 +505,7 @@ def test_walk_pass_scratch_is_bounded_by_walks():
     # matrix, T rows of uniforms and three step temporaries
     buffers = rcic.sampling._CHUNK_WALKS * (2 * cfg.T + 4) * 8
     assert peak - kept < 2 * buffers
-    assert np.count_nonzero(rows[0]) == rows[1].size > 0
+    assert rows[0].size == rows[1].size > 0
 
 
 def test_walk_pass_holds_its_rows_once(monkeypatch):
@@ -514,7 +514,7 @@ def test_walk_pass_holds_its_rows_once(monkeypatch):
     # into each set's arrays as the chunk is done, so no array is ever held
     # twice, as a join of every chunk's rows would hold it
     monkeypatch.setattr(rcic.sampling, "_CHUNK_WALKS", 4000)
-    g = barabasi_albert_graph(1000, 3, seed=1)
+    g = barabasi_albert_graph(1500, 3, seed=1)
     cfg = SampleConfig(T=4, X=2000)
     tracemalloc.start()
     try:
@@ -529,23 +529,29 @@ def test_walk_pass_holds_its_rows_once(monkeypatch):
     assert peak - kept < largest
 
 
-def hit_walk_ranks(steps, X) -> np.ndarray:
+def walk_numbers(walks, counts, X) -> np.ndarray:
+    """Each hit walk's number start * X + i, in a store's or a pass's row
+    order, from its i (`walks`) and its start's per-step hit counts."""
+    per_start = counts.sum(axis=1, dtype=np.int64)
+    return np.repeat(np.arange(per_start.size) * X, per_start) + walks
+
+
+def hit_walk_numbers(store) -> np.ndarray:
+    """The walk number of each hit walk, in a store's order."""
+    return walk_numbers(store.hit_walks, store.hit_counts, store.X)
+
+
+def hit_walk_ranks(numbers) -> np.ndarray:
     """Per hit walk in a store's or a pass's order, by start, then hit
     step, then walk number: its rank among the hit walks by walk number."""
-    walks = np.flatnonzero(steps)
-    return np.lexsort((steps[walks], walks // X))
-
-
-def hit_walk_numbers(steps, X) -> np.ndarray:
-    """The walk number of each hit walk, in a store's or a pass's order."""
-    return np.flatnonzero(steps)[hit_walk_ranks(steps, X)]
+    return np.argsort(np.argsort(numbers))
 
 
 def store_in_walk_order(store):
     """The store's hit flags and index with its hit walks listed by walk
     number: the layout `PINNED_DIGEST` and `PINNED_VALUE_DIGEST` digest."""
     index = store.index
-    rank = hit_walk_ranks(store.hit_steps, store.X)
+    rank = hit_walk_ranks(hit_walk_numbers(store))
     rows = np.argsort(rank)  # the index's row of each hit walk by number
     indptr, cands = _csr_take(index.walk_indptr, index.walk_cands, rows)
     # each candidate's hit walks, renumbered, in ascending order again
@@ -558,15 +564,22 @@ def store_in_walk_order(store):
         indptr=index.indptr, walk_ids=ids[np.lexsort((ids, owner))]))
 
 
-def rows_in_walk_order(rows, X):
-    """A pass's rows for one set in walk-number order: hit flags, then each
-    hit walk's prefix size, prefix and hit step by walk number; the layout
-    `PINNED_ROWS_DIGEST` digests."""
-    steps, sizes, cands = rows[:3]
-    rows_by_number = np.argsort(hit_walk_ranks(steps, X))
+def rows_in_walk_order(rows, X, T):
+    """A pass at T's rows for one set in walk-number order: hit flags, then
+    each hit walk's prefix size, prefix and hit step by walk number; the
+    layout `PINNED_ROWS_DIGEST` digests.  A start's hit walks run by hit
+    step, so their steps follow from its per-step hit counts."""
+    walks, sizes, cands, walk_counts = rows[:4]
+    walk_counts = walk_counts.reshape(-1, T)
+    numbers = walk_numbers(walks, walk_counts, X)
+    rows_by_number = np.argsort(numbers)
+    steps = np.repeat(np.tile(np.arange(1, T + 1, dtype=np.min_scalar_type(T)),
+                              walk_counts.shape[0]), walk_counts.ravel())
+    flags = np.zeros(walk_counts.shape[0] * X, dtype=bool)
+    flags[numbers] = True
     indptr = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
-    return (steps != 0, sizes[rows_by_number],
-            _csr_take(indptr, cands, rows_by_number)[1], steps[steps != 0])
+    return (flags, sizes[rows_by_number],
+            _csr_take(indptr, cands, rows_by_number)[1], steps[rows_by_number])
 
 
 def arrays_digest(store, names) -> str:
@@ -582,8 +595,9 @@ def arrays_digest(store, names) -> str:
 def store_digest(store) -> str:
     """Every byte of the store and index arrays that a store's own order
     and dtypes give."""
-    return arrays_digest(store, ("hit_steps", "walk_ids", "indptr",
-                                 "walk_cands", "walk_indptr", "walk_weights"))
+    return arrays_digest(store, ("hit_walks", "hit_counts", "walk_ids",
+                                 "indptr", "walk_cands", "walk_indptr",
+                                 "walk_weights"))
 
 
 def walk_order_digest(store) -> str:
@@ -596,9 +610,10 @@ def walk_order_digest(store) -> str:
 PINNED_DIGEST = "c29b50f21c76ebc472220249b8b63800df215a06809100fa73303dc12dd58e0c"
 
 
-# every array a store and its index keep
-STORE_ARRAYS = ("hit_steps", "candidates", "cand_pos", "walk_weights",
-                "walk_indptr", "walk_cands", "indptr", "walk_ids")
+# every array an index keeps, and every array a store and its index keep
+INDEX_ARRAYS = ("candidates", "cand_pos", "walk_weights", "walk_indptr",
+                "walk_cands", "indptr", "walk_ids")
+STORE_ARRAYS = ("hit_walks", "hit_counts", *INDEX_ARRAYS)
 
 
 def store_value_digest(store) -> str:
@@ -608,7 +623,7 @@ def store_value_digest(store) -> str:
     where `walk_order_digest` does not."""
     h = hashlib.sha256()
     store = store_in_walk_order(store)
-    for name in ("hit_flags", *STORE_ARRAYS[1:]):
+    for name in ("hit_flags", *INDEX_ARRAYS):
         a = getattr(store if name == "hit_flags" else store.index, name)
         cast = np.float64 if name == "walk_weights" else np.int64
         h.update(name.encode())
@@ -851,7 +866,8 @@ def test_hit_steps_above_255_cut_exactly():
     n = 300
     g = Graph([[(u + 1) % n] for u in range(n)], directed=True)
     (rows,) = rcic.sampling._sample_hit_rows(g, [{0}], SampleConfig(T=n, X=2), 1)
-    assert rows[0].dtype == np.uint16 and rows[0].max() == n - 1
+    steps = np.flatnonzero(rows[3].reshape(-1, n).any(axis=0)) + 1
+    assert steps.min() == 1 and steps.max() == n - 1
     # the walk from u holds u..n-1 before its hit: prefix sizes up to n - 1
     assert rows[1].dtype == np.uint16 and rows[1].max() == n - 1
     keys = [({0}, SampleConfig(T=T, X=2)) for T in (280, 256, n, 255, 1)]
@@ -883,15 +899,17 @@ def test_hit_steps_on_both_sides_of_256_order_and_cut_exactly():
             for T in (320, 301, 300, 256, 255, 250, 249, 1)]
     for (rumor, cfg), store in zip(keys, build_sample_stores(g, keys)):
         alone = build_sample_store(g, rumor, cfg)
-        assert store.hit_steps.dtype == np.min_scalar_type(cfg.T)
+        assert store.hit_counts.shape == (store.index.n_candidates, cfg.T)
         assert store_digest(store) == store_digest(alone)
-        steps = store.hit_steps[store.index.position(1) * X:][:X]
+        # node 1's hit walks' steps, ascending, from its per-step counts
+        steps = np.repeat(np.arange(1, cfg.T + 1),
+                          store.hit_counts[store.index.position(1)])
         assert set(steps.tolist()) == (
-            {250, 301} if cfg.T >= 301 else {0, 250} if cfg.T >= 250 else {0})
+            {250, 301} if cfg.T >= 301 else {250} if cfg.T >= 250 else set())
         # node 1 is the first start: its hit walks lead the index, the walks
         # that hit at step 250 (prefix size 250) before those at 301
-        sizes = np.diff(store.index.walk_indptr)[:np.count_nonzero(steps)]
-        assert sizes.tolist() == sorted(steps[steps > 0].tolist())
+        sizes = np.diff(store.index.walk_indptr)[:steps.size]
+        assert sizes.tolist() == steps.tolist()
 
 
 def test_t_cut_holds_no_scratch_the_size_of_the_walks(monkeypatch):
@@ -906,14 +924,14 @@ def test_t_cut_holds_no_scratch_the_size_of_the_walks(monkeypatch):
     for cut_T in (2, 4):
         tracemalloc.start()
         try:
-            cut = rcic.sampling._hit_rows_within(rows, cut_T, X)
+            cut = rcic.sampling._hit_rows_within(rows, T, cut_T)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        hits = cut[1].size - 1
-        assert 0 < hits < np.count_nonzero(rows[0])
+        hits = cut[2].size - 1
+        assert 0 < hits < rows[0].size
         # an int64 per hit walk of the pass would alone pass the bound
-        assert 8 * np.count_nonzero(rows[0]) > 4 * 64 * n_cand * T
+        assert 8 * rows[0].size > 4 * 64 * n_cand * T
         assert peak - sum(a.nbytes for a in cut) < 64 * n_cand * T + 2048
 
 
@@ -933,26 +951,27 @@ def test_each_store_keeps_the_first_hit_walks_of_each_start(
             for r, T_ in ((0, 2), (0, 4), (0, 6), (1, 3), (1, 6), (2, 5))]
     stores = build_sample_stores(g, keys, threads=threads)
     for (rumor, cfg), store in zip(keys, stores):
-        steps, sizes, cands, walk_counts, entry_counts = per_set[
+        walks, sizes, cands, walk_counts, entry_counts = per_set[
             rumors.index(rumor)]
-        n_starts = steps.size // X
-        walk_counts = walk_counts.reshape(n_starts, T).astype(np.int64)
-        entry_counts = entry_counts.reshape(n_starts, T).astype(np.int64)
+        walk_counts = walk_counts.reshape(-1, T)
+        n_starts = walk_counts.shape[0]
         assert store.index.n_candidates == n_starts
-        assert np.array_equal(store.hit_steps,
-                              np.where(steps <= cfg.T, steps, 0))
+        assert store.hit_counts.dtype == walk_counts.dtype
+        assert np.array_equal(store.hit_counts, walk_counts[:, :cfg.T])
+        walk_counts = walk_counts.astype(np.int64)
+        entry_counts = entry_counts.reshape(n_starts, T).astype(np.int64)
         # each start's rows in the pass and in the store
         pass_walks = np.concatenate([[0], np.cumsum(walk_counts.sum(1))])
         pass_entries = np.concatenate([[0], np.cumsum(entry_counts.sum(1))])
         kept = walk_counts[:, :cfg.T].sum(1)
-        assert np.array_equal(kept, np.count_nonzero(
-            store.hit_steps.reshape(n_starts, X), axis=1))
         store_walks = np.concatenate([[0], np.cumsum(kept)])
-        assert store.index.n_hit_walks == store_walks[-1]
+        assert (store.index.n_hit_walks == store.hit_walks.size
+                == store_walks[-1])
         store_sizes = np.diff(store.index.walk_indptr)
         for u in range(n_starts):
             w0, s0, k = pass_walks[u], store_walks[u], kept[u]
             assert np.array_equal(store_sizes[s0:s0 + k], sizes[w0:w0 + k])
+            assert np.array_equal(store.hit_walks[s0:s0 + k], walks[w0:w0 + k])
             e0 = pass_entries[u]
             e1 = e0 + entry_counts[u, :cfg.T].sum()
             assert np.array_equal(store.index.walk_cands[
@@ -995,43 +1014,60 @@ def test_exact_and_sampled_stores_hold_one_index_dtype():
     exact = ExactStore(g, rumor, T=3).index
     sampled = build_sample_store(g, rumor, SampleConfig(T=3, X=20, seed=1)).index
     assert exact.n_candidates == sampled.n_candidates
-    for name in STORE_ARRAYS[1:]:
+    for name in INDEX_ARRAYS:
         assert getattr(exact, name).dtype == getattr(sampled, name).dtype, name
     assert sampled.walk_cands.dtype == np.uint8
     assert sampled.walk_indptr.dtype == np.int32
 
 
-def test_pass_rows_take_one_byte_per_walk_and_hit_and_two_per_entry():
-    # what a pass holds per set until its stores are built: a hit step per
-    # walk, a prefix size per hit walk, a uint16 position per entry, and
-    # per (start, step) the hit walks and entries, which X * T bounds
+def test_pass_rows_take_two_bytes_per_hit_walk_and_two_per_entry():
+    # what a pass holds per set until its stores are built: a walk number
+    # and a prefix size per hit walk, a uint16 position per entry, and per
+    # (start, step) the hit walks and entries, which X and X * T bound
     g, X, seed, rumors = nested_rumor_sets("ba")
     cfg = SampleConfig(T=5, X=X, seed=seed)
     per_set = rcic.sampling._sample_hit_rows(g, rumors, cfg, 1)
     assert len(per_set) == len(rumors)
-    for rumor, (steps, lengths, cands, walk_counts, entry_counts) in zip(
+    for rumor, (walks, lengths, cands, walk_counts, entry_counts) in zip(
             rumors, per_set):
         starts = g.n - len(rumor)
-        walks = starts * X
-        hits = int(np.count_nonzero(steps))
-        assert steps.size == walks and lengths.size == hits > 0
+        hits = int(walk_counts.sum())
+        assert walks.size == lengths.size == hits > 0
+        assert walks.dtype == np.uint8 and int(walks.max()) < X
         assert cands.size == int(lengths.sum())
         assert cands.dtype == np.uint16
         assert walk_counts.dtype == entry_counts.dtype == np.uint8  # X T = 200
         assert walk_counts.size == entry_counts.size == starts * cfg.T
-        assert int(walk_counts.sum()) == hits
         assert int(entry_counts.sum(dtype=np.int64)) == cands.size
-        assert (steps.nbytes + lengths.nbytes + cands.nbytes
-                == walks + hits + 2 * cands.size)
+        assert (walks.nbytes + lengths.nbytes + cands.nbytes
+                == 2 * hits + 2 * cands.size)
 
 
-def rows_digest(per_set, X) -> str:
+def test_nothing_is_kept_per_walk():
+    # hit walks and entries are each fewer than the walks, so an array of
+    # the pass's rows, the store or its index with one entry per walk
+    # would show
+    g = barabasi_albert_graph(300, 3, seed=2)
+    rumor, cfg = {0}, SampleConfig(T=2, X=50, seed=1)
+    n_walks = (g.n - len(rumor)) * cfg.X
+    (rows,) = rcic.sampling._sample_hit_rows(g, [rumor], cfg, 1)
+    store = build_sample_store(g, rumor, cfg)
+    index = store.index
+    assert 0 < index.n_hit_walks and index.walk_cands.size < n_walks
+    kept = {f"rows[{i}]": a for i, a in enumerate(rows)}
+    kept.update((name, a) for obj in (store, index)
+                for name, a in vars(obj).items() if isinstance(a, np.ndarray))
+    assert [name for name, a in kept.items() if a.size >= n_walks] == []
+    assert len(kept) == 5 + len(STORE_ARRAYS)
+
+
+def rows_digest(per_set, X, T) -> str:
     """The digest of each set's rows in walk order that `PINNED_ROWS_DIGEST`
     pins."""
     h = hashlib.sha256()
     for rows in per_set:
         for name, a in zip(("hit_flags", "hit_lengths", "hit_cands", "hit_steps"),
-                           rows_in_walk_order(rows, X)):
+                           rows_in_walk_order(rows, X, T)):
             h.update(name.encode())
             h.update(str(a.dtype).encode())
             h.update(a.tobytes())
@@ -1048,7 +1084,7 @@ def test_pass_rows_are_pinned(threads):
     g, X, seed, rumors = nested_rumor_sets("ba")
     per_set = rcic.sampling._sample_hit_rows(
         g, rumors, SampleConfig(T=5, X=X, seed=seed), threads)
-    assert rows_digest(per_set, X) == PINNED_ROWS_DIGEST
+    assert rows_digest(per_set, X, 5) == PINNED_ROWS_DIGEST
 
 
 def apply_network(network, rows):
@@ -1103,13 +1139,11 @@ def test_hit_prefixes_match_unique_per_column(dtype, T):
     pos[np.arange(T + 1)[:, None] >= hit_steps] = top
     oracle = [np.unique(pos[:s, h]) for h, s in enumerate(hit_steps)]
     order = np.lexsort((hit_steps, col_starts))  # (start, step, column)
-    step_dtype, size_dtype = np.min_scalar_type(T), np.min_scalar_type(T + 1)
-    steps, sizes, flat, walk_counts, entry_counts = _hit_prefixes(
-        pos.copy(), np.bincount(col_starts, minlength=n_starts), step_dtype,
-        size_dtype)
-    assert sizes.dtype == size_dtype and steps.dtype == step_dtype
-    assert flat.dtype == dtype
-    assert steps.tolist() == hit_steps.tolist()
+    size_dtype = np.min_scalar_type(T + 1)
+    rows, sizes, flat, walk_counts, entry_counts = _hit_prefixes(
+        pos.copy(), np.bincount(col_starts, minlength=n_starts), size_dtype)
+    assert sizes.dtype == size_dtype and flat.dtype == dtype
+    assert rows.tolist() == order.tolist()
     assert sizes.tolist() == [oracle[h].size for h in order]
     assert np.array_equal(flat, np.concatenate([oracle[h] for h in order]))
     key = col_starts * T + hit_steps - 1
