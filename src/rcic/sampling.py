@@ -6,10 +6,10 @@ random neighbor of its current node, and stops at the first rumor node (a
 distinct non-rumor nodes it visited strictly before the hit, start included.
 
 A SampleStore samples X walks per non-rumor start node and keeps what the
-objective reads: the inverted index (node -> hit walks whose prefix
-contains it), which is what makes marginal-gain evaluation cheap.  Only hit
-walks feed the objective and the blocking percentage, so only their
-prefixes are kept, and only once, as the index's forward CSR.  The hit
+objective reads: the index of its hit walks, whose inverted lists (node ->
+hit walks whose prefix contains it) make marginal-gain evaluation cheap.
+Only hit walks feed the objective and the blocking percentage, so only
+their prefixes are kept, and only once, as the index's forward CSR.  The hit
 walks are ordered by (start, hit step, walk number), so each start's are
 consecutive and those within any T' <= T lead them.  Beside the index a
 store keeps each hit walk's number among its start's X walks and the number
@@ -70,11 +70,16 @@ off the per-(start, step) counts, and those counts up to T' (the |R| sweep
 and the T sweep).  `build_sample_store` is its one-key case.  Each store,
 and so its index, is built only when the caller asks for it.
 
-The inverted index is placed one block of whole hit walks at a time: each
-block's entries are ordered by a stable argsort, which numpy runs as a radix
-sort on uint8 and uint16 positions, and written behind the entries of
-earlier blocks, which gives the permutation of one stable sort over every
-entry while no scratch array spans more than a block.  Blocks fill disjoint
+An index is built with one pass over blocks of whole hit walks, which
+counts each candidate's entries (its block degree, which top-k reads) and
+finds the longest prefix.  Its inverted lists are placed only when a gain
+solver first reads them, so a run of top-k alone never places them; until
+then an objective's impression counts are summed from the forward CSR.
+The lists are placed one block of whole hit walks at a time: each block's
+entries are ordered by a stable argsort, which numpy runs as a radix sort
+on uint8 and uint16 positions, and written behind the entries of earlier
+blocks, which gives the permutation of one stable sort over every entry
+while no scratch array spans more than a block.  Blocks fill disjoint
 slots, so they are placed on the build's worker threads.  `hit_mass` is
 summed over the same blocks.
 """
@@ -141,11 +146,16 @@ def hoeffding_sample_size(epsilon: float, delta: float, candidates: int) -> int:
 
 
 class WalkIndex:
-    """Inverted index over hit walks: which weighted walks contain each node.
+    """Index over weighted hit walks: each walk's prefix, and which walks
+    contain each node.
 
-    This is the structure every objective/gain computation runs on.  It is
-    shared by Monte Carlo stores (weight 1/X per walk) and exact enumeration
-    stores (weight = realization probability).
+    Every objective and gain runs on it.  It is shared by Monte Carlo stores
+    (weight 1/X per walk) and exact enumeration stores (weight =
+    realization probability).  The forward CSR and each candidate's entry
+    count are built with the index; the inverted lists, `walk_ids`, only
+    when first read (by `walks_of`, which gain solvers call), so an
+    objective alone, which `counts_for` sums from the forward CSR until
+    then, never places them.
 
     Hit walks are numbered in the order their prefixes are given, and sums
     run in that order.  A `SampleStore` gives them by (start, hit step, walk
@@ -157,9 +167,10 @@ class WalkIndex:
     copy when it already has that dtype; an entry outside [0, n_candidates)
     raises `ValueError`.  The dtypes follow from the sizes alone, so every
     store of one candidate and entry count, sampled or exact, holds the same
-    index dtypes.  The inverted CSR is placed a block of about
-    `_BLOCK_ENTRIES` entries of whole walks at a time, on `threads` worker
-    threads, so the build needs no scratch array that spans every entry.
+    index dtypes.  The build and the inverted lists' placement each run a
+    block of about `_BLOCK_ENTRIES` entries of whole walks at a time, on
+    `threads` worker threads, so neither needs a scratch array that spans
+    every entry.  A hit walk with an empty prefix raises `ValueError`.
 
     Impression counts are held in `count_dtype`, the smallest unsigned dtype
     that holds `max_count` (uint8 below 256).  Every objective and gain is a
@@ -173,12 +184,16 @@ class WalkIndex:
         walk_weights: weight of each hit walk, length H.
         indptr / walk_ids: CSR over candidate positions; walk_ids[indptr[p]:indptr[p+1]]
             (`walks_of(p)`) are the hit walks whose prefix contains candidates[p].
+            `indptr` is built with the index, `walk_ids` on first read.
         walk_indptr / walk_cands: the forward CSR; walk_cands[walk_indptr[w]:
             walk_indptr[w+1]] are the candidate positions in hit walk w's prefix.
         max_count: largest hit-walk prefix size (caps any impression count).
         influenced_mass: total hit weight, the expected number of users the
             rumor set reaches; denominator of the blocking percentage.
     """
+
+    # a hit walk's id in the inverted lists
+    walk_id_dtype = np.dtype(np.int32)
 
     def __init__(self, n_nodes, rumor_set, hit_prefix_indptr, hit_prefix_cands,
                  walk_weights, threads: int = 1):
@@ -198,49 +213,30 @@ class WalkIndex:
         self.walk_indptr = np.asarray(hit_prefix_indptr).astype(
             self.offset_dtype(cands.size), copy=False)
 
-        # Counting-sort placement, one block of whole walks at a time, in two
-        # passes: the blocks' key counts give `indptr`; then each entry goes
-        # behind its candidate's entries from earlier blocks (`filled`), at its
-        # rank among the block's entries of that candidate.  Blocks run in walk
-        # order, so this is one global stable sort's permutation.  (A bincount
-        # over every entry would convert all of them to int64.)  Blocks write
-        # disjoint slots, so the second pass places them on `threads` worker
-        # threads; this thread computes each block's slot base, at most
-        # `threads` blocks ahead of the placed ones.
-        blocks = self._walk_blocks()
+        # One pass over blocks of whole walks, on `threads` worker threads:
+        # the blocks' key counts sum to `indptr`, and their prefix sizes give
+        # `max_count`.  (A bincount over every entry would convert all of
+        # them to int64.)  The inverted lists are placed by the first read of
+        # `walk_ids`.
+        self.threads = threads
 
-        def keys_of(w0, w1):
-            return self.walk_cands[self.walk_indptr[w0]:self.walk_indptr[w1]]
+        def count(block):
+            w0, w1 = block
+            lengths = np.diff(self.walk_indptr[w0:w1 + 1])
+            return (int(lengths.min()), int(lengths.max()),
+                    np.bincount(self._block_keys(w0, w1), minlength=n_cand))
 
         per_cand = np.zeros(n_cand, dtype=np.int64)
-        for w0, w1 in blocks:
-            per_cand += np.bincount(keys_of(w0, w1), minlength=n_cand)
+        self.max_count = 0
+        for shortest, longest, counts in _thread_map(
+                count, self._walk_blocks(), threads):
+            if shortest == 0:
+                raise ValueError("a hit walk's prefix is empty; every prefix "
+                                 "holds its start")
+            self.max_count = max(self.max_count, longest)
+            per_cand += counts
         self.indptr = np.concatenate(
             [np.zeros(1, dtype=np.int64), np.cumsum(per_cand, dtype=np.int64)])
-        self.walk_ids = np.empty(self.walk_cands.size, dtype=np.int32)
-
-        def place(job):
-            """Write one block's walk ids; return its longest prefix."""
-            w0, w1, base = job
-            lengths = np.diff(self.walk_indptr[w0:w1 + 1])
-            keys = keys_of(w0, w1)
-            order = np.argsort(keys, kind="stable")
-            slots = base[keys[order]] + np.arange(order.size)
-            self.walk_ids[slots] = np.repeat(
-                np.arange(w0, w1, dtype=np.int32), lengths)[order]
-            return int(lengths.max())
-
-        def jobs():
-            filled = self.indptr[:-1].copy()
-            for w0, w1 in blocks:
-                counts = np.bincount(keys_of(w0, w1), minlength=n_cand)
-                # slot of the block's i-th entry in key order: its candidate's
-                # first free slot plus i minus the block's entries of smaller
-                # keys
-                yield w0, w1, filled - (np.cumsum(counts) - counts)
-                filled += counts
-
-        self.max_count = max(_thread_map(place, jobs(), threads), default=0)
         self.influenced_mass = float(self.walk_weights.sum())
 
     @staticmethod
@@ -281,6 +277,49 @@ class WalkIndex:
             raise ValueError(f"node {v} is in the rumor set")
         return p
 
+    def _block_keys(self, w0: int, w1: int) -> np.ndarray:
+        """The prefix entries of hit walks w0..w1-1, a view of `walk_cands`."""
+        return self.walk_cands[self.walk_indptr[w0]:self.walk_indptr[w1]]
+
+    @cached_property
+    def walk_ids(self) -> np.ndarray:
+        """The inverted lists, `walk_id_dtype`; placed on first use.
+
+        A counting-sort placement, one block of whole walks at a time: each
+        entry goes behind its candidate's entries from earlier blocks
+        (`filled`), at its rank among the block's entries of that candidate.
+        Blocks run in walk order, so this is one global stable sort's
+        permutation.  Blocks write disjoint slots, so they are placed on
+        `threads` worker threads; this thread recounts each block's keys and
+        computes its slot base, at most `threads` blocks ahead of the placed
+        ones, so no per-block counts are held."""
+        walk_ids = np.empty(self.walk_cands.size, dtype=self.walk_id_dtype)
+
+        def place(job):
+            w0, w1, base, counts = job
+            keys = self._block_keys(w0, w1)
+            order = np.argsort(keys, kind="stable")
+            # the block's entries in key order run through each candidate's
+            # slots from its base
+            slots = np.repeat(base, counts)
+            slots += np.arange(order.size)
+            walk_ids[slots] = np.repeat(
+                np.arange(w0, w1, dtype=self.walk_id_dtype),
+                np.diff(self.walk_indptr[w0:w1 + 1]))[order]
+
+        def jobs():
+            filled = self.indptr[:-1].copy()
+            for w0, w1 in self._walk_blocks():
+                counts = np.bincount(self._block_keys(w0, w1),
+                                     minlength=self.n_candidates)
+                # the slot of the block's first entry of each candidate:
+                # its first free slot less the block's entries of smaller keys
+                yield w0, w1, filled - (np.cumsum(counts) - counts), counts
+                filled += counts
+
+        deque(_thread_map(place, jobs(), self.threads), maxlen=0)
+        return walk_ids
+
     def walks_of(self, pos: int) -> np.ndarray:
         """Hit walks whose prefix contains the candidate at position pos."""
         return self.walk_ids[self.indptr[pos]:self.indptr[pos + 1]]
@@ -294,8 +333,7 @@ class WalkIndex:
         so every candidate's sum is the same as one bincount's."""
         mass = np.zeros(self.n_candidates, dtype=np.float64)
         for w0, w1 in self._walk_blocks():
-            entries = slice(self.walk_indptr[w0], self.walk_indptr[w1])
-            np.add.at(mass, self.walk_cands[entries], np.repeat(
+            np.add.at(mass, self._block_keys(w0, w1), np.repeat(
                 self.walk_weights[w0:w1], np.diff(self.walk_indptr[w0:w1 + 1])))
         return mass
 
@@ -307,10 +345,34 @@ class WalkIndex:
 
     def counts_for(self, nodes) -> np.ndarray:
         """Per-hit-walk impression count |prefix ∩ nodes| in `count_dtype`;
-        repeats count once."""
+        repeats count once.
+
+        Once `walk_ids` is placed, each node's inverted list adds 1 to its
+        walks.  Before that the counts are summed from the forward CSR, so a
+        caller that reads no inverted list never places them: a block of
+        whole walks at a time, on `threads` worker threads, each walk's
+        prefix entries read a member table and `np.add.reduceat` sums them
+        per walk.  Both give the same integer counts."""
+        positions = [self.position(v) for v in frozenset(nodes)]
         counts = np.zeros(self.n_hit_walks, dtype=self.count_dtype)
-        for v in frozenset(nodes):
-            counts[self.walks_of(self.position(v))] += 1
+        if "walk_ids" in vars(self):
+            for p in positions:
+                counts[self.walks_of(p)] += 1
+            return counts
+        if not positions:
+            return counts
+        member = np.zeros(self.n_candidates, dtype=self.count_dtype)
+        member[positions] = 1
+
+        def count(block):
+            # every prefix holds its start, so no segment is empty, where
+            # reduceat would read the next entry in place of 0
+            w0, w1 = block
+            np.add.reduceat(member.take(self._block_keys(w0, w1)),
+                            self.walk_indptr[w0:w1] - self.walk_indptr[w0],
+                            out=counts[w0:w1])
+
+        deque(_thread_map(count, self._walk_blocks(), self.threads), maxlen=0)
         return counts
 
     def weighted_sum(self, values, walks=None) -> float:
@@ -351,7 +413,9 @@ class SampleStore:
     node, are scattered from the hit walks' numbers on each read: walk w's
     row is `prefix_nodes[prefix_indptr[w]:prefix_indptr[w + 1]]`, so a
     reader of many walks reads the views once.  `store_bytes` is the size
-    of the store's and the index's arrays as built.
+    of the store's and the index's arrays, with the index's inverted lists
+    counted at their size, 4 bytes per entry, whether or not a solver has
+    placed them yet.
     """
 
     def __init__(self, config: SampleConfig, n_nodes: int, rumor_set,
@@ -367,9 +431,11 @@ class SampleStore:
         weights = np.full(hit_indptr.size - 1, 1.0 / config.X, dtype=np.float64)
         self.index = WalkIndex(n_nodes, self.rumor_set, hit_indptr, hit_cands,
                                weights, threads)
+        # the inverted lists count at their size, placed or not
         self.store_bytes = sum(
             a.nbytes for obj in (self, self.index) for a in vars(obj).values()
-            if isinstance(a, np.ndarray))
+            if isinstance(a, np.ndarray)) + (
+            self.index.walk_cands.size * WalkIndex.walk_id_dtype.itemsize)
 
     @property
     def X(self) -> int:

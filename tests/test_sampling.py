@@ -18,7 +18,8 @@ from rcic.sampling import (
 )
 from rcic.sampling import (_CHUNK_NODES, _csr_take, _hit_prefixes, _pcg64_states,
                            _seed_words, _sorting_network)
-from rcic.blocking import LogisticParams, estimate_objective
+from rcic.blocking import (LogisticParams, estimate_envelope_objective,
+                           estimate_objective)
 from rcic.exact import ExactStore, exact_hit_probabilities
 from rcic.synth import barabasi_albert_graph, gnp_graph
 from walk_oracle import sample_walk
@@ -254,13 +255,21 @@ def test_store_bytes_counts_the_built_arrays():
     g = barabasi_albert_graph(120, 3, seed=4)
     store = build_sample_store(g, {0, 1, 2}, SampleConfig(T=4, X=25, seed=6))
     index = store.index
+    # the inverted lists are placed on first read, and count at their size
+    # before it
+    assert "walk_ids" not in vars(index)
     built = (store.hit_walks, store.hit_counts, index.candidates,
              index.cand_pos, index.walk_weights, index.walk_indptr,
              index.walk_cands, index.indptr, index.walk_ids)
+    assert vars(index)["walk_ids"] is index.walk_ids
+    assert index.walk_ids.nbytes == 4 * index.walk_cands.size
     # hit_mass is built on first use, after the store; it does not count, and
     # the prefix arrays are derived on each read
     assert index.hit_mass.size == index.n_candidates
     assert store.store_bytes == sum(a.nbytes for a in built)
+    assert store.store_bytes == sum(
+        a.nbytes for obj in (store, index) for name, a in vars(obj).items()
+        if isinstance(a, np.ndarray) and name != "hit_mass")
     for name in ("prefix_indptr", "prefix_nodes"):
         assert name not in vars(store)
 
@@ -395,6 +404,81 @@ def test_index_rejects_degenerate_input():
     with pytest.raises(ValueError):
         # prefix claims to contain the rumor node
         WalkIndex(3, {2}, [0, 1], [2], [0.5])
+    with pytest.raises(ValueError, match="empty"):
+        # hit walk 0's prefix is empty: every prefix holds its start
+        WalkIndex(3, {2}, [0, 0, 1], [0], [0.5, 0.5])
+
+
+def count_parity_sets(index, rng):
+    """Node sets that `counts_for` reads: random ones, one with repeats, the
+    empty set and every candidate."""
+    cands = index.candidates.tolist()
+    sets = [rng.choice(cands, size=k, replace=False).tolist()
+            for k in (1, 2, 5, len(cands) // 3, len(cands) - 1)]
+    return [*sets, sets[2] * 3, [], cands]
+
+
+def assert_forward_counts_match_inverted(index, rng):
+    """The counts summed from the forward CSR before `walk_ids` is placed
+    equal those its inverted lists give after, dtype included."""
+    sets = count_parity_sets(index, rng)
+    assert "walk_ids" not in vars(index)
+    forward = [index.counts_for(nodes) for nodes in sets]
+    assert "walk_ids" not in vars(index)
+    index.walk_ids
+    for nodes, counts in zip(sets, forward):
+        inverted = index.counts_for(nodes)
+        assert counts.dtype == inverted.dtype == index.count_dtype
+        assert np.array_equal(counts, inverted)
+    assert forward[-2].sum() == 0  # the empty set
+    assert forward[-1].tolist() == np.diff(index.walk_indptr).tolist()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_counts_from_the_forward_csr_match_the_inverted_lists(monkeypatch,
+                                                              threads):
+    # blocks of a few walks, so the forward counts span many of them
+    monkeypatch.setattr(rcic.sampling, "_BLOCK_ENTRIES", 1 << 6)
+    store = build_sample_store(barabasi_albert_graph(300, 3, seed=2),
+                               set(range(5)), SampleConfig(T=5, X=20, seed=1),
+                               threads=threads)
+    assert len(store.index._walk_blocks()) > 50
+    assert_forward_counts_match_inverted(store.index, np.random.default_rng(3))
+
+
+def test_exact_counts_from_the_forward_csr_match_the_inverted_lists():
+    index = ExactStore(gnp_graph(8, 0.5, seed=1), {3}, T=5).index
+    assert_forward_counts_match_inverted(index, np.random.default_rng(4))
+    # one walk whose prefix holds all 300 candidates: two-byte counts
+    index = WalkIndex(301, {300}, [0, 300], np.arange(300), [0.25])
+    assert index.count_dtype == np.uint16
+    assert_forward_counts_match_inverted(index, np.random.default_rng(5))
+
+
+@pytest.mark.parametrize("case", ["sampled", "exact"])
+def test_objectives_keep_their_bits_once_the_inverted_lists_are_placed(
+        monkeypatch, case):
+    monkeypatch.setattr(rcic.sampling, "_BLOCK_ENTRIES", 1 << 6)
+    if case == "sampled":
+        store = build_sample_store(barabasi_albert_graph(300, 3, seed=2),
+                                   set(range(5)), SampleConfig(T=5, X=20, seed=1))
+    else:
+        store = ExactStore(gnp_graph(8, 0.5, seed=1), {3}, T=5)
+    params = LogisticParams(alpha=3.0, beta=1.0)
+    rng = np.random.default_rng(6)
+    sets = count_parity_sets(store.index, rng)
+    anchors = [rng.choice(nodes, size=len(nodes) // 2, replace=False).tolist()
+               for nodes in sets]
+
+    def values():
+        return ([estimate_objective(store, params, P) for P in sets],
+                [estimate_envelope_objective(store, params, A, P)
+                 for A, P in zip(anchors, sets)])
+
+    forward = values()
+    assert "walk_ids" not in vars(store.index)
+    store.index.walk_ids
+    assert values() == forward
 
 
 def rebuilt_index(index, rumor):
@@ -479,6 +563,7 @@ def test_index_build_scratch_is_bounded(monkeypatch):
     tracemalloc.start()
     try:
         index = rebuilt_index(source, rumor)
+        index.walk_ids  # placed on first read
         kept_new, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -654,9 +739,15 @@ def test_store_bytes_are_pinned(threads):
 def test_store_values_are_pinned(threads):
     # the same arrays' values, whatever dtypes hold them
     store = pinned_store(threads)
-    assert {name for obj in (store, store.index) for name, a in vars(obj).items()
-            if isinstance(a, np.ndarray)} == set(STORE_ARRAYS)
+
+    def kept():
+        return {name for obj in (store, store.index)
+                for name, a in vars(obj).items() if isinstance(a, np.ndarray)}
+
+    # the inverted lists are placed by the digest's first read of them
+    assert kept() == set(STORE_ARRAYS) - {"walk_ids"}
     assert store_value_digest(store) == PINNED_VALUE_DIGEST
+    assert kept() == set(STORE_ARRAYS)
 
 
 @pytest.mark.parametrize("chunk_walks", [1, 121])
@@ -1054,11 +1145,20 @@ def test_nothing_is_kept_per_walk():
     store = build_sample_store(g, rumor, cfg)
     index = store.index
     assert 0 < index.n_hit_walks and index.walk_cands.size < n_walks
-    kept = {f"rows[{i}]": a for i, a in enumerate(rows)}
-    kept.update((name, a) for obj in (store, index)
-                for name, a in vars(obj).items() if isinstance(a, np.ndarray))
-    assert [name for name, a in kept.items() if a.size >= n_walks] == []
-    assert len(kept) == 5 + len(STORE_ARRAYS)
+
+    def kept():
+        arrays = {f"rows[{i}]": a for i, a in enumerate(rows)}
+        arrays.update((name, a) for obj in (store, index)
+                      for name, a in vars(obj).items()
+                      if isinstance(a, np.ndarray))
+        assert [name for name, a in arrays.items() if a.size >= n_walks] == []
+        return arrays
+
+    # before and after the inverted lists' first read, which places them
+    assert "walk_ids" not in kept()
+    assert len(kept()) == 5 + len(STORE_ARRAYS) - 1
+    index.walk_ids
+    assert len(kept()) == 5 + len(STORE_ARRAYS)
 
 
 def rows_digest(per_set, X, T) -> str:

@@ -863,6 +863,33 @@ def test_objective_and_gain_state_hold_about_two_bytes_per_hit_walk(
     # per hit walk the objective would take 12 bytes per hit walk
     allowance = 4 * 8 * block + 4 * 8 * index.n_candidates
     bound = 2 * index.n_hit_walks + allowance
+    # counted from the forward CSR, then from the inverted lists, placed
+    # outside the measured runs
+    assert "walk_ids" not in vars(index)
+    assert peak_of(lambda: estimate_objective(store, P31, top)) < bound
+    assert "walk_ids" not in vars(index)
+    index.walk_ids
     assert peak_of(lambda: estimate_objective(store, P31, top)) < bound
     assert peak_of(lambda: _GainState(index, table.env_gain, frozenset(), 20,
                                       frozenset())) < bound
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_topk_places_no_inverted_lists_and_greedy_does(threads):
+    # topk reads the block degrees and one objective, neither of which needs
+    # the inverted lists; greedy's gains read them.  Two builds of one key
+    # are bit-identical, so either path's objective is compared on the other.
+    g, rumor = barabasi_albert_graph(300, 3, seed=2), set(range(5))
+    cfg = SampleConfig(T=5, X=40, seed=1)
+    lazy, placed = (build_sample_store(g, rumor, cfg, threads=threads)
+                    for _ in range(2))
+    size = lazy.store_bytes
+    topk = solve_topk(lazy, P31, 10)
+    assert "walk_ids" not in vars(lazy.index)
+    greedy = solve_greedy(placed, P31, 10)
+    assert "walk_ids" in vars(placed.index)
+    assert placed.store_bytes == lazy.store_bytes == size
+    again = solve_topk(placed, P31, 10)
+    assert again == dataclasses.replace(topk, wall_time=again.wall_time)
+    assert estimate_objective(lazy, P31, greedy.chosen_set) == greedy.objective
+    assert "walk_ids" not in vars(lazy.index)
