@@ -92,7 +92,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
                    help="branch-and-bound wall-time cap in seconds")
     p.add_argument("--seed", type=int, help="walk sampling seed")
     p.add_argument("--threads", type=int,
-                   help="worker threads for the walk pass and the index placement")
+                   help="worker threads for the walk pass")
     p.add_argument("--out", help="report path; stdout when omitted")
     p.add_argument("--format", choices=("csv", "json"))
 

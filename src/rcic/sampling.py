@@ -13,8 +13,8 @@ their prefixes are kept, and only once, as the index's forward CSR.  The hit
 walks are ordered by (start, hit step, walk number), so each start's are
 consecutive and those within any T' <= T lead them.  Beside the index a
 store keeps each hit walk's number among its start's X walks and the number
-of hit walks per (start, hit step); nothing is kept per walk, and a miss's
-prefix is taken to be its start node.  Stores built from the same graph,
+of hit walks per start; nothing is kept per walk, and a miss's prefix is
+taken to be its start node.  Stores built from the same graph,
 rumor set and seed are bit-identical regardless of thread count: each start
 node draws from its own seed substream, `SeedSequence(entropy=seed,
 spawn_key=(u,))`'s PCG64.  Every start's PCG64 state is computed up front in
@@ -66,21 +66,21 @@ of each node's first larger set, least along each walk, tells every larger
 set which walks reach it.  A walk ends at its hit, so under T' it hits
 iff its hit step is at most T', with the same prefix: a key's store keeps
 each start's first hit walks of its set's rows, one range per start read
-off the per-(start, step) counts, and those counts up to T' (the |R| sweep
-and the T sweep).  `build_sample_store` is its one-key case.  Each store,
+off the per-(start, step) counts, and each start's count of them (the |R|
+sweep and the T sweep).  `build_sample_store` is its one-key case.  Each store,
 and so its index, is built only when the caller asks for it.
 
-An index is built with one pass over blocks of whole hit walks, which
-counts each candidate's entries (its block degree, which top-k reads) and
-finds the longest prefix.  Its inverted lists are placed only when a gain
-solver first reads them, so a run of top-k alone never places them; until
-then an objective's impression counts are summed from the forward CSR.
-The lists are placed one block of whole hit walks at a time: each block's
-entries are ordered by a stable argsort, which numpy runs as a radix sort
-on uint8 and uint16 positions, and written behind the entries of earlier
-blocks, which gives the permutation of one stable sort over every entry
-while no scratch array spans more than a block.  Blocks fill disjoint
-slots, so they are placed on the build's worker threads.  `hit_mass` is
+Only the walk pass runs on worker threads (`threads`); the index runs on
+the caller's thread.  It is built with one pass over blocks of whole hit
+walks, which counts each candidate's entries (its block degree, which top-k
+reads) and finds the longest prefix.  Its inverted lists are placed only
+when a gain solver first reads them, so a run of top-k alone never places
+them; until then an objective's impression counts are summed from the
+forward CSR.  The lists are placed one block of whole hit walks at a time:
+each block's entries are ordered by a stable argsort, which numpy runs as a
+radix sort on uint8 and uint16 positions, and written behind the entries of
+earlier blocks, which gives the permutation of one stable sort over every
+entry while no scratch array spans more than a block.  `hit_mass` is
 summed over the same blocks.
 """
 
@@ -168,9 +168,9 @@ class WalkIndex:
     raises `ValueError`.  The dtypes follow from the sizes alone, so every
     store of one candidate and entry count, sampled or exact, holds the same
     index dtypes.  The build and the inverted lists' placement each run a
-    block of about `_BLOCK_ENTRIES` entries of whole walks at a time, on
-    `threads` worker threads, so neither needs a scratch array that spans
-    every entry.  A hit walk with an empty prefix raises `ValueError`.
+    block of about `_BLOCK_ENTRIES` entries of whole walks at a time, on the
+    caller's thread, so neither needs a scratch array that spans every
+    entry.  A hit walk with an empty prefix raises `ValueError`.
 
     Impression counts are held in `count_dtype`, the smallest unsigned dtype
     that holds `max_count` (uint8 below 256).  Every objective and gain is a
@@ -196,7 +196,7 @@ class WalkIndex:
     walk_id_dtype = np.dtype(np.int32)
 
     def __init__(self, n_nodes, rumor_set, hit_prefix_indptr, hit_prefix_cands,
-                 walk_weights, threads: int = 1):
+                 walk_weights):
         self.n_nodes = int(n_nodes)
         self.candidates, cand_pos = _candidate_positions(self.n_nodes, rumor_set)
         if self.candidates.size == 0:
@@ -213,28 +213,19 @@ class WalkIndex:
         self.walk_indptr = np.asarray(hit_prefix_indptr).astype(
             self.offset_dtype(cands.size), copy=False)
 
-        # One pass over blocks of whole walks, on `threads` worker threads:
-        # the blocks' key counts sum to `indptr`, and their prefix sizes give
-        # `max_count`.  (A bincount over every entry would convert all of
-        # them to int64.)  The inverted lists are placed by the first read of
-        # `walk_ids`.
-        self.threads = threads
-
-        def count(block):
-            w0, w1 = block
-            lengths = np.diff(self.walk_indptr[w0:w1 + 1])
-            return (int(lengths.min()), int(lengths.max()),
-                    np.bincount(self._block_keys(w0, w1), minlength=n_cand))
-
+        # One pass over blocks of whole walks: the blocks' key counts sum to
+        # `indptr`, and their prefix sizes give `max_count`.  (A bincount
+        # over every entry would convert all of them to int64.)  The
+        # inverted lists are placed by the first read of `walk_ids`.
         per_cand = np.zeros(n_cand, dtype=np.int64)
         self.max_count = 0
-        for shortest, longest, counts in _thread_map(
-                count, self._walk_blocks(), threads):
-            if shortest == 0:
+        for w0, w1 in self._walk_blocks():
+            lengths = np.diff(self.walk_indptr[w0:w1 + 1])
+            if lengths.min() == 0:
                 raise ValueError("a hit walk's prefix is empty; every prefix "
                                  "holds its start")
-            self.max_count = max(self.max_count, longest)
-            per_cand += counts
+            self.max_count = max(self.max_count, int(lengths.max()))
+            per_cand += np.bincount(self._block_keys(w0, w1), minlength=n_cand)
         self.indptr = np.concatenate(
             [np.zeros(1, dtype=np.int64), np.cumsum(per_cand, dtype=np.int64)])
         self.influenced_mass = float(self.walk_weights.sum())
@@ -285,39 +276,28 @@ class WalkIndex:
     def walk_ids(self) -> np.ndarray:
         """The inverted lists, `walk_id_dtype`; placed on first use.
 
-        A counting-sort placement, one block of whole walks at a time: each
-        entry goes behind its candidate's entries from earlier blocks
-        (`filled`), at its rank among the block's entries of that candidate.
-        Blocks run in walk order, so this is one global stable sort's
-        permutation.  Blocks write disjoint slots, so they are placed on
-        `threads` worker threads; this thread recounts each block's keys and
-        computes its slot base, at most `threads` blocks ahead of the placed
-        ones, so no per-block counts are held."""
+        A counting-sort placement, one block of whole walks at a time, on
+        the caller's thread: each entry goes behind its candidate's entries
+        from earlier blocks (`filled`), at its rank among the block's
+        entries of that candidate.  Blocks run in walk order, so this is one
+        global stable sort's permutation.  Each block's keys are counted
+        again here, so no per-block counts are held between the passes."""
         walk_ids = np.empty(self.walk_cands.size, dtype=self.walk_id_dtype)
-
-        def place(job):
-            w0, w1, base, counts = job
+        filled = self.indptr[:-1].copy()
+        for w0, w1 in self._walk_blocks():
             keys = self._block_keys(w0, w1)
+            counts = np.bincount(keys, minlength=self.n_candidates)
             order = np.argsort(keys, kind="stable")
             # the block's entries in key order run through each candidate's
-            # slots from its base
-            slots = np.repeat(base, counts)
+            # free slots: entry j of the sorted block goes to its key's first
+            # free slot plus j, less the block's entries of smaller keys
+            slots = np.repeat(filled - (np.cumsum(counts) - counts), counts)
             slots += np.arange(order.size)
             walk_ids[slots] = np.repeat(
                 np.arange(w0, w1, dtype=self.walk_id_dtype),
                 np.diff(self.walk_indptr[w0:w1 + 1]))[order]
-
-        def jobs():
-            filled = self.indptr[:-1].copy()
-            for w0, w1 in self._walk_blocks():
-                counts = np.bincount(self._block_keys(w0, w1),
-                                     minlength=self.n_candidates)
-                # the slot of the block's first entry of each candidate:
-                # its first free slot less the block's entries of smaller keys
-                yield w0, w1, filled - (np.cumsum(counts) - counts), counts
-                filled += counts
-
-        deque(_thread_map(place, jobs(), self.threads), maxlen=0)
+            filled += counts
+            del order, slots  # freed before the next block's argsort
         return walk_ids
 
     def walks_of(self, pos: int) -> np.ndarray:
@@ -350,9 +330,9 @@ class WalkIndex:
         Once `walk_ids` is placed, each node's inverted list adds 1 to its
         walks.  Before that the counts are summed from the forward CSR, so a
         caller that reads no inverted list never places them: a block of
-        whole walks at a time, on `threads` worker threads, each walk's
-        prefix entries read a member table and `np.add.reduceat` sums them
-        per walk.  Both give the same integer counts."""
+        whole walks at a time, each walk's prefix entries read a member
+        table and `np.add.reduceat` sums them per walk.  Both give the same
+        integer counts."""
         positions = [self.position(v) for v in frozenset(nodes)]
         counts = np.zeros(self.n_hit_walks, dtype=self.count_dtype)
         if "walk_ids" in vars(self):
@@ -363,16 +343,12 @@ class WalkIndex:
             return counts
         member = np.zeros(self.n_candidates, dtype=self.count_dtype)
         member[positions] = 1
-
-        def count(block):
+        for w0, w1 in self._walk_blocks():
             # every prefix holds its start, so no segment is empty, where
             # reduceat would read the next entry in place of 0
-            w0, w1 = block
             np.add.reduceat(member.take(self._block_keys(w0, w1)),
                             self.walk_indptr[w0:w1] - self.walk_indptr[w0],
                             out=counts[w0:w1])
-
-        deque(_thread_map(count, self._walk_blocks(), self.threads), maxlen=0)
         return counts
 
     def weighted_sum(self, values, walks=None) -> float:
@@ -403,14 +379,13 @@ class SampleStore:
     walk's prefix is row h of the index's forward CSR,
     `index.walk_cands[index.walk_indptr[h]:index.walk_indptr[h + 1]]`, as
     candidate positions in ascending order; `hit_walks[h]` is its i, in the
-    smallest unsigned dtype that holds X - 1.  `hit_counts[p, s - 1]` is the
-    number of start position p's walks that reached the rumor set at step
-    s, a (n_candidates, T) array in the smallest unsigned dtype that holds
-    X, so start p's hit walks are `hit_counts[p].sum()` consecutive rows and
-    their hit steps ascend as the counts give them.  Nothing is kept per
-    walk: `hit_flags`, and `prefix_indptr` and `prefix_nodes`, a CSR over
-    every walk by walk number whose row is a hit's prefix or a miss's start
-    node, are scattered from the hit walks' numbers on each read: walk w's
+    smallest unsigned dtype that holds X - 1.  `hit_counts[p]` is the
+    number of start position p's walks that reached the rumor set within T
+    steps, in the smallest unsigned dtype that holds X, so start p's hit
+    walks are `hit_counts[p]` consecutive rows.  Nothing is kept per walk:
+    `hit_flags`, and `prefix_indptr` and `prefix_nodes`, a CSR over every
+    walk by walk number whose row is a hit's prefix or a miss's start node,
+    are scattered from the hit walks' numbers on each read: walk w's
     row is `prefix_nodes[prefix_indptr[w]:prefix_indptr[w + 1]]`, so a
     reader of many walks reads the views once.  `store_bytes` is the size
     of the store's and the index's arrays, with the index's inverted lists
@@ -420,8 +395,7 @@ class SampleStore:
 
     def __init__(self, config: SampleConfig, n_nodes: int, rumor_set,
                  hit_walks: np.ndarray, hit_counts: np.ndarray,
-                 hit_indptr: np.ndarray, hit_cands: np.ndarray,
-                 threads: int = 1):
+                 hit_indptr: np.ndarray, hit_cands: np.ndarray):
         self.config = config
         self.n_nodes = int(n_nodes)
         self.rumor_set = frozenset(check_count(r, "node", 0) for r in rumor_set)
@@ -430,7 +404,7 @@ class SampleStore:
 
         weights = np.full(hit_indptr.size - 1, 1.0 / config.X, dtype=np.float64)
         self.index = WalkIndex(n_nodes, self.rumor_set, hit_indptr, hit_cands,
-                               weights, threads)
+                               weights)
         # the inverted lists count at their size, placed or not
         self.store_bytes = sum(
             a.nbytes for obj in (self, self.index) for a in vars(obj).values()
@@ -443,9 +417,8 @@ class SampleStore:
 
     def _walk_numbers(self) -> np.ndarray:
         """Each hit walk's number w, in the index's row order (int64)."""
-        per_start = self.hit_counts.sum(axis=1, dtype=np.int64)
-        return np.repeat(np.arange(per_start.size) * self.X,
-                         per_start) + self.hit_walks
+        return np.repeat(np.arange(self.hit_counts.size) * self.X,
+                         self.hit_counts) + self.hit_walks
 
     @property
     def hit_flags(self) -> np.ndarray:
@@ -487,8 +460,9 @@ def build_sample_store(g: Graph, rumor_set, cfg: SampleConfig,
     """Sample X walks from every non-rumor node; bit-identical per seed.
 
     Each start node owns an independent seed substream, so chunked or threaded
-    builds produce exactly the same store as a serial one.  This is the
-    one-key case of `build_sample_stores`.
+    builds produce exactly the same store as a serial one.  `threads` worker
+    threads run the walk pass; the index is built on the caller's thread.
+    This is the one-key case of `build_sample_stores`.
     """
     return next(build_sample_stores(g, [(rumor_set, cfg)], threads))
 
@@ -546,8 +520,7 @@ def _yield_stores(g: Graph, keys, threads: int):
             # index is built
             last = k + 1 == len(run) or run[k + 1][0] != rumor
             store = SampleStore(cfg, g.n, rumor, *_hit_rows_within(
-                pending.popleft() if last else pending[0], pass_cfg.T, cfg.T),
-                threads=threads)
+                pending.popleft() if last else pending[0], pass_cfg.T, cfg.T))
             yield store
 
 
@@ -708,15 +681,15 @@ def _sample_hit_rows(g: Graph, rumors, cfg: SampleConfig, threads: int):
 
 def _hit_rows_within(rows, pass_T: int, T: int):
     """One rumor set's rows from a walk pass at `pass_T`, cut to the walks
-    that hit within T <= pass_T steps: (walk numbers, per-(start, step) hit
-    counts, hit CSR).  A walk ends at its hit, so under T it hits iff its
-    hit step is at most T, with the same prefix.  The pass lists each
-    start's hit walks by hit step, so those are each start's first ones:
-    the cut copies one range of walk numbers and prefix sizes and one of
-    entries per start, in one loop over the starts read off the pass's
+    that hit within T <= pass_T steps: (walk numbers, per-start hit counts,
+    hit CSR).  A walk ends at its hit, so under T it hits iff its hit step
+    is at most T, with the same prefix.  The pass lists each start's hit
+    walks by hit step, so those are each start's first ones: the cut copies
+    one range of walk numbers and prefix sizes and one of entries per start,
+    in one loop over the starts read off the pass's per-(start, step)
     counts, so it holds no scratch the size of the walks or entries, and
-    keeps the counts of steps 1..T.  The CSR's offsets are summed here, in
-    place, in `WalkIndex.offset_dtype`."""
+    sums each start's counts of steps 1..T.  The CSR's offsets are summed
+    here, in place, in `WalkIndex.offset_dtype`."""
     walks, sizes, cands, walk_counts, entry_counts = rows
     walk_counts = walk_counts.reshape(-1, pass_T)
     entry_counts = entry_counts.reshape(walk_counts.shape)
@@ -742,14 +715,16 @@ def _hit_rows_within(rows, pass_T: int, T: int):
     else:
         indptr[1:] = sizes
     np.cumsum(indptr[1:], out=indptr[1:])
-    return walks, np.ascontiguousarray(walk_counts[:, :T]), indptr, cands
+    return (walks, walk_counts[:, :T].sum(axis=1, dtype=walk_counts.dtype),
+            indptr, cands)
 
 
 def _thread_map(fn, items, threads: int):
     """`fn(x) for x in items`, yielded in order, on `threads` worker threads
-    when there are more than one.  Items are drawn from `items` at most
-    `threads` ahead of the results taken, so a generator of large items, or
-    large results taken one at a time, has a bounded number live."""
+    when there are more than one; its one caller passes the walk pass's
+    list of chunks.  Items are drawn at most `threads` ahead of the results
+    taken, so a caller that copies each chunk's rows in as it takes them
+    has a bounded number of chunks' rows live."""
     if threads == 1:
         yield from map(fn, items)
         return

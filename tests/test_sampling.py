@@ -337,6 +337,47 @@ def test_sink_graph_store_is_thread_count_invariant():
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
+def test_the_index_starts_no_thread(monkeypatch):
+    # `threads` runs the walk pass alone: once the pass has returned, a
+    # thread pool raises, so the index's build, its forward counts, the
+    # placement of its inverted lists and its hit mass all run on the
+    # caller's thread, and give a 1-thread build's bytes
+    monkeypatch.setattr(rcic.sampling, "_BLOCK_ENTRIES", 1 << 8)
+    g, rumor = barabasi_albert_graph(300, 3, seed=2), set(range(5))
+    cfg = SampleConfig(T=5, X=40, seed=1)
+    serial = build_sample_store(g, rumor, cfg, threads=1)
+    nodes = serial.index.candidates[::7].tolist()
+    serial_counts = serial.index.counts_for(nodes)
+    pools = []
+    sample_hit_rows = rcic.sampling._sample_hit_rows
+    thread_pool = rcic.sampling.ThreadPoolExecutor
+
+    def counted_pool(max_workers):
+        pools.append(max_workers)
+        return thread_pool(max_workers=max_workers)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool started after the walk pass")
+
+    def pass_then_no_pool(*args):
+        rows = sample_hit_rows(*args)
+        monkeypatch.setattr(rcic.sampling, "ThreadPoolExecutor", no_pool)
+        return rows
+
+    monkeypatch.setattr(rcic.sampling, "ThreadPoolExecutor", counted_pool)
+    monkeypatch.setattr(rcic.sampling, "_sample_hit_rows", pass_then_no_pool)
+    store = build_sample_store(g, rumor, cfg, threads=2)
+    index = store.index
+    assert pools == [2] and len(index._walk_blocks()) > 10
+    forward = index.counts_for(nodes)
+    assert "walk_ids" not in vars(index)
+    assert index.walk_ids.tobytes() == serial.index.walk_ids.tobytes()
+    assert index.hit_mass.tobytes() == serial.index.hit_mass.tobytes()
+    inverted = index.counts_for(nodes)
+    assert forward.tobytes() == inverted.tobytes() == serial_counts.tobytes()
+    assert store_digest(store) == store_digest(serial)
+
+
 def test_store_build_validation():
     g = path3()
     cfg = SampleConfig(T=2, X=5)
@@ -614,10 +655,9 @@ def test_walk_pass_holds_its_rows_once(monkeypatch):
     assert peak - kept < largest
 
 
-def walk_numbers(walks, counts, X) -> np.ndarray:
+def walk_numbers(walks, per_start, X) -> np.ndarray:
     """Each hit walk's number start * X + i, in a store's or a pass's row
-    order, from its i (`walks`) and its start's per-step hit counts."""
-    per_start = counts.sum(axis=1, dtype=np.int64)
+    order, from its i (`walks`) and its start's number of hit walks."""
     return np.repeat(np.arange(per_start.size) * X, per_start) + walks
 
 
@@ -656,7 +696,7 @@ def rows_in_walk_order(rows, X, T):
     step, so their steps follow from its per-step hit counts."""
     walks, sizes, cands, walk_counts = rows[:4]
     walk_counts = walk_counts.reshape(-1, T)
-    numbers = walk_numbers(walks, walk_counts, X)
+    numbers = walk_numbers(walks, walk_counts.sum(axis=1, dtype=np.int64), X)
     rows_by_number = np.argsort(numbers)
     steps = np.repeat(np.tile(np.arange(1, T + 1, dtype=np.min_scalar_type(T)),
                               walk_counts.shape[0]), walk_counts.ravel())
@@ -765,8 +805,9 @@ def test_nested_stores_equal_separate_builds(threads):
 
 @pytest.mark.parametrize("threads", [1, 2, 4])
 def test_multi_block_placement_keeps_the_pinned_bytes(monkeypatch, threads):
-    # about 90 blocks, placed on `threads` workers, more of them than a small
-    # machine's cores, switched between often
+    # a walk pass on `threads` workers, more of them than a small machine's
+    # cores, switched between often; then about 90 blocks, placed on the
+    # caller's thread
     monkeypatch.setattr(rcic.sampling, "_BLOCK_ENTRIES", 97)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -965,6 +1006,7 @@ def test_hit_steps_above_255_cut_exactly():
     for (rumor, cfg), store in zip(keys, build_sample_stores(g, keys)):
         assert np.array_equal(hit_counts(store),
                               2 * (n - store.index.candidates <= cfg.T))
+        assert np.array_equal(store.hit_counts, hit_counts(store))
         assert store_digest(store) == store_digest(
             build_sample_store(g, rumor, cfg))
 
@@ -988,13 +1030,16 @@ def test_hit_steps_on_both_sides_of_256_order_and_cut_exactly():
     g, X = two_path_graph(), 16
     keys = [({0}, SampleConfig(T=T, X=X, seed=3))
             for T in (320, 301, 300, 256, 255, 250, 249, 1)]
+    # node 1's hit walks' steps in the pass, ascending, from its per-step
+    # counts; node 1 is the first start
+    (rows,) = rcic.sampling._sample_hit_rows(g, [{0}], keys[0][1], 1)
+    pass_steps = np.repeat(np.arange(1, 321), rows[3].reshape(-1, 320)[0])
     for (rumor, cfg), store in zip(keys, build_sample_stores(g, keys)):
         alone = build_sample_store(g, rumor, cfg)
-        assert store.hit_counts.shape == (store.index.n_candidates, cfg.T)
+        assert store.hit_counts.shape == (store.index.n_candidates,)
         assert store_digest(store) == store_digest(alone)
-        # node 1's hit walks' steps, ascending, from its per-step counts
-        steps = np.repeat(np.arange(1, cfg.T + 1),
-                          store.hit_counts[store.index.position(1)])
+        steps = pass_steps[pass_steps <= cfg.T]
+        assert store.hit_counts[store.index.position(1)] == steps.size
         assert set(steps.tolist()) == (
             {250, 301} if cfg.T >= 301 else {250} if cfg.T >= 250 else set())
         # node 1 is the first start: its hit walks lead the index, the walks
@@ -1048,7 +1093,7 @@ def test_each_store_keeps_the_first_hit_walks_of_each_start(
         n_starts = walk_counts.shape[0]
         assert store.index.n_candidates == n_starts
         assert store.hit_counts.dtype == walk_counts.dtype
-        assert np.array_equal(store.hit_counts, walk_counts[:, :cfg.T])
+        assert np.array_equal(store.hit_counts, walk_counts[:, :cfg.T].sum(1))
         walk_counts = walk_counts.astype(np.int64)
         entry_counts = entry_counts.reshape(n_starts, T).astype(np.int64)
         # each start's rows in the pass and in the store

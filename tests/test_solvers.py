@@ -792,7 +792,7 @@ def test_node_ids_follow_the_count_rule(bad):
             g, [({0}, cfg), ({0, v}, cfg)]),
         "SampleStore": lambda v: SampleStore(
             cfg, g.n, {0, v}, np.zeros(0, dtype=np.uint8),
-            np.zeros((g.n - 2, cfg.T), dtype=np.uint8),
+            np.zeros(g.n - 2, dtype=np.uint8),
             np.zeros(1, dtype=np.int32), np.zeros(0, dtype=np.uint8)),
         "position": lambda v: store.index.position(v),
         "estimate_objective": lambda v: estimate_objective(store, P31, {v}),
