@@ -177,7 +177,9 @@ class ExactStore:
         nodes = np.array([v for r in hits for v in sorted(r.prefix)], dtype=np.int64)
         weights = np.array([r.probability for r in hits], dtype=np.float64)
         _, cand_pos = _candidate_positions(g.n, self.rumor_set)
-        self.index = WalkIndex(g.n, self.rumor_set, indptr, cand_pos[nodes], weights)
+        # each realization is a group of one
+        self.index = WalkIndex(g.n, self.rumor_set, indptr, cand_pos[nodes],
+                               np.ones(len(hits), dtype=np.uint8), weights)
 
 
 @dataclass(frozen=True)

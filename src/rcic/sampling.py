@@ -11,15 +11,17 @@ hit walks whose prefix contains it) make marginal-gain evaluation cheap.
 Only hit walks feed the objective and the blocking percentage, so only
 their prefixes are kept, and only once, as the index's forward CSR.  The hit
 walks are ordered by (start, hit step, walk number), so each start's are
-consecutive and those within any T' <= T lead them.  Beside the index a
-store keeps each hit walk's number among its start's X walks and the number
-of hit walks per start; nothing is kept per walk, and a miss's prefix is
-taken to be its start node.  Stores built from the same graph,
-rumor set and seed are bit-identical regardless of thread count: each start
-node draws from its own seed substream, `SeedSequence(entropy=seed,
-spawn_key=(u,))`'s PCG64.  Every start's PCG64 state is computed up front in
-one vectorized pass (`_pcg64_states`); each worker thread then sets it on
-its one reused generator.  The draws are step-major: start u fills a (T, X)
+consecutive and those within any T' <= T lead them.  The index weighs its
+hit walks by start: a start's hit walks are one group, sized by its number
+of hit walks and weighted 1/X, so a hit walk holds a group id (two bytes
+below 65,536 starts), not a float64 weight.  Beside the index a store keeps
+each hit walk's number among its start's X walks; nothing is kept per walk,
+and a miss's prefix is taken to be its start node.  Stores built from the
+same graph, rumor set and seed are bit-identical regardless of thread
+count: each start node draws from its own seed substream,
+`SeedSequence(entropy=seed, spawn_key=(u,))`'s PCG64.  Every start's PCG64
+state is computed up front in one vectorized pass (`_pcg64_states`); each
+worker thread then sets it on its one reused generator.  The draws are step-major: start u fills a (T, X)
 block, and walk i's step t reads draw t * X + i, so a build at T' < T reads
 the first T' * X draws of a build at T and its walks are the same walks cut
 at T'.
@@ -99,9 +101,11 @@ import numpy as np
 from .graph import Graph
 
 # starts per chunk of the walk pass, and the walks a chunk of more than one
-# start may hold: the pass's scratch buffers grow with these, not with X
+# start may hold: the pass's scratch buffers grow with these, not with X.
+# 64,000 walks keep a worker's buffers near 11 MiB at T = 9; a quarter of
+# that made a 2-thread pass slower
 _CHUNK_NODES = 128
-_CHUNK_WALKS = 128_000
+_CHUNK_WALKS = 64_000
 # entries per block of the inverted-index placement (whole walks, so a block
 # runs over by at most one walk's prefix)
 _BLOCK_ENTRIES = 1 << 18
@@ -149,13 +153,17 @@ class WalkIndex:
     """Index over weighted hit walks: each walk's prefix, and which walks
     contain each node.
 
-    Every objective and gain runs on it.  It is shared by Monte Carlo stores
-    (weight 1/X per walk) and exact enumeration stores (weight =
-    realization probability).  The forward CSR and each candidate's entry
-    count are built with the index; the inverted lists, `walk_ids`, only
-    when first read (by `walks_of`, which gain solvers call), so an
-    objective alone, which `counts_for` sums from the forward CSR until
-    then, never places them.
+    Every objective and gain runs on it.  Its hit walks are weighted by
+    group, a run of consecutive hit walks that share one weight: a Monte
+    Carlo store's groups are its starts, each weighted 1/X, and an exact
+    enumeration store's are its realizations, one walk each, weighted by
+    probability.  No weight is kept per walk; a reader gathers the weights
+    of the walks it reads (`weights_of`).  A group count or size that does
+    not add up to the hit walks raises `ValueError`.  The forward CSR and
+    each candidate's entry count are built with the index; the inverted
+    lists, `walk_ids`, only when first read (by `walks_of`, which gain
+    solvers call), so an objective alone, which `counts_for` sums from the
+    forward CSR until then, never places them.
 
     Hit walks are numbered in the order their prefixes are given, and sums
     run in that order.  A `SampleStore` gives them by (start, hit step, walk
@@ -181,7 +189,10 @@ class WalkIndex:
     Attributes:
         candidates: sorted array of non-rumor node ids.
         cand_pos: len-n array mapping node id -> candidate position (-1 for rumor).
-        walk_weights: weight of each hit walk, length H.
+        group_sizes / group_weights: each group's number of hit walks and
+            the weight of each of them; groups run in walk order.
+        group_of: each hit walk's group, length H, in the smallest unsigned
+            dtype that holds every group id.
         indptr / walk_ids: CSR over candidate positions; walk_ids[indptr[p]:indptr[p+1]]
             (`walks_of(p)`) are the hit walks whose prefix contains candidates[p].
             `indptr` is built with the index, `walk_ids` on first read.
@@ -189,21 +200,21 @@ class WalkIndex:
             walk_indptr[w+1]] are the candidate positions in hit walk w's prefix.
         max_count: largest hit-walk prefix size (caps any impression count).
         influenced_mass: total hit weight, the expected number of users the
-            rumor set reaches; denominator of the blocking percentage.
+            rumor set reaches; denominator of the blocking percentage.  Summed
+            over the groups, as size * weight.
     """
 
     # a hit walk's id in the inverted lists
     walk_id_dtype = np.dtype(np.int32)
 
     def __init__(self, n_nodes, rumor_set, hit_prefix_indptr, hit_prefix_cands,
-                 walk_weights):
+                 group_sizes, group_weights):
         self.n_nodes = int(n_nodes)
         self.candidates, cand_pos = _candidate_positions(self.n_nodes, rumor_set)
         if self.candidates.size == 0:
             raise ValueError("rumor set covers every node; no candidates remain")
         self.cand_pos = cand_pos.astype(np.int64)
 
-        self.walk_weights = np.asarray(walk_weights, dtype=np.float64)
         n_cand = self.candidates.size
         cands = np.asarray(hit_prefix_cands)
         if cands.size and (cands.min() < 0 or cands.max() >= n_cand):
@@ -212,6 +223,17 @@ class WalkIndex:
         self.walk_cands = cands.astype(self.position_dtype(n_cand), copy=False)
         self.walk_indptr = np.asarray(hit_prefix_indptr).astype(
             self.offset_dtype(cands.size), copy=False)
+
+        self.group_sizes = np.asarray(group_sizes)
+        self.group_weights = np.asarray(group_weights, dtype=np.float64)
+        if (self.group_weights.shape != self.group_sizes.shape
+                or self.group_sizes.sum() != self.walk_indptr.size - 1):
+            raise ValueError("the groups must give one weight each and size "
+                             f"{self.walk_indptr.size - 1} hit walks in all")
+        self.group_of = np.repeat(np.arange(
+            self.group_sizes.size,
+            dtype=np.min_scalar_type(max(self.group_sizes.size - 1, 0))),
+            self.group_sizes)
 
         # One pass over blocks of whole walks: the blocks' key counts sum to
         # `indptr`, and their prefix sizes give `max_count`.  (A bincount
@@ -228,7 +250,10 @@ class WalkIndex:
             per_cand += np.bincount(self._block_keys(w0, w1), minlength=n_cand)
         self.indptr = np.concatenate(
             [np.zeros(1, dtype=np.int64), np.cumsum(per_cand, dtype=np.int64)])
-        self.influenced_mass = float(self.walk_weights.sum())
+        # numpy's own pairwise sum, whose bits, unlike a BLAS dot product's,
+        # hold at any thread count
+        self.influenced_mass = float(
+            np.multiply(self.group_sizes, self.group_weights).sum())
 
     @staticmethod
     def position_dtype(n_candidates: int) -> np.dtype:
@@ -249,7 +274,7 @@ class WalkIndex:
         # targets in the offsets' dtype, or searchsorted copies the offsets
         bounds = [0, *np.searchsorted(self.walk_indptr, np.arange(
             _BLOCK_ENTRIES, self.walk_cands.size, _BLOCK_ENTRIES,
-            dtype=self.walk_indptr.dtype)), self.walk_weights.size]
+            dtype=self.walk_indptr.dtype)), self.n_hit_walks]
         return [(w0, w1) for w0, w1 in zip(bounds, bounds[1:]) if w0 < w1]
 
     @property
@@ -258,7 +283,7 @@ class WalkIndex:
 
     @property
     def n_hit_walks(self) -> int:
-        return int(self.walk_weights.size)
+        return int(self.group_of.size)
 
     def position(self, v: int) -> int:
         if check_count(v, "node", 0) >= self.n_nodes:
@@ -314,8 +339,15 @@ class WalkIndex:
         mass = np.zeros(self.n_candidates, dtype=np.float64)
         for w0, w1 in self._walk_blocks():
             np.add.at(mass, self._block_keys(w0, w1), np.repeat(
-                self.walk_weights[w0:w1], np.diff(self.walk_indptr[w0:w1 + 1])))
+                self.weights_of(slice(w0, w1)),
+                np.diff(self.walk_indptr[w0:w1 + 1])))
         return mass
+
+    def weights_of(self, walks) -> np.ndarray:
+        """The weights of the hit walks that `walks` indexes (a slice of the
+        walk range or an array of walk ids), as one contiguous float64
+        array: each walk's group's weight, gathered through `group_of`."""
+        return self.group_weights.take(self.group_of[walks])
 
     @property
     def count_dtype(self) -> np.dtype:
@@ -366,7 +398,7 @@ class WalkIndex:
         for b0 in range(0, n, _BLOCK_ENTRIES):
             sel = (slice(b0, b0 + _BLOCK_ENTRIES) if walks is None
                    else walks[b0:b0 + _BLOCK_ENTRIES])
-            total += np.einsum("i,i->", self.walk_weights[sel], values(sel))
+            total += np.einsum("i,i->", self.weights_of(sel), values(sel))
         return float(total)
 
 
@@ -382,12 +414,14 @@ class SampleStore:
     smallest unsigned dtype that holds X - 1.  `hit_counts[p]` is the
     number of start position p's walks that reached the rumor set within T
     steps, in the smallest unsigned dtype that holds X, so start p's hit
-    walks are `hit_counts[p]` consecutive rows.  Nothing is kept per walk:
-    `hit_flags`, and `prefix_indptr` and `prefix_nodes`, a CSR over every
-    walk by walk number whose row is a hit's prefix or a miss's start node,
-    are scattered from the hit walks' numbers on each read: walk w's
-    row is `prefix_nodes[prefix_indptr[w]:prefix_indptr[w + 1]]`, so a
-    reader of many walks reads the views once.  `store_bytes` is the size
+    walks are `hit_counts[p]` consecutive rows.  These counts are held once,
+    as the index's group sizes: start p is group p, of weight 1/X, and a
+    hit walk's weight is gathered through its group id.  Nothing is kept
+    per walk: `hit_flags`, and `prefix_indptr` and `prefix_nodes`, a CSR
+    over every walk by walk number whose row is a hit's prefix or a miss's
+    start node, are scattered from the hit walks' numbers on each read:
+    walk w's row is `prefix_nodes[prefix_indptr[w]:prefix_indptr[w + 1]]`,
+    so a reader of many walks reads the views once.  `store_bytes` is the size
     of the store's and the index's arrays, with the index's inverted lists
     counted at their size, 4 bytes per entry, whether or not a solver has
     placed them yet.
@@ -400,11 +434,8 @@ class SampleStore:
         self.n_nodes = int(n_nodes)
         self.rumor_set = frozenset(check_count(r, "node", 0) for r in rumor_set)
         self.hit_walks = hit_walks
-        self.hit_counts = hit_counts
-
-        weights = np.full(hit_indptr.size - 1, 1.0 / config.X, dtype=np.float64)
         self.index = WalkIndex(n_nodes, self.rumor_set, hit_indptr, hit_cands,
-                               weights)
+                               hit_counts, np.full(hit_counts.size, 1.0 / config.X))
         # the inverted lists count at their size, placed or not
         self.store_bytes = sum(
             a.nbytes for obj in (self, self.index) for a in vars(obj).values()
@@ -414,6 +445,11 @@ class SampleStore:
     @property
     def X(self) -> int:
         return self.config.X
+
+    @property
+    def hit_counts(self) -> np.ndarray:
+        """Each start's number of hit walks: the index's group sizes."""
+        return self.index.group_sizes
 
     def _walk_numbers(self) -> np.ndarray:
         """Each hit walk's number w, in the index's row order (int64)."""

@@ -202,7 +202,7 @@ class _GainState:
         gain_mat[0, 0] times the hit-walk mass plus a touched-walk correction."""
         walks = self.touched_walks()
         base = self._flat_gains[0]
-        correction = self.index.walk_weights[walks] * (self._unit_gains(walks) - base)
+        correction = self.index.weights_of(walks) * (self._unit_gains(walks) - base)
         self.gains = base * self.index.hit_mass + self._scatter(walks, correction)
 
     def gain_of(self, pos: int) -> float:
@@ -225,7 +225,6 @@ class _GainState:
         Only walks whose unit gain changed are scattered.  `bincount` sums in
         input order from +0.0, and adding +0.0 never changes such a sum, so
         the gains equal those of a scatter over all the added node's walks."""
-        weights = self.index.walk_weights
         for _ in range(rounds):
             self.gain_evals += int(self.addable.sum())
             pos = int(np.argmax(np.where(self.addable, self.gains, -np.inf)))
@@ -234,7 +233,8 @@ class _GainState:
             delta = self._flat_gains.take(at + 1) - self._flat_gains.take(at)
             moved = np.flatnonzero(delta)
             walks = walks[moved]
-            self.gains += self._scatter(walks, weights[walks] * delta[moved])
+            self.gains += self._scatter(
+                walks, self.index.weights_of(walks) * delta[moved])
 
     def top_gains(self, m: int) -> float:
         """Sum of the m largest gains over the addable candidates."""

@@ -207,7 +207,8 @@ def test_exact_store_structure():
     assert store.index.n_hit_walks == 2
     assert store.index.influenced_mass == pytest.approx(1.0, abs=1e-12)
     hits = exact_hit_probabilities(g, {2}, 2)
-    assert store.index.walk_weights.sum() == pytest.approx(
+    index = store.index
+    assert (index.group_sizes * index.group_weights).sum() == pytest.approx(
         sum(hits.values()), abs=1e-12)
     assert sum(r.start == 1 for r in store.realizations) == 2
     assert store.index.max_count == 2

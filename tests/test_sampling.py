@@ -258,9 +258,9 @@ def test_store_bytes_counts_the_built_arrays():
     # the inverted lists are placed on first read, and count at their size
     # before it
     assert "walk_ids" not in vars(index)
-    built = (store.hit_walks, store.hit_counts, index.candidates,
-             index.cand_pos, index.walk_weights, index.walk_indptr,
-             index.walk_cands, index.indptr, index.walk_ids)
+    built = (store.hit_walks, index.candidates, index.cand_pos,
+             index.group_sizes, index.group_weights, index.group_of,
+             index.walk_indptr, index.walk_cands, index.indptr, index.walk_ids)
     assert vars(index)["walk_ids"] is index.walk_ids
     assert index.walk_ids.nbytes == 4 * index.walk_cands.size
     # hit_mass is built on first use, after the store; it does not count, and
@@ -436,18 +436,25 @@ def test_index_structure_invariants():
     counts = index.counts_for(index.candidates)
     assert counts.sum() == len(index.walk_ids)
     assert counts.max() == index.max_count
-    assert abs(index.influenced_mass - index.walk_weights.sum()) < 1e-12
+    assert abs(index.influenced_mass
+               - (index.group_sizes * index.group_weights).sum()) < 1e-12
 
 
 def test_index_rejects_degenerate_input():
     with pytest.raises(ValueError):
-        WalkIndex(2, {0, 1}, [0], [], [])
+        WalkIndex(2, {0, 1}, [0], [], [], [])
     with pytest.raises(ValueError):
         # prefix claims to contain the rumor node
-        WalkIndex(3, {2}, [0, 1], [2], [0.5])
+        WalkIndex(3, {2}, [0, 1], [2], [1], [0.5])
     with pytest.raises(ValueError, match="empty"):
         # hit walk 0's prefix is empty: every prefix holds its start
-        WalkIndex(3, {2}, [0, 0, 1], [0], [0.5, 0.5])
+        WalkIndex(3, {2}, [0, 0, 1], [0], [2], [0.5])
+    with pytest.raises(ValueError, match="groups"):
+        # the groups size three hit walks where there are two
+        WalkIndex(3, {2}, [0, 1, 2], [0, 1], [1, 2], [0.5, 0.5])
+    with pytest.raises(ValueError, match="groups"):
+        # two groups, one weight
+        WalkIndex(3, {2}, [0, 1, 2], [0, 1], [1, 1], [0.5])
 
 
 def count_parity_sets(index, rng):
@@ -491,7 +498,7 @@ def test_exact_counts_from_the_forward_csr_match_the_inverted_lists():
     index = ExactStore(gnp_graph(8, 0.5, seed=1), {3}, T=5).index
     assert_forward_counts_match_inverted(index, np.random.default_rng(4))
     # one walk whose prefix holds all 300 candidates: two-byte counts
-    index = WalkIndex(301, {300}, [0, 300], np.arange(300), [0.25])
+    index = WalkIndex(301, {300}, [0, 300], np.arange(300), [1], [0.25])
     assert index.count_dtype == np.uint16
     assert_forward_counts_match_inverted(index, np.random.default_rng(5))
 
@@ -526,7 +533,7 @@ def rebuilt_index(index, rumor):
     """The index built again from `index`'s forward CSR, under the current
     block size."""
     return WalkIndex(index.n_nodes, rumor, index.walk_indptr, index.walk_cands,
-                     index.walk_weights)
+                     index.group_sizes, index.group_weights)
 
 
 def assert_one_stable_sort(index):
@@ -569,7 +576,8 @@ def test_block_placement_is_one_stable_sort(monkeypatch, case):
     assert_one_stable_sort(index)
     monkeypatch.setattr(rcic.sampling, "_BLOCK_ENTRIES", 1 << 40)
     one_block = rebuilt_index(index, rumor)
-    for name in ("walk_ids", "indptr", "walk_cands", "walk_indptr", "max_count"):
+    for name in ("walk_ids", "indptr", "walk_cands", "walk_indptr", "max_count",
+                 "group_of"):
         assert np.array_equal(getattr(one_block, name), getattr(index, name)), name
 
 
@@ -585,11 +593,12 @@ def test_weighted_sum_matches_fsum(monkeypatch, case):
         store = ExactStore(gnp_graph(8, 0.5, seed=1), {3}, T=5)
     index = store.index
     assert index.n_hit_walks > 4 * (1 << 5)
-    assert case == "sampled" or np.unique(index.walk_weights).size > 1
+    assert case == "sampled" or np.unique(index.group_weights).size > 1
+    weights = np.repeat(index.group_weights, index.group_sizes)
     values = np.random.default_rng(0).random(index.n_hit_walks)
     for walks in (None, np.arange(1, index.n_hit_walks, 3, dtype=np.int32)):
         picked = slice(None) if walks is None else walks
-        exact = math.fsum((index.walk_weights[picked] * values[picked]).tolist())
+        exact = math.fsum((weights[picked] * values[picked]).tolist())
         total = index.weighted_sum(lambda w: values[w], walks)
         assert abs(total - exact) <= 1e-12 * exact
 
@@ -615,23 +624,37 @@ def test_index_build_scratch_is_bounded(monkeypatch):
     assert_one_stable_sort(index)
 
 
-def test_walk_pass_scratch_is_bounded_by_walks():
-    # at X = 5000 a chunk of _CHUNK_NODES starts would hold 640,000 walks;
-    # the pass's scratch must stay that of a chunk of _CHUNK_WALKS walks
+def pass_scratch_in_buffers(threads) -> float:
+    """What a pass on `threads` workers holds beyond its rows at its traced
+    peak, in units of one chunk's buffers.  At X = 5000 a chunk of
+    _CHUNK_NODES starts would hold 640,000 walks; a chunk holds
+    _CHUNK_WALKS."""
     g = barabasi_albert_graph(300, 3, seed=1)
     cfg = SampleConfig(T=2, X=5000)
     tracemalloc.start()
     try:
-        (rows,) = rcic.sampling._sample_hit_rows(g, [{0, 1, 2}], cfg, 1)
+        (rows,) = rcic.sampling._sample_hit_rows(g, [{0, 1, 2}], cfg, threads)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert rows[0].size == rows[1].size > 0
     kept = sum(a.nbytes for a in rows)
     # a chunk's buffers, 8 bytes per walk each: T + 1 rows of the step
     # matrix, T rows of uniforms and three step temporaries
     buffers = rcic.sampling._CHUNK_WALKS * (2 * cfg.T + 4) * 8
-    assert peak - kept < 2 * buffers
-    assert rows[0].size == rows[1].size > 0
+    return (peak - kept) / buffers
+
+
+def test_walk_pass_scratch_is_bounded_by_walks():
+    # the pass's scratch must stay that of a chunk of _CHUNK_WALKS walks
+    assert pass_scratch_in_buffers(1) < 2
+
+
+def test_walk_pass_scratch_on_two_threads_is_bounded_by_walks():
+    # each worker keeps one chunk's buffers until the pool shuts down, and
+    # reuses them for every chunk it runs; beyond them the pass holds less
+    # than one more
+    assert pass_scratch_in_buffers(2) < 3
 
 
 def test_walk_pass_holds_its_rows_once(monkeypatch):
@@ -684,7 +707,8 @@ def store_in_walk_order(store):
     owner = np.repeat(np.arange(index.n_candidates), np.diff(index.indptr))
     return SimpleNamespace(hit_flags=store.hit_flags, index=SimpleNamespace(
         candidates=index.candidates, cand_pos=index.cand_pos,
-        walk_weights=index.walk_weights[rows],
+        group_sizes=index.group_sizes, group_weights=index.group_weights,
+        group_of=index.group_of[rows],
         walk_indptr=indptr.astype(index.walk_indptr.dtype), walk_cands=cands,
         indptr=index.indptr, walk_ids=ids[np.lexsort((ids, owner))]))
 
@@ -707,6 +731,10 @@ def rows_in_walk_order(rows, X, T):
             _csr_take(indptr, cands, rows_by_number)[1], steps[rows_by_number])
 
 
+# the index's per-group weights, in place of a weight per hit walk
+GROUP_ARRAYS = ("group_sizes", "group_weights", "group_of")
+
+
 def arrays_digest(store, names) -> str:
     h = hashlib.sha256()
     for name in names:
@@ -720,44 +748,43 @@ def arrays_digest(store, names) -> str:
 def store_digest(store) -> str:
     """Every byte of the store and index arrays that a store's own order
     and dtypes give."""
-    return arrays_digest(store, ("hit_walks", "hit_counts", "walk_ids",
-                                 "indptr", "walk_cands", "walk_indptr",
-                                 "walk_weights"))
+    return arrays_digest(store, ("hit_walks", "walk_ids", "indptr",
+                                 "walk_cands", "walk_indptr", *GROUP_ARRAYS))
 
 
 def walk_order_digest(store) -> str:
     """The digest of the store in walk order that `PINNED_DIGEST` pins."""
     return arrays_digest(store_in_walk_order(store), (
         "hit_flags", "walk_ids", "indptr", "walk_cands", "walk_indptr",
-        "walk_weights"))
+        *GROUP_ARRAYS))
 
 
-PINNED_DIGEST = "c29b50f21c76ebc472220249b8b63800df215a06809100fa73303dc12dd58e0c"
+PINNED_DIGEST = "25b4afd8567e142a7ef199f92a73bc881b66c3ebf3151c5c6e849fe881ffab04"
 
 
 # every array an index keeps, and every array a store and its index keep
-INDEX_ARRAYS = ("candidates", "cand_pos", "walk_weights", "walk_indptr",
+INDEX_ARRAYS = ("candidates", "cand_pos", *GROUP_ARRAYS, "walk_indptr",
                 "walk_cands", "indptr", "walk_ids")
-STORE_ARRAYS = ("hit_walks", "hit_counts", *INDEX_ARRAYS)
+STORE_ARRAYS = ("hit_walks", *INDEX_ARRAYS)
 
 
 def store_value_digest(store) -> str:
     """A digest of every store and index array's values alone, of the store
-    in walk order: each array is cast to int64 (`walk_weights` to float64)
+    in walk order: each array is cast to int64 (`group_weights` to float64)
     before it is hashed, so it holds across a change of the arrays' dtypes,
     where `walk_order_digest` does not."""
     h = hashlib.sha256()
     store = store_in_walk_order(store)
     for name in ("hit_flags", *INDEX_ARRAYS):
         a = getattr(store if name == "hit_flags" else store.index, name)
-        cast = np.float64 if name == "walk_weights" else np.int64
+        cast = np.float64 if name == "group_weights" else np.int64
         h.update(name.encode())
         h.update(np.ascontiguousarray(a, dtype=cast).tobytes())
     return h.hexdigest()
 
 
 PINNED_VALUE_DIGEST = (
-    "bdb297821b36bee3501193eaa889f45c399707d9d9d5d1af7bb44036b1144af2")
+    "7fd43205e00d4596ac9a36c05d2c16876f4fe5dd36c4fdd102ead0e8916b619a")
 
 
 def pinned_store(threads):
@@ -1331,8 +1358,9 @@ def test_hit_mass_is_one_bincount(monkeypatch, case):
     index = store.index
     monkeypatch.setattr(rcic.sampling, "_BLOCK_ENTRIES", 16)
     assert len(index._walk_blocks()) > 4
+    weights = np.repeat(index.group_weights, index.group_sizes)
     oracle = np.bincount(index.walk_cands, np.repeat(
-        index.walk_weights, np.diff(index.walk_indptr)), index.n_candidates)
+        weights, np.diff(index.walk_indptr)), index.n_candidates)
     assert index.hit_mass.dtype == oracle.dtype
     assert index.hit_mass.tobytes() == oracle.tobytes()
 

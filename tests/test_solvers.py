@@ -37,6 +37,7 @@ from rcic.solvers import (
 )
 from rcic.graph import Graph
 from rcic.synth import barabasi_albert_graph, gnp_graph
+from walk_weight_oracle import PerWalkWeightIndex, per_walk_weights
 
 P31 = LogisticParams(alpha=3.0, beta=1.0)
 # P31 plus curves with no tangent from the origin (alpha <= 2) or a tangent
@@ -69,7 +70,7 @@ def rescan_gains(index, gain_mat, anchor_counts, counts):
     cand_of_entry = np.repeat(np.arange(index.n_candidates), np.diff(index.indptr))
     walk_gain = gain_mat[anchor_counts, counts]
     return np.bincount(cand_of_entry,
-                       weights=index.walk_weights[index.walk_ids]
+                       weights=index.weights_of(index.walk_ids)
                        * walk_gain[index.walk_ids],
                        minlength=index.n_candidates)
 
@@ -193,7 +194,7 @@ def unfiltered_greedy_step(state):
     before = state._unit_gains(walks)
     state.add(pos)
     delta = state._unit_gains(walks) - before
-    state.gains += state._scatter(walks, state.index.walk_weights[walks] * delta)
+    state.gains += state._scatter(walks, state.index.weights_of(walks) * delta)
     return int(np.count_nonzero(delta == 0))
 
 
@@ -820,7 +821,7 @@ def test_node_ids_follow_the_count_rule(bad):
 def test_counts_above_255_hold_in_two_bytes():
     # one hit walk whose prefix holds all 300 candidates: a one-byte count
     # would wrap at 256, and read 260 nodes of the set as 4
-    index = WalkIndex(301, {300}, [0, 300], np.arange(300), [0.25])
+    index = WalkIndex(301, {300}, [0, 300], np.arange(300), [1], [0.25])
     store = SimpleNamespace(index=index)
     assert index.max_count == 300
     counts = index.counts_for(range(260))
@@ -872,6 +873,50 @@ def test_objective_and_gain_state_hold_about_two_bytes_per_hit_walk(
     assert peak_of(lambda: estimate_objective(store, P31, top)) < bound
     assert peak_of(lambda: _GainState(index, table.env_gain, frozenset(), 20,
                                       frozenset())) < bound
+
+
+@pytest.mark.parametrize("case", ["sampled", "exact"])
+def test_group_weights_keep_the_bits_of_per_walk_weights(monkeypatch, case):
+    # every reader gathers its walks' weights through their groups, then does
+    # the arithmetic a float64 per hit walk did, so every value keeps its bits
+    monkeypatch.setattr(rcic.sampling, "_BLOCK_ENTRIES", 1 << 5)
+    if case == "sampled":  # groups are starts, one weight 1/X
+        store = build_sample_store(barabasi_albert_graph(300, 3, seed=2),
+                                   set(range(5)), SampleConfig(T=5, X=20, seed=1))
+        assert store.index.group_sizes.max() > 1
+    else:  # a group of one per realization, each its own probability
+        store = ExactStore(gnp_graph(8, 0.5, seed=1), {3}, T=5)
+        assert np.unique(store.index.group_weights).size > 1
+    index = store.index
+    assert index.n_hit_walks > 4 * (1 << 5)
+    oracle = SimpleNamespace(index=PerWalkWeightIndex(
+        index, per_walk_weights(store)))
+    params = LogisticParams(alpha=3.0, beta=1.0)
+    table = EnvelopeTable(params, index.max_count)
+    rng = np.random.default_rng(4)
+    sets = [frozenset(rng.choice(index.candidates, size=m, replace=False).tolist())
+            for m in (0, 1, 2, 5)]
+
+    assert index.hit_mass.tobytes() == oracle.index.hit_mass.tobytes()
+    for P in sets:
+        assert (estimate_objective(store, params, P).hex()
+                == estimate_objective(oracle, params, P).hex())
+    for anchor in sets[:3]:
+        states = [_GainState(s.index, table.env_gain, anchor, 6, frozenset())
+                  for s in (store, oracle)]
+        # the gains of a fresh state are `refresh_gains`' output
+        assert states[0].gains.tobytes() == states[1].gains.tobytes()
+        for pos in range(index.n_candidates):
+            assert states[0].gain_of(pos).hex() == states[1].gain_of(pos).hex()
+        # greedy steps' scattered gains, then a refresh of them
+        for step in (lambda state: state.greedy_steps(3), _GainState.refresh_gains):
+            for state in states:
+                step(state)
+            assert np.array_equal(states[0].in_set, states[1].in_set)
+            assert states[0].gains.tobytes() == states[1].gains.tobytes()
+    runs = [solve_greedy(s, params, 6) for s in (store, oracle)]
+    assert runs[0].chosen_set == runs[1].chosen_set
+    assert runs[0].objective.hex() == runs[1].objective.hex()
 
 
 @pytest.mark.parametrize("threads", [1, 2])
