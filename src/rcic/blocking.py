@@ -122,7 +122,7 @@ def estimate_envelope_objective(store, params: LogisticParams, anchor_set, P) ->
         raise ValueError("P must contain the anchor set")
     index = store.index
     anchors = index.counts_for(anchor_set)
-    counts = anchors + index.counts_for(P - anchor_set)
+    counts = index.counts_for(P)
     table = EnvelopeTable(params, index.max_count)
     return index.weighted_sum(lambda w: table.env[anchors[w], counts[w]])
 

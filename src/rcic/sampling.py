@@ -77,8 +77,8 @@ the caller's thread.  It is built with one pass over blocks of whole hit
 walks, which counts each candidate's entries (its block degree, which top-k
 reads) and finds the longest prefix.  Its inverted lists are placed only
 when a gain solver first reads them, so a run of top-k alone never places
-them; until then an objective's impression counts are summed from the
-forward CSR.  The lists are placed one block of whole hit walks at a time:
+them; an objective's impression counts are always summed from the forward
+CSR.  The lists are placed one block of whole hit walks at a time:
 each block's entries are ordered by a stable argsort, which numpy runs as a
 radix sort on uint8 and uint16 positions, and written behind the entries of
 earlier blocks, which gives the permutation of one stable sort over every
@@ -162,8 +162,8 @@ class WalkIndex:
     not add up to the hit walks raises `ValueError`.  The forward CSR and
     each candidate's entry count are built with the index; the inverted
     lists, `walk_ids`, only when first read (by `walks_of`, which gain
-    solvers call), so an objective alone, which `counts_for` sums from the
-    forward CSR until then, never places them.
+    solvers call).  `counts_for` reads the forward CSR alone, so an
+    objective never places them.
 
     Hit walks are numbered in the order their prefixes are given, and sums
     run in that order.  A `SampleStore` gives them by (start, hit step, walk
@@ -359,18 +359,11 @@ class WalkIndex:
         """Per-hit-walk impression count |prefix ∩ nodes| in `count_dtype`;
         repeats count once.
 
-        Once `walk_ids` is placed, each node's inverted list adds 1 to its
-        walks.  Before that the counts are summed from the forward CSR, so a
-        caller that reads no inverted list never places them: a block of
-        whole walks at a time, each walk's prefix entries read a member
-        table and `np.add.reduceat` sums them per walk.  Both give the same
-        integer counts."""
+        Summed from the forward CSR, so it never places the inverted lists:
+        a block of whole walks at a time, each walk's prefix entries read a
+        member table and `np.add.reduceat` sums them per walk."""
         positions = [self.position(v) for v in frozenset(nodes)]
         counts = np.zeros(self.n_hit_walks, dtype=self.count_dtype)
-        if "walk_ids" in vars(self):
-            for p in positions:
-                counts[self.walks_of(p)] += 1
-            return counts
         if not positions:
             return counts
         member = np.zeros(self.n_candidates, dtype=self.count_dtype)

@@ -106,8 +106,8 @@ def _check_rho(rho: float) -> None:
         raise ValueError(f"rho must be > 0, got {rho}")
 
 
-def _report(algo: str, store, params, chosen, t0: float, **counters) -> SolveReport:
-    obj = estimate_objective(store, params, chosen)
+def _report(algo: str, store, chosen, obj: float, t0: float,
+            **counters) -> SolveReport:
     mass = store.index.influenced_mass
     return SolveReport(algo, chosen, obj, obj / mass if mass > 0 else 0.0,
                        time.perf_counter() - t0, **counters)
@@ -122,7 +122,8 @@ def solve_topk(store, params: LogisticParams, k: int) -> SolveReport:
     degree = np.diff(index.indptr)
     order = np.argsort(-degree, kind="stable")
     chosen = frozenset(int(v) for v in index.candidates[order[:k]])
-    return _report("topk", store, params, chosen, t0)
+    return _report("topk", store, chosen,
+                   estimate_objective(store, params, chosen), t0)
 
 
 def solve_greedy(store, params: LogisticParams, k: int) -> SolveReport:
@@ -135,9 +136,10 @@ def solve_greedy(store, params: LogisticParams, k: int) -> SolveReport:
                        frozenset())
     state.greedy_steps(k)
     chosen = frozenset(int(v) for v in index.candidates[state.in_set])
-    gain_evals = state.gain_evals
-    del state  # free its per-walk counts before the objective builds its own
-    return _report("greedy", store, params, chosen, t0, gain_evals=gain_evals)
+    # the set's counts are the state's: the same sum as `estimate_objective`
+    obj = index.weighted_sum(lambda w: table.f_table[state.counts[w]])
+    return _report("greedy", store, chosen, obj, t0,
+                   gain_evals=state.gain_evals)
 
 
 class _GainState:
@@ -164,9 +166,7 @@ class _GainState:
         self.addable = np.ones(index.n_candidates, dtype=bool)
         for v in self.anchor:
             self.add(index.position(v))
-        walks = self.touched_walks()
-        self.anchor_counts = np.zeros(index.n_hit_walks, dtype=index.count_dtype)
-        self.anchor_counts[walks] = self.counts[walks]
+        self.anchor_counts = self.counts.copy()
         for v in excluded:
             self.addable[index.position(v)] = False
         if len(self.anchor) + int(self.addable.sum()) < k:
@@ -355,7 +355,9 @@ def branch_and_bound(store, params: LogisticParams, k: int,
     and k, is taken as that seed, else solve_greedy runs here.  Either way
     the report counts the greedy's wall time and gain evaluations, and the
     wall-time cap counts its time.  Expansion or wall-time caps return the
-    incumbent with truncated=True.
+    incumbent with truncated=True.  The report's objective is the
+    incumbent's when the search keeps its set; a set the search found is
+    counted once, by `estimate_objective`.
     """
     t0 = time.perf_counter()
     index = store.index
@@ -435,8 +437,12 @@ def branch_and_bound(store, params: LogisticParams, k: int,
         bound_gap = 1.0
     else:
         bound_gap = -heap[0][0] / best_val if best_val > 0 else math.inf
-    return _report("bab" if estimator == "sam" else "probab", store, params,
-                   best_set, t0, expansions=expansions, bound_calls=bound_calls,
+    # the incumbent's objective is counted over every walk; a completion's
+    # L, over its touched walks only, may differ from that in its last bits
+    obj = (incumbent.objective if best_set == incumbent.chosen_set
+           else estimate_objective(store, params, best_set))
+    return _report("bab" if estimator == "sam" else "probab", store, best_set,
+                   obj, t0, expansions=expansions, bound_calls=bound_calls,
                    gain_evals=gain_evals, truncated=truncated, bound_gap=bound_gap)
 
 

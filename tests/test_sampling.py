@@ -373,7 +373,7 @@ def test_the_index_starts_no_thread(monkeypatch):
     assert "walk_ids" not in vars(index)
     assert index.walk_ids.tobytes() == serial.index.walk_ids.tobytes()
     assert index.hit_mass.tobytes() == serial.index.hit_mass.tobytes()
-    inverted = index.counts_for(nodes)
+    inverted = inverted_list_counts(index, nodes)
     assert forward.tobytes() == inverted.tobytes() == serial_counts.tobytes()
     assert store_digest(store) == store_digest(serial)
 
@@ -466,18 +466,28 @@ def count_parity_sets(index, rng):
     return [*sets, sets[2] * 3, [], cands]
 
 
+def inverted_list_counts(index, nodes) -> np.ndarray:
+    """The reference for `counts_for`: each node's inverted list, placed by
+    `walks_of`, adds 1 to its walks."""
+    counts = np.zeros(index.n_hit_walks, dtype=index.count_dtype)
+    for v in frozenset(nodes):
+        counts[index.walks_of(index.position(v))] += 1
+    return counts
+
+
 def assert_forward_counts_match_inverted(index, rng):
-    """The counts summed from the forward CSR before `walk_ids` is placed
-    equal those its inverted lists give after, dtype included."""
+    """The counts `counts_for` sums from the forward CSR, which places no
+    inverted list, equal those the inverted lists give, dtype included, and
+    keep their bytes once the lists are placed."""
     sets = count_parity_sets(index, rng)
     assert "walk_ids" not in vars(index)
     forward = [index.counts_for(nodes) for nodes in sets]
     assert "walk_ids" not in vars(index)
-    index.walk_ids
     for nodes, counts in zip(sets, forward):
-        inverted = index.counts_for(nodes)
+        inverted = inverted_list_counts(index, nodes)
         assert counts.dtype == inverted.dtype == index.count_dtype
         assert np.array_equal(counts, inverted)
+        assert index.counts_for(nodes).tobytes() == counts.tobytes()
     assert forward[-2].sum() == 0  # the empty set
     assert forward[-1].tolist() == np.diff(index.walk_indptr).tolist()
 

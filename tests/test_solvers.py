@@ -864,8 +864,8 @@ def test_objective_and_gain_state_hold_about_two_bytes_per_hit_walk(
     # per hit walk the objective would take 12 bytes per hit walk
     allowance = 4 * 8 * block + 4 * 8 * index.n_candidates
     bound = 2 * index.n_hit_walks + allowance
-    # counted from the forward CSR, then from the inverted lists, placed
-    # outside the measured runs
+    # before and after the inverted lists are placed, outside the measured
+    # runs
     assert "walk_ids" not in vars(index)
     assert peak_of(lambda: estimate_objective(store, P31, top)) < bound
     assert "walk_ids" not in vars(index)
@@ -938,3 +938,49 @@ def test_topk_places_no_inverted_lists_and_greedy_does(threads):
     assert again == dataclasses.replace(topk, wall_time=again.wall_time)
     assert estimate_objective(lazy, P31, greedy.chosen_set) == greedy.objective
     assert "walk_ids" not in vars(lazy.index)
+
+
+@pytest.mark.parametrize("case", ["sampled", "exact"])
+def test_every_row_holds_its_sets_objective_bit_for_bit(monkeypatch, case):
+    # a row's objective is `estimate_objective` of its set, bit for bit, but
+    # only topk, and a search whose set is not its greedy incumbent's, count
+    # the set: greedy sums the counts its gain state holds, and a search
+    # keeps its incumbent's value.  At alpha 7 the search beats greedy on
+    # both stores; at alpha 3 greedy's set stands.
+    if case == "sampled":
+        store = build_sample_store(barabasi_albert_graph(30, 2, seed=1),
+                                   set(range(3)), SampleConfig(T=4, X=30, seed=1))
+    else:
+        store = ExactStore(gnp_graph(7, 0.5, seed=4), {0}, T=3)
+    calls = []
+    counts_for = WalkIndex.counts_for
+
+    def counted(index, nodes):
+        calls.append(nodes)
+        return counts_for(index, nodes)
+
+    monkeypatch.setattr(WalkIndex, "counts_for", counted)
+    p73 = LogisticParams(7.0, 3.0)
+    stands = {}
+    for params in (P31, p73):
+        greedy = None
+        for algo in ("topk", "greedy", "bab", "probab"):
+            calls.clear()
+            report = run_solver(algo, store, params, 2, incumbent=greedy)
+            recounted = len(calls)
+            assert report.objective.hex() == estimate_objective(
+                store, params, report.chosen_set).hex(), (params, algo)
+            if algo == "greedy":
+                greedy = report
+            if algo in ("bab", "probab"):
+                stands[params, algo] = report.chosen_set == greedy.chosen_set
+                assert recounted == (0 if stands[params, algo] else 1)
+                # a search that runs its own greedy counts no more
+                calls.clear()
+                own = run_solver(algo, store, params, 2)
+                assert len(calls) == recounted
+                assert own.objective.hex() == report.objective.hex()
+            else:
+                assert recounted == (1 if algo == "topk" else 0)
+    assert stands == {(P31, "bab"): True, (P31, "probab"): True,
+                      (p73, "bab"): False, (p73, "probab"): False}
